@@ -17,12 +17,22 @@ import random
 from pathlib import Path
 
 
+# Band of the steady walk's base level, in ms.
+STEADY_BAND = (500.0, 1200.0)
+
+
 def steady_series(rng: random.Random, length: int) -> list[float]:
     base = rng.uniform(750.0, 900.0)
     drift = rng.uniform(-0.2, 0.2)
+    lo, hi = STEADY_BAND
     values = []
     for i in range(length):
         base += drift + rng.gauss(0.0, 1.5)
+        # Reflect off the band edges (and turn the drift) instead of walking
+        # out of the physiological range; this draws nothing from rng.
+        if not lo <= base <= hi:
+            base = 2 * (lo if base < lo else hi) - base
+            drift = -drift
         values.append(base + rng.gauss(0.0, 4.0))
     return values
 

@@ -18,7 +18,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import sys
 from pathlib import Path
@@ -27,29 +26,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tvmhrv import (
     ALL_INDICATORS,
-    DatasetGroup,
     IndicatorParams,
     Unit,
-    aggregate,
     indicator_value,
-    load_dataset_group,
+    load_groups,
     pairwise_classify,
     report,
-    split_segments,
+    summarize_reports,
 )
-from tvmhrv.analysis import format_value, summary_csv_text, summary_json_text
+from tvmhrv.analysis import write_csv, write_json
 from tvmhrv.cli import parse_divisions
-
-
-def load(path: Path, unit: Unit, segment_len) -> DatasetGroup:
-    group = load_dataset_group(path, unit=unit)
-    if segment_len is None:
-        return group
-    recordings = []
-    for rec in group.recordings:
-        recordings.extend(split_segments(rec, segment_len))
-    return DatasetGroup(name=group.name, recordings=tuple(recordings))
-
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -70,13 +56,45 @@ def main() -> int:
     args = parser.parse_args()
 
     params = IndicatorParams(r_ctm=args.r_ctm, r_d=args.r_d, divisions=args.divisions)
-    unit = Unit(args.unit)
-    groups = [load(path, unit, args.segment_len) for path in args.datasets]
+    groups = load_groups(args.datasets, Unit(args.unit), args.segment_len)
     args.out.mkdir(parents=True, exist_ok=True)
 
-    summaries = [aggregate(group, params) for group in groups]
-    (args.out / "summary.csv").write_text(summary_csv_text(summaries))
-    (args.out / "summary.json").write_text(summary_json_text(summaries))
+    # One report per recording feeds both the summaries and the RI matrix.
+    reports = [[report(rec, params) for rec in group.recordings] for group in groups]
+    summaries = [summarize_reports(g.name, reps) for g, reps in zip(groups, reports)]
+    write_csv(
+        args.out / "summary.csv",
+        ["dataset", "indicator", "n", "mean", "std", "min", "q1", "median", "q3", "max"],
+        (
+            [summary.name, indicator, s.n, s.mean, s.std]
+            + [s.minimum, s.q1, s.median, s.q3, s.maximum]
+            for summary in summaries
+            for indicator, s in summary.stats.items()
+        ),
+    )
+    write_json(
+        args.out / "summary.json",
+        [
+            {
+                "dataset": summary.name,
+                "indicators": {
+                    indicator: {
+                        "n": s.n,
+                        "mean": s.mean,
+                        "std": s.std,
+                        "min": s.minimum,
+                        "q1": s.q1,
+                        "median": s.median,
+                        "q3": s.q3,
+                        "max": s.maximum,
+                        "values": s.values,
+                    }
+                    for indicator, s in summary.stats.items()
+                },
+            }
+            for summary in summaries
+        ],
+    )
     for summary in summaries:
         line = ", ".join(
             f"{ind}={summary.stats[ind].mean:.4g}±{summary.stats[ind].std:.4g}"
@@ -85,25 +103,18 @@ def main() -> int:
         )
         print(f"{summary.name}: {line}")
 
-    feature_cache = {}
-    for group in groups:
-        reports = [report(rec, params) for rec in group.recordings]
-        feature_cache[group.name] = reports
-
-    with (args.out / "ri_matrix.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pair", "indicator", "ri"])
-        for ga, gb in itertools.combinations(groups, 2):
-            for indicator in args.indicators:
-                fa = [indicator_value(r, indicator) for r in feature_cache[ga.name]]
-                fb = [indicator_value(r, indicator) for r in feature_cache[gb.name]]
-                if any(v is None for v in fa + fb):
-                    writer.writerow([f"{ga.name}|{gb.name}", indicator, ""])
-                    continue
-                outcome = pairwise_classify(fa, fb, label_a=ga.name, label_b=gb.name)
-                writer.writerow([f"{ga.name}|{gb.name}", indicator, format_value(outcome.ri)])
+    ri_rows = []
+    for (ga, ra), (gb, rb) in itertools.combinations(zip(groups, reports), 2):
+        for indicator in args.indicators:
+            fa = [indicator_value(r, indicator) for r in ra]
+            fb = [indicator_value(r, indicator) for r in rb]
+            ri = None
+            if None not in fa + fb:
+                ri = pairwise_classify(fa, fb, label_a=ga.name, label_b=gb.name).ri
                 if indicator in ("ctm", "etv1"):
-                    print(f"RI[{ga.name} vs {gb.name}, {indicator}] = {outcome.ri:.3f}")
+                    print(f"RI[{ga.name} vs {gb.name}, {indicator}] = {ri:.3f}")
+            ri_rows.append((f"{ga.name}|{gb.name}", indicator, ri))
+    write_csv(args.out / "ri_matrix.csv", ["pair", "indicator", "ri"], ri_rows)
 
     print(f"outputs in {args.out}")
     return 0

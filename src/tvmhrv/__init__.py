@@ -17,6 +17,7 @@ from .analysis import (
     indicator_value,
     report,
     summarize,
+    summarize_reports,
     sweep_r,
 )
 from .cluster import (
@@ -43,6 +44,7 @@ from .series import (
     RRSeries,
     Unit,
     load_dataset_group,
+    load_groups,
     load_rr_series,
     save_rr_series,
     series_from_values,
@@ -56,6 +58,8 @@ from .sodp import (
     ctm,
     mean_distance_d,
     point_distances,
+    quadrant_codes,
+    radius_census,
     radius_counts,
     second_order_diff,
 )

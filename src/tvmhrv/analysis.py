@@ -1,19 +1,22 @@
-"""Per-recording indicator reports, radius sweeps, and group statistics."""
+"""Per-recording indicator reports, radius sweeps, group statistics, and the
+CSV/JSON writer that every output goes through."""
 
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, NoPointInRadiusError
+from .errors import EmptyInputError
 from .series import DatasetGroup, RRSeries
-from .sodp import Quadrant, mean_distance_d, point_distances, radius_counts, second_order_diff
+from .sodp import RadiusCounts, point_distances, quadrant_codes, radius_census, second_order_diff
 from .tvm import DEFAULT_DIVISIONS, build_grid, build_tvm_points, quadrant_etv, temporal_variation_entropy
 
 RADIUS_INDICATORS = ("ctm", "d", "cctm1", "cctm2", "cctm3", "cctm4")
@@ -28,6 +31,60 @@ def format_value(v: float) -> str:
 def round_sig(v: float) -> float:
     """Round to the float nearest the 9-significant-digit decimal."""
     return float(format_value(v))
+
+
+@contextmanager
+def _output(path):
+    if path is None:
+        yield sys.stdout
+    else:
+        with Path(path).open("w", newline="") as fh:
+            yield fh
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows of raw values as CSV to path, or stdout if None.
+
+    Floats go through format_value, None becomes an empty field and anything
+    else is written as it is. Rows are formatted one at a time, so a
+    generator is never materialized.
+    """
+    with _output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [format_value(v) if isinstance(v, float) else "" if v is None else v for v in row]
+            for row in rows
+        )
+
+
+def _round_floats(node) -> None:
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, v in items:
+        if isinstance(v, float):
+            node[key] = round_sig(v)
+        elif isinstance(v, tuple):
+            node[key] = v = list(v)
+            _round_floats(v)
+        elif isinstance(v, (dict, list)):
+            _round_floats(v)
+
+
+def write_json(path, payload: dict | list) -> None:
+    """Write payload as indented JSON to path, or stdout if None.
+
+    Every float in it goes through round_sig; ints, strings and None are
+    written as they are. The rounding happens in place (tuples become
+    lists), so pass a payload built for this call, not one shared with a
+    result object.
+    """
+    _round_floats(payload)
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    with _output(path) as fh:
+        # Joined in batches: neither one write per token nor the whole text at once.
+        while batch := "".join(itertools.islice(chunks, 8192)):
+            fh.write(batch)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -62,17 +119,16 @@ class IndicatorReport:
 def report(series: RRSeries, params: IndicatorParams = IndicatorParams()) -> IndicatorReport:
     """Compute all indicators of one recording."""
     points = second_order_diff(series)
-    counts = radius_counts(points, params.r_ctm)
-    try:
-        d_value = mean_distance_d(points, params.r_d)
-    except NoPointInRadiusError:
-        d_value = None
+    distances, codes = point_distances(points), quadrant_codes(points)
+    counts, _ = radius_census(distances, codes, params.r_ctm)
+    _, d_value = radius_census(distances, codes, params.r_d)
+    del distances, codes  # not kept alive through the larger 3-D step
     tvm_points = build_tvm_points(points)
     grid = build_grid(tvm_points, params.divisions)
     return IndicatorReport(
         source_id=series.source_id,
-        ctm=counts.within / counts.total,
-        cctm=tuple(q / counts.total for q in counts.quadrant),
+        ctm=counts.ctm,
+        cctm=counts.cctm,
         d=d_value,
         etv_global=temporal_variation_entropy(grid),
         etv_quadrant=quadrant_etv(tvm_points, params.divisions),
@@ -115,22 +171,12 @@ class SweepTable:
             raise ValueError("r_values must be positive")
 
 
-def _radius_indicator_value(
-    distances: np.ndarray, quadrants: np.ndarray, indicator: str, r: float
-) -> float | None:
-    n = distances.size
-    inside = distances < r
+def _radius_value(counts: RadiusCounts, d: float | None, indicator: str) -> float | None:
     if indicator == "ctm":
-        return float(np.count_nonzero(inside)) / n
+        return counts.ctm
     if indicator == "d":
-        if not inside.any():
-            return None
-        return float(np.mean(distances[inside]))
-    k = int(indicator[4:]) - 1
-    return float(np.count_nonzero(inside & (quadrants == k))) / n
-
-
-_QUADRANT_CODE = {Quadrant.I: 0, Quadrant.II: 1, Quadrant.III: 2, Quadrant.IV: 3, Quadrant.ON_AXIS: 4}
+        return d
+    return counts.cctm[int(indicator[4:]) - 1]
 
 
 def sweep_r(
@@ -154,18 +200,13 @@ def sweep_r(
         cached = []
         for rec in sorted(group.recordings, key=lambda s: s.source_id):
             points = second_order_diff(rec)
-            cached.append(
-                (
-                    point_distances(points),
-                    np.array([_QUADRANT_CODE[p.quadrant] for p in points]),
-                )
-            )
+            cached.append((point_distances(points), quadrant_codes(points)))
         row = []
         for r in r_values:
             values = [
                 v
-                for dist, quad in cached
-                if (v := _radius_indicator_value(dist, quad, indicator, r)) is not None
+                for dist, codes in cached
+                if (v := _radius_value(*radius_census(dist, codes, r), indicator)) is not None
             ]
             row.append(float(np.mean(values)) if values else None)
         rows[group.name] = tuple(row)
@@ -221,88 +262,20 @@ def aggregate(group: DatasetGroup, params: IndicatorParams = IndicatorParams()) 
     Recordings whose D is absent at r_d are left out of the D statistics; an
     indicator with no values at all is omitted from the result.
     """
-    if not group.recordings:
-        raise EmptyInputError(f"dataset group {group.name!r} has no recordings")
     reports = [report(rec, params) for rec in sorted(group.recordings, key=lambda s: s.source_id)]
+    return summarize_reports(group.name, reports)
+
+
+def summarize_reports(name: str, reports: Sequence[IndicatorReport]) -> GroupSummary:
+    """Summarize every indicator across the reports of one group, as aggregate does.
+
+    The reports must share one IndicatorParams.
+    """
+    if not reports:
+        raise EmptyInputError(f"dataset group {name!r} has no recordings")
     stats = {}
     for indicator in ALL_INDICATORS:
         values = [v for rep in reports if (v := indicator_value(rep, indicator)) is not None]
         if values:
             stats[indicator] = summarize(values)
-    return GroupSummary(name=group.name, params=params, stats=stats)
-
-
-def sweep_csv_text(table: SweepTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dataset", "r", "mean"])
-    for name, row in table.rows.items():
-        for r, value in zip(table.r_values, row):
-            writer.writerow(
-                [name, format_value(r), "" if value is None else format_value(value)]
-            )
-    return buf.getvalue()
-
-
-def sweep_json_text(table: SweepTable) -> str:
-    payload = {
-        "indicator": table.indicator,
-        "r_values": [round_sig(r) for r in table.r_values],
-        "rows": {
-            name: [None if v is None else round_sig(v) for v in row]
-            for name, row in table.rows.items()
-        },
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def summary_csv_text(summaries: Sequence[GroupSummary]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dataset", "indicator", "n", "mean", "std", "min", "q1", "median", "q3", "max"])
-    for summary in summaries:
-        for indicator in ALL_INDICATORS:
-            if indicator not in summary.stats:
-                continue
-            s = summary.stats[indicator]
-            writer.writerow(
-                [summary.name, indicator, s.n]
-                + [format_value(v) for v in (s.mean, s.std, s.minimum, s.q1, s.median, s.q3, s.maximum)]
-            )
-    return buf.getvalue()
-
-
-def summary_json_text(summaries: Sequence[GroupSummary]) -> str:
-    payload = []
-    for summary in summaries:
-        entry = {"dataset": summary.name, "indicators": {}}
-        for indicator, s in summary.stats.items():
-            entry["indicators"][indicator] = {
-                "n": s.n,
-                "mean": round_sig(s.mean),
-                "std": round_sig(s.std),
-                "min": round_sig(s.minimum),
-                "q1": round_sig(s.q1),
-                "median": round_sig(s.median),
-                "q3": round_sig(s.q3),
-                "max": round_sig(s.maximum),
-                "values": [round_sig(v) for v in s.values],
-            }
-        payload.append(entry)
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def write_sweep_csv(table: SweepTable, path) -> None:
-    Path(path).write_text(sweep_csv_text(table))
-
-
-def write_sweep_json(table: SweepTable, path) -> None:
-    Path(path).write_text(sweep_json_text(table))
-
-
-def write_summary_csv(summaries: Sequence[GroupSummary], path) -> None:
-    Path(path).write_text(summary_csv_text(summaries))
-
-
-def write_summary_json(summaries: Sequence[GroupSummary], path) -> None:
-    Path(path).write_text(summary_json_text(summaries))
+    return GroupSummary(name=name, params=reports[0].params, stats=stats)

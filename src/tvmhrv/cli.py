@@ -9,8 +9,6 @@ is 0 iff every requested output was written.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from pathlib import Path
 
@@ -18,17 +16,15 @@ from .analysis import (
     ALL_INDICATORS,
     RADIUS_INDICATORS,
     IndicatorParams,
-    format_value,
     indicator_value,
     report,
-    round_sig,
-    sweep_csv_text,
-    sweep_json_text,
     sweep_r,
+    write_csv,
+    write_json,
 )
 from .cluster import pairwise_classify
 from .errors import TvmhrvError
-from .series import DatasetGroup, RRSeries, Unit, load_dataset_group, load_rr_series, split_segments
+from .series import RRSeries, Unit, load_groups
 from .sodp import second_order_diff
 from .tvm import build_tvm_points
 
@@ -82,7 +78,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="split each recording into consecutive N-interval segments "
-        "(trailing partial segment dropped)",
+        "(trailing partial segment dropped; a recording shorter than N is an error)",
     )
     parser.add_argument("--out", type=Path, default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -129,116 +125,69 @@ def _params(args) -> IndicatorParams:
     return IndicatorParams(r_ctm=args.r_ctm, r_d=args.r_d, divisions=args.divisions)
 
 
-def _segmented(recordings, segment_len):
-    if segment_len is None:
-        return list(recordings)
-    out = []
-    for rec in recordings:
-        out.extend(split_segments(rec, segment_len))
-    return out
-
-
-def _load_recordings(inputs, unit: Unit, segment_len) -> list[RRSeries]:
+def _recordings(args) -> list[RRSeries]:
     """Flatten files and directories into recordings, sorted by source_id."""
-    recordings = []
-    for path in inputs:
-        if path.is_dir():
-            recordings.extend(load_dataset_group(path, unit=unit).recordings)
-        else:
-            recordings.append(load_rr_series(path, unit=unit))
-    recordings = _segmented(recordings, segment_len)
-    return sorted(recordings, key=lambda s: s.source_id)
+    groups = load_groups(args.inputs, Unit(args.unit), args.segment_len, allow_files=True)
+    return sorted((rec for g in groups for rec in g.recordings), key=lambda s: s.source_id)
 
 
-def _load_group_features(directory, unit, params, indicator, segment_len):
-    group = load_dataset_group(directory, unit=unit)
-    recordings = _segmented(group.recordings, segment_len)
-    recordings.sort(key=lambda s: s.source_id)
+def _group_features(directory, args, params):
+    # One group at a time, so only one group's recordings are held at once.
+    (group,) = load_groups([directory], Unit(args.unit), args.segment_len)
     features = []
-    for rec in recordings:
-        value = indicator_value(report(rec, params), indicator)
+    for rec in group.recordings:
+        value = indicator_value(report(rec, params), args.indicator)
         if value is None:
             raise TvmhrvError(
-                f"{group.name}/{rec.source_id}: indicator {indicator!r} is undefined "
+                f"{group.name}/{rec.source_id}: indicator {args.indicator!r} is undefined "
                 f"(no point inside r_d={params.r_d}); cannot classify"
             )
         features.append(value)
     return group.name, features
 
 
-def _open_out(path):
-    if path is None:
-        return sys.stdout
-    return Path(path).open("w", newline="")
-
-
 def cmd_indicators(args) -> int:
     params = _params(args)
-    recordings = _load_recordings(args.inputs, Unit(args.unit), args.segment_len)
-    reports = [report(rec, params) for rec in recordings]
-
-    fh = _open_out(args.out)
-    try:
-        if args.format == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["source_id", "ctm", "cctm1", "cctm2", "cctm3", "cctm4", "d",
-                 "etv_global", "etv1", "etv2", "etv3", "etv4"]
-            )
-            for rep in reports:
-                writer.writerow(
-                    [rep.source_id, format_value(rep.ctm)]
-                    + [format_value(v) for v in rep.cctm]
-                    + ["" if rep.d is None else format_value(rep.d)]
-                    + [format_value(rep.etv_global)]
-                    + [format_value(v) for v in rep.etv_quadrant]
-                )
-        else:
-            payload = {
-                "params": {
-                    "r_ctm": round_sig(params.r_ctm),
-                    "r_d": round_sig(params.r_d),
-                    "divisions": list(params.divisions),
-                },
-                "reports": [
-                    {
-                        "source_id": rep.source_id,
-                        "ctm": round_sig(rep.ctm),
-                        "cctm": [round_sig(v) for v in rep.cctm],
-                        "d": None if rep.d is None else round_sig(rep.d),
-                        "etv_global": round_sig(rep.etv_global),
-                        "etv_quadrant": [round_sig(v) for v in rep.etv_quadrant],
-                    }
-                    for rep in reports
-                ],
-            }
-            fh.write(json.dumps(payload, indent=2) + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    reports = [report(rec, params) for rec in _recordings(args)]
+    if args.format == "csv":
+        write_csv(
+            args.out,
+            ["source_id", "ctm", "cctm1", "cctm2", "cctm3", "cctm4", "d",
+             "etv_global", "etv1", "etv2", "etv3", "etv4"],
+            (
+                [rep.source_id, rep.ctm, *rep.cctm, rep.d, rep.etv_global, *rep.etv_quadrant]
+                for rep in reports
+            ),
+        )
+    else:
+        payload = {
+            "params": {"r_ctm": params.r_ctm, "r_d": params.r_d, "divisions": params.divisions},
+            "reports": [
+                {
+                    "source_id": rep.source_id,
+                    "ctm": rep.ctm,
+                    "cctm": rep.cctm,
+                    "d": rep.d,
+                    "etv_global": rep.etv_global,
+                    "etv_quadrant": rep.etv_quadrant,
+                }
+                for rep in reports
+            ],
+        }
+        write_json(args.out, payload)
     return 0
 
 
-def _write_point_rows(fh, fmt, source_id, header, rows):
+def _write_points(path, fmt, source_id, header, rows) -> None:
     if fmt == "csv":
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        write_csv(path, header, rows)
     else:
-        keys = header
-        payload = {
-            "source_id": source_id,
-            "points": [
-                {k: (v if isinstance(v, (str, int)) else round_sig(v)) for k, v in zip(keys, row)}
-                for row in rows
-            ],
-        }
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        points = [dict(zip(header, row)) for row in rows]
+        write_json(path, {"source_id": source_id, "points": points})
 
 
 def cmd_points(args) -> int:
-    recordings = _load_recordings(args.inputs, Unit(args.unit), args.segment_len)
+    recordings = _recordings(args)
     seen = set()
     for rec in recordings:
         if rec.source_id in seen:
@@ -249,101 +198,69 @@ def cmd_points(args) -> int:
         seen.add(rec.source_id)
     out_dir = args.out if args.out is not None else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = args.format
 
     for rec in recordings:
         points = second_order_diff(rec)
         tvm_points = build_tvm_points(points)
-
-        sodp_path = out_dir / f"{rec.source_id}_sodp.{ext}"
-        with sodp_path.open("w", newline="") as fh:
-            if args.format == "csv":
-                rows = [
-                    (p.index, format_value(p.x), format_value(p.y), p.quadrant.value)
-                    for p in points
-                ]
-            else:
-                rows = [(p.index, p.x, p.y, p.quadrant.value) for p in points]
-            _write_point_rows(fh, args.format, rec.source_id, ["index", "x", "y", "quadrant"], rows)
-
-        tvm_path = out_dir / f"{rec.source_id}_tvm.{ext}"
-        with tvm_path.open("w", newline="") as fh:
-            if args.format == "csv":
-                rows = [
-                    (
-                        p.base.index,
-                        format_value(p.base.x),
-                        format_value(p.base.y),
-                        format_value(p.d_co),
-                        format_value(p.le),
-                        format_value(p.l),
-                        format_value(p.z),
-                        p.base.quadrant.value,
-                    )
-                    for p in tvm_points
-                ]
-            else:
-                rows = [
-                    (p.base.index, p.base.x, p.base.y, p.d_co, p.le, p.l, p.z, p.base.quadrant.value)
-                    for p in tvm_points
-                ]
-            _write_point_rows(
-                fh,
-                args.format,
-                rec.source_id,
-                ["index", "x", "y", "d_co", "le", "l", "z", "quadrant"],
-                rows,
-            )
+        _write_points(
+            out_dir / f"{rec.source_id}_sodp.{args.format}",
+            args.format,
+            rec.source_id,
+            ["index", "x", "y", "quadrant"],
+            ((p.index, p.x, p.y, p.quadrant.value) for p in points),
+        )
+        _write_points(
+            out_dir / f"{rec.source_id}_tvm.{args.format}",
+            args.format,
+            rec.source_id,
+            ["index", "x", "y", "d_co", "le", "l", "z", "quadrant"],
+            (
+                (p.base.index, p.base.x, p.base.y, p.d_co, p.le, p.l, p.z, p.base.quadrant.value)
+                for p in tvm_points
+            ),
+        )
     return 0
 
 
 def cmd_sweep(args) -> int:
-    unit = Unit(args.unit)
-    groups = []
-    for path in args.inputs:
-        group = load_dataset_group(path, unit=unit)
-        recordings = _segmented(group.recordings, args.segment_len)
-        groups.append(DatasetGroup(name=group.name, recordings=tuple(recordings)))
+    groups = load_groups(args.inputs, Unit(args.unit), args.segment_len)
     table = sweep_r(groups, args.indicator, args.r_grid)
-
-    text = sweep_csv_text(table) if args.format == "csv" else sweep_json_text(table)
-    if args.out is None:
-        sys.stdout.write(text)
+    if args.format == "csv":
+        write_csv(
+            args.out,
+            ["dataset", "r", "mean"],
+            (
+                (name, r, value)
+                for name, row in table.rows.items()
+                for r, value in zip(table.r_values, row)
+            ),
+        )
     else:
-        Path(args.out).write_text(text)
+        write_json(
+            args.out,
+            {"indicator": table.indicator, "r_values": table.r_values, "rows": dict(table.rows)},
+        )
     return 0
 
 
 def cmd_classify(args) -> int:
     params = _params(args)
-    unit = Unit(args.unit)
-    name_a, features_a = _load_group_features(
-        args.group_a, unit, params, args.indicator, args.segment_len
-    )
-    name_b, features_b = _load_group_features(
-        args.group_b, unit, params, args.indicator, args.segment_len
-    )
+    name_a, features_a = _group_features(args.group_a, args, params)
+    name_b, features_b = _group_features(args.group_b, args, params)
     outcome = pairwise_classify(features_a, features_b, label_a=name_a, label_b=name_b)
-
-    fh = _open_out(args.out)
-    try:
-        if args.format == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["pair", "indicator", "ri"])
-            writer.writerow([f"{name_a}|{name_b}", args.indicator, format_value(outcome.ri)])
-        else:
-            payload = {
-                "pair": [name_a, name_b],
-                "indicator": args.indicator,
-                "ri": round_sig(outcome.ri),
-                "centroids": [round_sig(c) for c in outcome.centroids],
-                "iterations": outcome.iterations,
-                "assignments": list(outcome.assignments),
-            }
-            fh.write(json.dumps(payload, indent=2) + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    if args.format == "csv":
+        pair = f"{name_a}|{name_b}"
+        write_csv(args.out, ["pair", "indicator", "ri"], [(pair, args.indicator, outcome.ri)])
+    else:
+        payload = {
+            "pair": [name_a, name_b],
+            "indicator": args.indicator,
+            "ri": outcome.ri,
+            "centroids": outcome.centroids,
+            "iterations": outcome.iterations,
+            "assignments": outcome.assignments,
+        }
+        write_json(args.out, payload)
     return 0
 
 

@@ -116,9 +116,7 @@ def save_rr_series(series: RRSeries, path) -> None:
     path.write_text("".join(f"{v!r}\n" for v in series.intervals))
 
 
-def load_dataset_group(directory, unit: Unit = Unit.UNITLESS) -> DatasetGroup:
-    """Load every .txt/.csv file in a directory, in lexicographic name order."""
-    directory = Path(directory)
+def _recording_files(directory: Path) -> list[Path]:
     if not directory.is_dir():
         raise NotADirectoryError(f"{directory} is not a directory")
     files = sorted(
@@ -127,8 +125,50 @@ def load_dataset_group(directory, unit: Unit = Unit.UNITLESS) -> DatasetGroup:
     )
     if not files:
         raise EmptyDirectoryError(f"{directory}: no .txt or .csv recordings found")
-    recordings = tuple(load_rr_series(p, unit=unit) for p in files)
+    return files
+
+
+def load_dataset_group(directory, unit: Unit = Unit.UNITLESS) -> DatasetGroup:
+    """Load every .txt/.csv file in a directory, in lexicographic name order."""
+    directory = Path(directory)
+    recordings = tuple(load_rr_series(p, unit=unit) for p in _recording_files(directory))
     return DatasetGroup(name=directory.name, recordings=recordings)
+
+
+def load_groups(
+    paths: Iterable,
+    unit: Unit = Unit.UNITLESS,
+    segment_len: int | None = None,
+    allow_files: bool = False,
+) -> list[DatasetGroup]:
+    """Load one dataset group per path, with recordings sorted by source_id.
+
+    A directory gives the group of its .txt/.csv files, named after it. A
+    file gives a one-recording group named after its stem when allow_files
+    is set, and is rejected as not a directory otherwise. With segment_len,
+    every recording is cut by split_segments (a partial tail is dropped); a
+    recording shorter than one segment raises TooShortSeriesError naming
+    its file.
+    """
+    groups = []
+    for path in map(Path, paths):
+        single = allow_files and not path.is_dir()
+        recordings = []
+        for file in [path] if single else _recording_files(path):
+            rec = load_rr_series(file, unit=unit)
+            if segment_len is None:
+                recordings.append(rec)
+            elif len(rec) < segment_len:
+                raise TooShortSeriesError(
+                    f"{file}: found {len(rec)} intervals, fewer than one "
+                    f"segment of {segment_len}"
+                )
+            else:
+                recordings.extend(split_segments(rec, segment_len))
+        recordings.sort(key=lambda s: s.source_id)
+        name = path.stem if single else path.name
+        groups.append(DatasetGroup(name=name, recordings=tuple(recordings)))
+    return groups
 
 
 def split_segments(series: RRSeries, length: int) -> list[RRSeries]:

@@ -76,6 +76,15 @@ class RadiusCounts:
     on_axis: int
     total: int
 
+    @property
+    def ctm(self) -> float:
+        return self.within / self.total
+
+    @property
+    def cctm(self) -> tuple[float, float, float, float]:
+        q, n = self.quadrant, self.total
+        return (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
+
 
 def second_order_diff(series: RRSeries) -> list[SodpPoint]:
     """Build the n-2 plot points of a series, in index order."""
@@ -93,55 +102,61 @@ def point_distances(points: Sequence[SodpPoint]) -> np.ndarray:
     return np.sqrt(x * x + y * y)
 
 
-def _require_points(points: Sequence[SodpPoint], r: float) -> None:
-    if not points:
+# Quadrant code of a point: 0-3 for quadrants I-IV, 4 for on-axis points.
+_QUADRANT_CODE = {q: code for code, q in enumerate(Quadrant)}
+
+
+def quadrant_codes(points: Sequence[SodpPoint]) -> np.ndarray:
+    """Quadrant code of every point, as an int8 array."""
+    return np.fromiter(
+        (_QUADRANT_CODE[p.quadrant] for p in points), dtype=np.int8, count=len(points)
+    )
+
+
+def radius_census(
+    distances: np.ndarray, codes: np.ndarray, r: float
+) -> tuple[RadiusCounts, float | None]:
+    """Counts of the points with distance < r and their mean distance D.
+
+    `distances` and `codes` come from point_distances and quadrant_codes of
+    the same points; D is None when no point lies inside r.
+    """
+    if distances.size == 0:
         raise EmptyInputError("need at least one plot point")
     if not (r > 0):
         raise ValueError(f"radius must be > 0, got {r}")
+    inside = distances < r
+    within = int(np.count_nonzero(inside))
+    quadrant = tuple(int(np.count_nonzero(inside & (codes == k))) for k in range(4))
+    counts = RadiusCounts(
+        within=within, quadrant=quadrant, on_axis=within - sum(quadrant), total=distances.size
+    )
+    d = float(np.mean(distances[inside])) if within else None
+    return counts, d
 
 
-_QUADRANT_INDEX = {Quadrant.I: 0, Quadrant.II: 1, Quadrant.III: 2, Quadrant.IV: 3}
+def _census(points: Sequence[SodpPoint], r: float) -> tuple[RadiusCounts, float | None]:
+    return radius_census(point_distances(points), quadrant_codes(points), r)
 
 
 def radius_counts(points: Sequence[SodpPoint], r: float) -> RadiusCounts:
     """Count the points with distance < r, split by quadrant."""
-    _require_points(points, r)
-    quad = [0, 0, 0, 0]
-    on_axis = 0
-    for p in points:
-        if p.distance < r:
-            if p.quadrant is Quadrant.ON_AXIS:
-                on_axis += 1
-            else:
-                quad[_QUADRANT_INDEX[p.quadrant]] += 1
-    within = quad[0] + quad[1] + quad[2] + quad[3] + on_axis
-    return RadiusCounts(
-        within=within,
-        quadrant=(quad[0], quad[1], quad[2], quad[3]),
-        on_axis=on_axis,
-        total=len(points),
-    )
+    return _census(points, r)[0]
 
 
 def ctm(points: Sequence[SodpPoint], r: float) -> float:
     """Central tendency measure: fraction of points with distance < r."""
-    counts = radius_counts(points, r)
-    return counts.within / counts.total
+    return radius_counts(points, r).ctm
 
 
 def cctm(points: Sequence[SodpPoint], r: float) -> tuple[float, float, float, float]:
     """Per-quadrant CTM components; denominator is the total point count."""
-    counts = radius_counts(points, r)
-    q = counts.quadrant
-    n = counts.total
-    return (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
+    return radius_counts(points, r).cctm
 
 
 def mean_distance_d(points: Sequence[SodpPoint], r: float) -> float:
     """Mean distance from the origin over the points with distance < r."""
-    _require_points(points, r)
-    distances = point_distances(points)
-    inside = distances[distances < r]
-    if inside.size == 0:
+    d = _census(points, r)[1]
+    if d is None:
         raise NoPointInRadiusError(f"no point lies strictly inside radius {r}")
-    return float(np.mean(inside))
+    return d

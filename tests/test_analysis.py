@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tvmhrv import (
+    RADIUS_INDICATORS,
     DatasetGroup,
     EmptyInputError,
     IndicatorParams,
@@ -77,6 +78,19 @@ class TestSweep:
         group = DatasetGroup(name="solo", recordings=(FIVE,))
         table = sweep_r([group], "ctm", [3.0])
         assert table.rows["solo"] == (report(FIVE, IndicatorParams(r_ctm=3.0)).ctm,)
+
+    @given(
+        st.lists(st.floats(min_value=300.0, max_value=1500.0), min_size=3, max_size=40),
+        st.floats(min_value=0.01, max_value=400.0),
+    )
+    @example(values=[800, 810, 790, 805, 795], r=3.0)  # no point inside r: D is None
+    def test_single_recording_equals_report_for_every_radius_indicator(self, values, r):
+        series = series_from_values(values, source_id="solo")
+        rep = report(series, IndicatorParams(r_ctm=r, r_d=r))
+        group = DatasetGroup(name="solo", recordings=(series,))
+        for indicator in RADIUS_INDICATORS:
+            (swept,) = sweep_r([group], indicator, [r]).rows["solo"]
+            assert swept == indicator_value(rep, indicator), indicator
 
     def test_ctm_rows_non_decreasing(self):
         groups = [

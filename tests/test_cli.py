@@ -95,11 +95,18 @@ class TestIndicators:
         assert out.startswith("source_id,")
 
     def test_segment_len_splits_rows(self, tmp_path):
-        path = write_series(tmp_path / "long.txt", list(range(700, 720)))
+        # 22 intervals: four segments of 5, the partial tail of 2 dropped.
+        path = write_series(tmp_path / "long.txt", list(range(700, 722)))
         out = tmp_path / "report.csv"
         assert run(["indicators", path, "--segment-len", "5", "--out", out]) == 0
         rows = read_csv(out)
         assert [row[0] for row in rows[1:]] == [f"long#{k:03d}" for k in range(4)]
+
+    def test_recording_shorter_than_segment_len_is_an_error(self, rr_file, capsys):
+        assert run(["indicators", rr_file, "--segment-len", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rec.txt" in captured.err and "10" in captured.err
 
     def test_validation_error_names_line(self, tmp_path, capsys):
         bad = write_series(tmp_path / "bad.txt", [800, -5, 700])
@@ -185,6 +192,17 @@ class TestSweep:
         payload = json.loads(out.read_text())
         assert payload["indicator"] == "ctm"
         assert set(payload["rows"]) == {"alpha", "beta"}
+
+    def test_recording_shorter_than_segment_len_is_an_error(self, two_groups, tmp_path, capsys):
+        a, b = two_groups
+        write_series(a / "r9.txt", list(range(700, 720)))
+        assert run(["sweep", a, b, "--segment-len", "10", "--out", tmp_path / "s.csv"]) == 1
+        assert "r0.txt" in capsys.readouterr().err
+
+    def test_file_argument_rejected(self, two_groups, capsys):
+        a, _ = two_groups
+        assert run(["sweep", a / "r0.txt"]) == 1
+        assert "is not a directory" in capsys.readouterr().err
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         ddir = tmp_path / "empty"

@@ -1,0 +1,67 @@
+"""Smoke tests of the scripts under scripts/, run as a user would run them."""
+
+import csv
+import importlib.util
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+from tvmhrv import ALL_INDICATORS, aggregate, load_dataset_group
+from tvmhrv.analysis import format_value
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name: str, *args) -> str:
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *map(str, args)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout
+
+
+def read_csv(path: Path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_demo_data_regenerates_fixture_corpus(corpus_dir, tmp_path):
+    # The command the README gives for tests/fixtures/corpus.
+    run_script("make_demo_data.py", tmp_path, "--recordings", 3, "--length", 80, "--seed", 20260808)
+    expected = sorted(p.relative_to(corpus_dir) for p in corpus_dir.rglob("*.txt"))
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.txt")) == expected
+    for rel in expected:
+        assert (tmp_path / rel).read_bytes() == (corpus_dir / rel).read_bytes(), rel
+
+
+def test_demo_steady_walk_stays_physiological():
+    spec = importlib.util.spec_from_file_location("make_demo_data", SCRIPTS / "make_demo_data.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # The steady recordings of --recordings 4 --length 100000 --seed 1.
+    rng = random.Random(1)
+    for k in range(4):
+        values = module.steady_series(rng, 100_000)
+        assert 300.0 <= min(values) and max(values) <= 2000.0, k
+
+
+def test_reproduce_tables_outputs(corpus_dir, tmp_path):
+    steady, erratic = corpus_dir / "steady", corpus_dir / "erratic"
+    out = tmp_path / "tables"
+    run_script("reproduce_tables.py", steady, erratic, "--out", out)
+
+    expected = [["dataset", "indicator", "n", "mean", "std", "min", "q1", "median", "q3", "max"]]
+    for directory in (steady, erratic):
+        summary = aggregate(load_dataset_group(directory))
+        for indicator, s in summary.stats.items():
+            stats = (s.mean, s.std, s.minimum, s.q1, s.median, s.q3, s.maximum)
+            expected.append([summary.name, indicator, str(s.n)] + [format_value(v) for v in stats])
+    assert read_csv(out / "summary.csv") == expected
+
+    ri_rows = read_csv(out / "ri_matrix.csv")
+    assert ri_rows[0] == ["pair", "indicator", "ri"]
+    assert [row[1] for row in ri_rows[1:]] == list(ALL_INDICATORS)
+    assert {row[0] for row in ri_rows[1:]} == {"steady|erratic"}

@@ -13,6 +13,7 @@ from tvmhrv import (
     TooShortSeriesError,
     Unit,
     load_dataset_group,
+    load_groups,
     load_rr_series,
     save_rr_series,
     series_from_values,
@@ -139,6 +140,44 @@ class TestSegments:
     def test_window_below_three_rejected(self):
         with pytest.raises(ValueError):
             split_segments(series_from_values([1, 2, 3]), 2)
+
+
+class TestLoadGroups:
+    @pytest.fixture
+    def grp(self, tmp_path):
+        ddir = tmp_path / "grp"
+        ddir.mkdir()
+        write(ddir, "b.txt", "".join(f"{800 + i}\n" for i in range(11)))
+        write(ddir, "a.csv", "800,810,790,805,795,801")
+        return ddir
+
+    def test_directory_group_sorted_by_source_id(self, grp):
+        (group,) = load_groups([grp], unit=Unit.MILLISECONDS)
+        assert group.name == "grp"
+        assert [rec.source_id for rec in group.recordings] == ["a", "b"]
+        assert all(rec.unit is Unit.MILLISECONDS for rec in group.recordings)
+
+    def test_segments_with_partial_tail_dropped(self, grp):
+        (group,) = load_groups([grp], segment_len=5)
+        assert [rec.source_id for rec in group.recordings] == ["a#000", "b#000", "b#001"]
+
+    def test_recording_shorter_than_segment_names_file(self, grp):
+        with pytest.raises(TooShortSeriesError) as err:
+            load_groups([grp], segment_len=7)
+        assert "a.csv" in str(err.value)
+
+    def test_file_is_a_group_only_when_allowed(self, grp):
+        (group,) = load_groups([grp / "b.txt"], allow_files=True)
+        assert group.name == "b"
+        assert [rec.source_id for rec in group.recordings] == ["b"]
+        with pytest.raises(NotADirectoryError):
+            load_groups([grp / "b.txt"])
+
+    def test_one_group_per_path_in_order(self, grp, tmp_path):
+        other = tmp_path / "other"
+        other.mkdir()
+        write(other, "z.txt", "800\n810\n790\n")
+        assert [g.name for g in load_groups([other, grp])] == ["other", "grp"]
 
 
 @given(
