@@ -51,14 +51,13 @@ from .series import (
     split_segments,
 )
 from .sodp import (
+    PlotPoints,
     Quadrant,
     RadiusCounts,
-    SodpPoint,
     cctm,
     ctm,
     mean_distance_d,
     point_distances,
-    quadrant_codes,
     radius_census,
     radius_counts,
     second_order_diff,
@@ -66,14 +65,12 @@ from .sodp import (
 from .tvm import (
     DEFAULT_DIVISIONS,
     GridCell,
+    LiftedPoints,
     SubspaceGrid,
-    TvmPoint,
-    TvmResult,
     build_grid,
     build_tvm_points,
     quadrant_etv,
     temporal_variation_entropy,
-    tvm_pipeline,
 )
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyInputError
 from .series import DatasetGroup, RRSeries
-from .sodp import RadiusCounts, point_distances, quadrant_codes, radius_census, second_order_diff
+from .sodp import RadiusCounts, radius_census, second_order_diff
 from .tvm import DEFAULT_DIVISIONS, build_grid, build_tvm_points, quadrant_etv, temporal_variation_entropy
 
 RADIUS_INDICATORS = ("ctm", "d", "cctm1", "cctm2", "cctm3", "cctm4")
@@ -119,19 +119,15 @@ class IndicatorReport:
 def report(series: RRSeries, params: IndicatorParams = IndicatorParams()) -> IndicatorReport:
     """Compute all indicators of one recording."""
     points = second_order_diff(series)
-    distances, codes = point_distances(points), quadrant_codes(points)
-    counts, _ = radius_census(distances, codes, params.r_ctm)
-    _, d_value = radius_census(distances, codes, params.r_d)
-    del distances, codes  # not kept alive through the larger 3-D step
-    tvm_points = build_tvm_points(points)
-    grid = build_grid(tvm_points, params.divisions)
+    (counts, _), (_, d_value) = radius_census(points, (params.r_ctm, params.r_d))
+    lifted = build_tvm_points(points)
     return IndicatorReport(
         source_id=series.source_id,
         ctm=counts.ctm,
         cctm=counts.cctm,
         d=d_value,
-        etv_global=temporal_variation_entropy(grid),
-        etv_quadrant=quadrant_etv(tvm_points, params.divisions),
+        etv_global=temporal_variation_entropy(build_grid(lifted, params.divisions)),
+        etv_quadrant=quadrant_etv(lifted, params.divisions),
         params=params,
     )
 
@@ -197,17 +193,13 @@ def sweep_r(
     for group in sorted(groups, key=lambda g: g.name):
         if not group.recordings:
             raise EmptyInputError(f"dataset group {group.name!r} has no recordings")
-        cached = []
+        per_recording = []  # one value per radius, one list per recording
         for rec in sorted(group.recordings, key=lambda s: s.source_id):
-            points = second_order_diff(rec)
-            cached.append((point_distances(points), quadrant_codes(points)))
+            census = radius_census(second_order_diff(rec), r_values)
+            per_recording.append([_radius_value(c, d, indicator) for c, d in census])
         row = []
-        for r in r_values:
-            values = [
-                v
-                for dist, codes in cached
-                if (v := _radius_value(*radius_census(dist, codes, r), indicator)) is not None
-            ]
+        for at_r in zip(*per_recording):
+            values = [v for v in at_r if v is not None]
             row.append(float(np.mean(values)) if values else None)
         rows[group.name] = tuple(row)
     return SweepTable(indicator=indicator, r_values=r_values, rows=rows)

@@ -25,7 +25,7 @@ from .analysis import (
 from .cluster import pairwise_classify
 from .errors import TvmhrvError
 from .series import RRSeries, Unit, load_groups
-from .sodp import second_order_diff
+from .sodp import Quadrant, second_order_diff
 from .tvm import build_tvm_points
 
 DEFAULT_R_GRID = "0.5:10:0.5"
@@ -199,24 +199,28 @@ def cmd_points(args) -> int:
     out_dir = args.out if args.out is not None else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    labels = [q.value for q in Quadrant]  # indexed by quadrant code
     for rec in recordings:
-        points = second_order_diff(rec)
-        tvm_points = build_tvm_points(points)
+        lifted = build_tvm_points(second_order_diff(rec))
+        points = lifted.base
+        index = range(len(points))
+        x, y = points.x.tolist(), points.y.tolist()
+        quadrant = [labels[c] for c in points.code.tolist()]
         _write_points(
             out_dir / f"{rec.source_id}_sodp.{args.format}",
             args.format,
             rec.source_id,
             ["index", "x", "y", "quadrant"],
-            ((p.index, p.x, p.y, p.quadrant.value) for p in points),
+            zip(index, x, y, quadrant),
         )
         _write_points(
             out_dir / f"{rec.source_id}_tvm.{args.format}",
             args.format,
             rec.source_id,
             ["index", "x", "y", "d_co", "le", "l", "z", "quadrant"],
-            (
-                (p.base.index, p.base.x, p.base.y, p.d_co, p.le, p.l, p.z, p.base.quadrant.value)
-                for p in tvm_points
+            zip(
+                index, x, y, lifted.d_co.tolist(), lifted.le.tolist(), lifted.l.tolist(),
+                lifted.z.tolist(), quadrant,
             ),
         )
     return 0

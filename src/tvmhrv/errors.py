@@ -8,7 +8,7 @@ class TvmhrvError(Exception):
 
 
 class RRParseError(TvmhrvError):
-    """A token in an RR text file could not be read as a number."""
+    """An RR text file is not UTF-8, or a token in it is not a number."""
 
     def __init__(self, message: str, path=None, line: int | None = None):
         super().__init__(message)
@@ -17,7 +17,7 @@ class RRParseError(TvmhrvError):
 
 
 class RRValidationError(TvmhrvError):
-    """An interval value violates the RR-series invariants (finite, > 0)."""
+    """An interval value violates the RR-series invariants (> 0, <= MAX_INTERVAL)."""
 
     def __init__(self, message: str, path=None, line: int | None = None):
         super().__init__(message)

@@ -1,13 +1,13 @@
 """RR-interval series: loading, validation, segmentation, serialization.
 
-Accepted on-disk format is plain text: one interval per line, or a single
-CSV row/column; blank lines and lines starting with '#' are skipped. Units
-are metadata only; nothing downstream converts values.
+Accepted on-disk format is UTF-8 text (a leading byte-order mark is
+skipped) holding numbers separated by commas and/or whitespace: one interval
+per line, or a CSV row/column. Blank lines and lines starting with '#' are
+skipped. Units are metadata only; nothing downstream converts values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -22,6 +22,10 @@ from .errors import (
 
 RR_EXTENSIONS = (".txt", ".csv")
 
+# Largest accepted interval: successive differences then stay below 1e150 in
+# magnitude, so x*x + y*y cannot overflow on the way to a point's distance.
+MAX_INTERVAL = 1e150
+
 
 class Unit(str, Enum):
     MILLISECONDS = "ms"
@@ -31,7 +35,7 @@ class Unit(str, Enum):
 
 @dataclass(frozen=True)
 class RRSeries:
-    """An ordered sequence of strictly positive, finite interval durations."""
+    """An ordered sequence of interval durations, each in (0, MAX_INTERVAL]."""
 
     intervals: tuple[float, ...]
     unit: Unit = Unit.UNITLESS
@@ -45,10 +49,10 @@ class RRSeries:
                 f"series {self.source_id!r} has {len(intervals)} intervals; need at least 3"
             )
         for i, v in enumerate(intervals):
-            if not math.isfinite(v) or v <= 0.0:
+            if not 0.0 < v <= MAX_INTERVAL:
                 raise RRValidationError(
                     f"series {self.source_id!r}: interval {i} is {v!r}; "
-                    "intervals must be finite and > 0"
+                    f"intervals must be > 0 and <= {MAX_INTERVAL:g}"
                 )
 
     def __len__(self) -> int:
@@ -71,38 +75,41 @@ class DatasetGroup:
         return len(self.recordings)
 
 
-def _parse_rr_text(text: str, path) -> list[float]:
+def _read_rr_file(path: Path) -> list[float]:
     values: list[float] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        for token in stripped.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            try:
-                value = float(token)
-            except ValueError:
-                raise RRParseError(
-                    f"{path}: line {lineno}: cannot parse {token!r} as a number",
-                    path=path,
-                    line=lineno,
-                ) from None
-            if not math.isfinite(value) or value <= 0.0:
-                raise RRValidationError(
-                    f"{path}: line {lineno}: interval {token!r} must be finite and > 0",
-                    path=path,
-                    line=lineno,
-                )
-            values.append(value)
+    # Lines are read from the open file one at a time, never as one list.
+    with path.open(encoding="utf-8-sig") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                for token in stripped.replace(",", " ").split():
+                    try:
+                        value = float(token)
+                    except ValueError:
+                        raise RRParseError(
+                            f"{path}: line {lineno}: cannot parse {token!r} as a number",
+                            path=path,
+                            line=lineno,
+                        ) from None
+                    if not 0.0 < value <= MAX_INTERVAL:
+                        raise RRValidationError(
+                            f"{path}: line {lineno}: interval {token!r} must be > 0 "
+                            f"and <= {MAX_INTERVAL:g}",
+                            path=path,
+                            line=lineno,
+                        )
+                    values.append(value)
+        except UnicodeDecodeError as exc:
+            raise RRParseError(f"{path}: not UTF-8 text ({exc.reason})", path=path) from None
     return values
 
 
 def load_rr_series(path, unit: Unit = Unit.UNITLESS) -> RRSeries:
     """Load one RR recording from a text file; source_id is the file stem."""
     path = Path(path)
-    values = _parse_rr_text(path.read_text(), path)
+    values = _read_rr_file(path)
     if len(values) < 3:
         raise TooShortSeriesError(
             f"{path}: found {len(values)} intervals; need at least 3"

@@ -14,7 +14,6 @@ points are excluded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -26,6 +25,8 @@ from .series import RRSeries
 
 
 class Quadrant(str, Enum):
+    """Quadrant labels, in the order of the int8 quadrant codes 0-4."""
+
     I = "I"
     II = "II"
     III = "III"
@@ -33,34 +34,39 @@ class Quadrant(str, Enum):
     ON_AXIS = "axis"
 
 
-def classify_quadrant(x: float, y: float) -> Quadrant:
-    if x > 0 and y > 0:
-        return Quadrant.I
-    if x < 0 and y > 0:
-        return Quadrant.II
-    if x < 0 and y < 0:
-        return Quadrant.III
-    if x > 0 and y < 0:
-        return Quadrant.IV
-    return Quadrant.ON_AXIS
+@dataclass(frozen=True, eq=False)
+class PlotPoints:
+    """The plot points of one recording, as columns in index order.
 
+    Point i comes from intervals i, i+1 and i+2. `x` and `y` are float64
+    arrays; `code` is derived from them: the int8 quadrant code of each
+    point, 0-3 for quadrants I-IV and 4 for points on an axis.
+    """
 
-@dataclass(frozen=True)
-class SodpPoint:
-    """One scatter point; `index` is the position of the first source interval."""
-
-    x: float
-    y: float
-    index: int
-    quadrant: Quadrant = field(init=False)
+    x: np.ndarray
+    y: np.ndarray
+    code: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "quadrant", classify_quadrant(self.x, self.y))
+        x = np.asarray(self.x, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.float64)
+        if x.shape != y.shape or x.ndim != 1:
+            raise ValueError(f"x and y must be 1-D of one length, got {x.shape} and {y.shape}")
+        code = np.full(x.size, 4, dtype=np.int8)
+        code[(x > 0) & (y > 0)] = 0
+        code[(x < 0) & (y > 0)] = 1
+        code[(x < 0) & (y < 0)] = 2
+        code[(x > 0) & (y < 0)] = 3
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "code", code)
 
-    @property
-    def distance(self) -> float:
-        """Euclidean distance from the origin."""
-        return math.sqrt(self.x * self.x + self.y * self.y)
+    def __len__(self) -> int:
+        return self.x.size
+
+    def __getitem__(self, selection) -> PlotPoints:
+        """The points picked by a boolean mask or an index array."""
+        return PlotPoints(x=self.x[selection], y=self.y[selection])
 
 
 @dataclass(frozen=True)
@@ -86,77 +92,60 @@ class RadiusCounts:
         return (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
 
 
-def second_order_diff(series: RRSeries) -> list[SodpPoint]:
+def second_order_diff(series: RRSeries) -> PlotPoints:
     """Build the n-2 plot points of a series, in index order."""
-    iv = series.intervals
-    return [
-        SodpPoint(x=iv[i + 1] - iv[i], y=iv[i + 2] - iv[i + 1], index=i)
-        for i in range(len(iv) - 2)
-    ]
+    diff = np.diff(np.asarray(series.intervals, dtype=np.float64))
+    return PlotPoints(x=diff[:-1], y=diff[1:])
 
 
-def point_distances(points: Sequence[SodpPoint]) -> np.ndarray:
+def point_distances(points: PlotPoints) -> np.ndarray:
     """Distances from the origin for every point, as a float64 array."""
-    x = np.array([p.x for p in points], dtype=np.float64)
-    y = np.array([p.y for p in points], dtype=np.float64)
-    return np.sqrt(x * x + y * y)
-
-
-# Quadrant code of a point: 0-3 for quadrants I-IV, 4 for on-axis points.
-_QUADRANT_CODE = {q: code for code, q in enumerate(Quadrant)}
-
-
-def quadrant_codes(points: Sequence[SodpPoint]) -> np.ndarray:
-    """Quadrant code of every point, as an int8 array."""
-    return np.fromiter(
-        (_QUADRANT_CODE[p.quadrant] for p in points), dtype=np.int8, count=len(points)
-    )
+    return np.sqrt(points.x * points.x + points.y * points.y)
 
 
 def radius_census(
-    distances: np.ndarray, codes: np.ndarray, r: float
-) -> tuple[RadiusCounts, float | None]:
-    """Counts of the points with distance < r and their mean distance D.
+    points: PlotPoints, radii: Sequence[float]
+) -> list[tuple[RadiusCounts, float | None]]:
+    """Counts of the points with distance < r, and their mean distance D, per radius.
 
-    `distances` and `codes` come from point_distances and quadrant_codes of
-    the same points; D is None when no point lies inside r.
+    The distances are computed once for all radii. D is None when no point
+    lies inside r.
     """
-    if distances.size == 0:
+    if len(points) == 0:
         raise EmptyInputError("need at least one plot point")
-    if not (r > 0):
-        raise ValueError(f"radius must be > 0, got {r}")
-    inside = distances < r
-    within = int(np.count_nonzero(inside))
-    quadrant = tuple(int(np.count_nonzero(inside & (codes == k))) for k in range(4))
-    counts = RadiusCounts(
-        within=within, quadrant=quadrant, on_axis=within - sum(quadrant), total=distances.size
-    )
-    d = float(np.mean(distances[inside])) if within else None
-    return counts, d
+    distances = point_distances(points)
+    out = []
+    for r in radii:
+        if not (r > 0):
+            raise ValueError(f"radius must be > 0, got {r}")
+        inside = distances < r
+        by_code = np.bincount(points.code[inside], minlength=5).tolist()
+        within = sum(by_code)
+        counts = RadiusCounts(
+            within=within, quadrant=tuple(by_code[:4]), on_axis=by_code[4], total=len(points)
+        )
+        out.append((counts, float(np.mean(distances[inside])) if within else None))
+    return out
 
 
-def _census(points: Sequence[SodpPoint], r: float) -> tuple[RadiusCounts, float | None]:
-    return radius_census(point_distances(points), quadrant_codes(points), r)
-
-
-def radius_counts(points: Sequence[SodpPoint], r: float) -> RadiusCounts:
+def radius_counts(points: PlotPoints, r: float) -> RadiusCounts:
     """Count the points with distance < r, split by quadrant."""
-    return _census(points, r)[0]
+    return radius_census(points, [r])[0][0]
 
 
-def ctm(points: Sequence[SodpPoint], r: float) -> float:
+def ctm(points: PlotPoints, r: float) -> float:
     """Central tendency measure: fraction of points with distance < r."""
     return radius_counts(points, r).ctm
 
 
-def cctm(points: Sequence[SodpPoint], r: float) -> tuple[float, float, float, float]:
+def cctm(points: PlotPoints, r: float) -> tuple[float, float, float, float]:
     """Per-quadrant CTM components; denominator is the total point count."""
     return radius_counts(points, r).cctm
 
 
-def mean_distance_d(points: Sequence[SodpPoint], r: float) -> float:
+def mean_distance_d(points: PlotPoints, r: float) -> float:
     """Mean distance from the origin over the points with distance < r."""
-    d = _census(points, r)[1]
+    d = radius_census(points, [r])[0][1]
     if d is None:
         raise NoPointInRadiusError(f"no point lies strictly inside radius {r}")
     return d

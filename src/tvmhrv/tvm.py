@@ -5,7 +5,8 @@ dynamics: d_co = |y| - |x| (is the change accelerating toward the vertical
 or the horizontal axis?) and a sigmoid-scaled Euclidean distance
 
     le = sqrt(x^2 + y^2)
-    l  = 1 / (1 + exp(-le / mean_le))        # in [0.5, 1)
+    l  = 1 / (1 + exp(-le / mean_le))        # in [0.5, 1); rounds to 1
+                                             # once le > ~37 mean_le
     z  = d_co * l
 
 where mean_le is taken over the whole point set. The cuboid spanned by the
@@ -21,32 +22,43 @@ and the usual 0*log(0) = 0 convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
+
+import numpy as np
 
 from .errors import EmptyInputError
-from .series import RRSeries
-from .sodp import Quadrant, SodpPoint, second_order_diff
+from .sodp import PlotPoints, point_distances
 
 DEFAULT_DIVISIONS = (10, 10, 10)
 
 
-@dataclass(frozen=True)
-class TvmPoint:
-    """A plot point lifted to three dimensions; d_co, le and z are derived."""
+@dataclass(frozen=True, eq=False)
+class LiftedPoints:
+    """Plot points lifted to three dimensions, as float64 columns.
 
-    base: SodpPoint
-    l: float
-    d_co: float = field(init=False)
-    le: float = field(init=False)
-    z: float = field(init=False)
+    `base` holds x, y and the quadrant codes; d_co, le, l and z are aligned
+    with it point by point.
+    """
 
-    def __post_init__(self):
-        if not (0.5 <= self.l < 1.0):
-            raise ValueError(f"sigmoid scale l must lie in [0.5, 1), got {self.l}")
-        object.__setattr__(self, "d_co", abs(self.base.y) - abs(self.base.x))
-        object.__setattr__(self, "le", self.base.distance)
-        object.__setattr__(self, "z", self.d_co * self.l)
+    base: PlotPoints
+    d_co: np.ndarray
+    le: np.ndarray
+    l: np.ndarray
+    z: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def __getitem__(self, selection) -> LiftedPoints:
+        """The points picked by a boolean mask or an index array."""
+        return LiftedPoints(
+            base=self.base[selection],
+            d_co=self.d_co[selection],
+            le=self.le[selection],
+            l=self.l[selection],
+            z=self.z[selection],
+        )
 
 
 @dataclass(frozen=True)
@@ -75,76 +87,74 @@ class SubspaceGrid:
         return nx * ny * nz
 
 
-def build_tvm_points(points: Sequence[SodpPoint]) -> list[TvmPoint]:
+def build_tvm_points(points: PlotPoints) -> LiftedPoints:
     """Lift plot points to 3-D; mean_le is computed once over all inputs.
 
-    If every point sits at the origin, mean_le is 0 and the sigmoid argument
-    is taken as 0, so l = 0.5 for all points (z is 0 anyway since d_co = 0).
+    If every distance is 0 (all points at the origin, or distances that
+    underflow), mean_le is 0: l is then 0.5 and z is 0 for all points.
     """
-    if not points:
+    if len(points) == 0:
         raise EmptyInputError("need at least one plot point")
-    les = [p.distance for p in points]
-    mean_le = math.fsum(les) / len(les)
-    out = []
-    for p, le in zip(points, les):
-        if mean_le == 0.0:
-            l = 0.5
-        else:
-            l = 1.0 / (1.0 + math.exp(-le / mean_le))
-        out.append(TvmPoint(base=p, l=l))
-    return out
+    d_co = np.abs(points.y) - np.abs(points.x)
+    le = point_distances(points)
+    # fsum is correctly rounded, so mean_le does not depend on point order.
+    mean_le = math.fsum(le.tolist()) / le.size
+    if mean_le == 0.0:
+        l = np.full(le.size, 0.5)
+        z = np.zeros(le.size)
+    else:
+        # Scalar math.exp, not np.exp: numpy's exp differs from libm by an ulp
+        # on some inputs, and the exported l and z would change with it.
+        e = np.fromiter(map(math.exp, (-le / mean_le).tolist()), np.float64, le.size)
+        l = 1.0 / (1.0 + e)
+        z = d_co * l
+    return LiftedPoints(base=points, d_co=d_co, le=le, l=l, z=z)
 
 
-def _axis_bins(values: Sequence[float], requested: int) -> tuple[float, float, int]:
-    lo = min(values)
-    hi = max(values)
-    return lo, hi, 1 if hi == lo else requested
-
-
-def _bin_index(value: float, lo: float, hi: float, k: int) -> int:
-    if k == 1:
-        return 0
+def _axis_index(
+    values: np.ndarray, requested: int
+) -> tuple[tuple[float, float], int, np.ndarray]:
+    """(lo, hi) bounds, effective bin count and bin index of each value."""
+    lo, hi = float(values.min()), float(values.max())
+    if hi == lo:
+        return (lo, hi), 1, np.zeros(values.size, dtype=np.int64)
     # Half-open equal-width bins; the clamp closes the last bin at the top.
-    idx = int((value - lo) / (hi - lo) * k)
-    return min(idx, k - 1)
+    index = ((values - lo) / (hi - lo) * requested).astype(np.int64)
+    return (lo, hi), requested, np.minimum(index, requested - 1)
 
 
 def build_grid(
-    points: Sequence[TvmPoint], divisions: tuple[int, int, int] = DEFAULT_DIVISIONS
+    points: LiftedPoints, divisions: tuple[int, int, int] = DEFAULT_DIVISIONS
 ) -> SubspaceGrid:
     """Bin points into the bounding cuboid spanned by their extremes."""
-    if not points:
+    if len(points) == 0:
         raise EmptyInputError("need at least one 3-D point")
     for d in divisions:
         if int(d) != d or d < 1:
             raise ValueError(f"divisions must be integers >= 1, got {divisions}")
 
-    xs = [p.base.x for p in points]
-    ys = [p.base.y for p in points]
-    zs = [p.z for p in points]
-    axes = (
-        _axis_bins(xs, divisions[0]),
-        _axis_bins(ys, divisions[1]),
-        _axis_bins(zs, divisions[2]),
-    )
-
-    members: dict[tuple[int, int, int], list[float]] = {}
-    for x, y, z in zip(xs, ys, zs):
-        key = (
-            _bin_index(x, *axes[0]),
-            _bin_index(y, *axes[1]),
-            _bin_index(z, *axes[2]),
+    bounds, k, index = zip(
+        *(
+            _axis_index(values, int(d))
+            for values, d in zip((points.base.x, points.base.y, points.z), divisions)
         )
-        members.setdefault(key, []).append(abs(z))
-
+    )
+    keys = np.ravel_multi_index(index, k)
+    order = np.argsort(keys, kind="stable")
+    occupied, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    abs_z = np.abs(points.z[order]).tolist()
     # fsum is correctly rounded, so cell sums do not depend on point order.
     cells = {
-        key: GridCell(count=len(vals), abs_z_sum=math.fsum(vals))
-        for key, vals in members.items()
+        key: GridCell(count=n, abs_z_sum=math.fsum(abs_z[i : i + n]))
+        for key, i, n in zip(
+            zip(*(c.tolist() for c in np.unravel_index(occupied, k))),
+            starts.tolist(),
+            counts.tolist(),
+        )
     }
     return SubspaceGrid(
-        bounds=tuple((lo, hi) for lo, hi, _ in axes),
-        divisions=tuple(k for _, _, k in axes),
+        bounds=bounds,
+        divisions=k,
         cells=cells,
         total_points=len(points),
     )
@@ -167,40 +177,20 @@ def temporal_variation_entropy(grid: SubspaceGrid) -> float:
 
 
 def quadrant_etv(
-    points: Sequence[TvmPoint], divisions: tuple[int, int, int] = DEFAULT_DIVISIONS
+    points: LiftedPoints, divisions: tuple[int, int, int] = DEFAULT_DIVISIONS
 ) -> tuple[float, float, float, float]:
     """E_TV per quadrant, each over a fresh grid spanning only that quadrant.
 
     The sigmoid scale l keeps its global mean_le; only the spatial filtering
     and bounding box are quadrant-local. An empty quadrant reports 0.
     """
-    if not points:
+    if len(points) == 0:
         raise EmptyInputError("need at least one 3-D point")
     out = []
-    for quadrant in (Quadrant.I, Quadrant.II, Quadrant.III, Quadrant.IV):
-        selected = [p for p in points if p.base.quadrant is quadrant]
-        if not selected:
+    for code in range(4):
+        selected = points.base.code == code
+        if not selected.any():
             out.append(0.0)
         else:
-            out.append(temporal_variation_entropy(build_grid(selected, divisions)))
+            out.append(temporal_variation_entropy(build_grid(points[selected], divisions)))
     return (out[0], out[1], out[2], out[3])
-
-
-@dataclass(frozen=True)
-class TvmResult:
-    points: tuple[TvmPoint, ...]
-    etv_global: float
-    etv_quadrant: tuple[float, float, float, float]
-
-
-def tvm_pipeline(
-    series: RRSeries, divisions: tuple[int, int, int] = DEFAULT_DIVISIONS
-) -> TvmResult:
-    """series -> plot points -> 3-D points -> global and per-quadrant E_TV."""
-    points = build_tvm_points(second_order_diff(series))
-    grid = build_grid(points, divisions)
-    return TvmResult(
-        points=tuple(points),
-        etv_global=temporal_variation_entropy(grid),
-        etv_quadrant=quadrant_etv(points, divisions),
-    )

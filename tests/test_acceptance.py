@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracle import (
@@ -19,7 +20,6 @@ from oracle import (
     reference_sodp,
 )
 from tvmhrv import (
-    DatasetGroup,
     IndicatorParams,
     aggregate,
     build_grid,
@@ -27,7 +27,7 @@ from tvmhrv import (
     cctm,
     ctm,
     indicator_value,
-    load_dataset_group,
+    load_groups,
     mean_distance_d,
     pairwise_classify,
     radius_counts,
@@ -35,7 +35,6 @@ from tvmhrv import (
     second_order_diff,
     series_from_values,
     temporal_variation_entropy,
-    tvm_pipeline,
 )
 from tvmhrv.cli import main as cli_main
 
@@ -50,6 +49,14 @@ def criterion(number: int, name: str):
         raise
     elapsed = time.perf_counter() - started
     print(f"ACCEPTANCE {number} ({name}): PASS [{elapsed:.2f}s]")
+
+
+def etv_report(series, divisions=(10, 10, 10)):
+    return report(series, IndicatorParams(divisions=divisions))
+
+
+def lifted(values):
+    return build_tvm_points(second_order_diff(series_from_values(values)))
 
 
 def rel_close(got: float, want: float, rel: float = 1e-9) -> bool:
@@ -81,7 +88,7 @@ def test_criterion_1_oracle_equivalence():
             assert list(counts.quadrant) == ref_quadrant, case
             assert counts.on_axis == ref_axis, case
 
-            result = tvm_pipeline(series, divisions)
+            result = etv_report(series, divisions)
             ref_global, ref_quadrant_etv = reference_pipeline(values, divisions)
             assert rel_close(result.etv_global, ref_global), case
             for got, want in zip(result.etv_quadrant, ref_quadrant_etv):
@@ -101,23 +108,25 @@ def test_criterion_2_invariant_suite():
             values = [dyadic(2**14) for _ in range(rng.randint(3, 60))]
             shift = rng.randint(0, 2**20) / 8.0
             divisions = (rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5))
-            r1 = tvm_pipeline(series_from_values(values), divisions)
-            r2 = tvm_pipeline(series_from_values([v + shift for v in values]), divisions)
+            shifted = [v + shift for v in values]
+            r1 = etv_report(series_from_values(values), divisions)
+            r2 = etv_report(series_from_values(shifted), divisions)
             assert r2.etv_global == r1.etv_global
             assert r2.etv_quadrant == r1.etv_quadrant
-            assert all(
-                (a.base.x, a.base.y, a.d_co, a.le, a.l, a.z)
-                == (b.base.x, b.base.y, b.d_co, b.le, b.l, b.z)
-                for a, b in zip(r1.points, r2.points)
-            )
+            p1, p2 = lifted(values), lifted(shifted)
+            for a, b in (
+                (p1.base.x, p2.base.x), (p1.base.y, p2.base.y), (p1.d_co, p2.d_co),
+                (p1.le, p2.le), (p1.l, p2.l), (p1.z, p2.z),
+            ):
+                assert a.tolist() == b.tolist()
 
         # Positive-scale equivariance of E_TV, 1e-9 relative, c in {0.5, 2, 10}.
         for i in range(200):
             c = (0.5, 2.0, 10.0)[i % 3]
             values = [dyadic(2**14) for _ in range(rng.randint(3, 60))]
             divisions = (rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5))
-            r1 = tvm_pipeline(series_from_values(values), divisions)
-            r2 = tvm_pipeline(series_from_values([c * v for v in values]), divisions)
+            r1 = etv_report(series_from_values(values), divisions)
+            r2 = etv_report(series_from_values([c * v for v in values]), divisions)
             assert rel_close(r2.etv_global, c * r1.etv_global)
             for got, want in zip(r2.etv_quadrant, r1.etv_quadrant):
                 assert rel_close(got, c * want)
@@ -143,11 +152,12 @@ def test_criterion_2_invariant_suite():
             assert cctm(points, r) == tuple(q / counts.total for q in counts.quadrant)
 
             divisions = (rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5))
-            result = tvm_pipeline(series, divisions)
+            result = etv_report(series, divisions)
             assert result.etv_global >= 0.0
             assert all(v >= 0.0 for v in result.etv_quadrant)
-            assert all(0.5 <= p.l < 1.0 for p in result.points)
-            grid = build_grid(list(result.points), divisions)
+            tvm_points = build_tvm_points(points)
+            assert np.all((0.5 <= tvm_points.l) & (tvm_points.l < 1.0))
+            grid = build_grid(tvm_points, divisions)
             assert sum(cell.count for cell in grid.cells.values()) == len(series) - 2
         assert time.perf_counter() - started < 30.0
 
@@ -159,7 +169,7 @@ def test_criterion_3_degenerate_cases():
         points = second_order_diff(constant)
         assert ctm(points, 3.0) == 1.0
         assert mean_distance_d(points, 6.0) == 0.0
-        result = tvm_pipeline(constant, (10, 10, 10))
+        result = etv_report(constant)
         assert result.etv_global == 0.0
         assert result.etv_quadrant == (0.0, 0.0, 0.0, 0.0)
 
@@ -170,7 +180,7 @@ def test_criterion_3_degenerate_cases():
         tiny = series_from_values([800, 810, 790], source_id="tiny")
         rep = report(tiny, IndicatorParams())
         assert rep.source_id == "tiny"
-        assert len(tvm_pipeline(tiny).points) == 1
+        assert len(build_tvm_points(second_order_diff(tiny))) == 1
 
 
 def test_criterion_4_classification_harness():
@@ -258,19 +268,9 @@ def test_criterion_6_physionet_reproduction():
         segment_len = os.environ.get("TVMHRV_SEGMENT_LEN")
         params = IndicatorParams(r_ctm=3.0, r_d=6.0)
 
-        def load(path):
-            group = load_dataset_group(Path(path))
-            if segment_len:
-                from tvmhrv import split_segments
-
-                recordings = []
-                for rec in group.recordings:
-                    recordings.extend(split_segments(rec, int(segment_len)))
-                group = DatasetGroup(name=group.name, recordings=tuple(recordings))
-            return group
-
-        nsr = load(NSR2DB_DIR)
-        cu = load(CUDB_DIR)
+        nsr, cu = load_groups(
+            [NSR2DB_DIR, CUDB_DIR], segment_len=int(segment_len) if segment_len else None
+        )
         nsr_ctm = aggregate(nsr, params).stats["ctm"].mean
         cu_ctm = aggregate(cu, params).stats["ctm"].mean
         assert abs(nsr_ctm - 0.93) <= 0.10, f"nsr2db CTM mean {nsr_ctm}"

@@ -114,6 +114,14 @@ class TestIndicators:
         err = capsys.readouterr().err
         assert "bad.txt" in err and "line 2" in err
 
+    def test_value_above_bound_names_file_and_line(self, tmp_path, capsys):
+        # x*x would overflow to inf and make the sigmoid scale NaN.
+        bad = write_series(tmp_path / "huge.txt", ["1e200", 1, "1e200", 3])
+        assert run(["indicators", bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "huge.txt" in captured.err and "line 1" in captured.err
+
 
 class TestPoints:
     def test_row_count_is_n_minus_two(self, rr_file, tmp_path):

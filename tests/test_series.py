@@ -19,6 +19,7 @@ from tvmhrv import (
     series_from_values,
     split_segments,
 )
+from tvmhrv.series import MAX_INTERVAL
 
 
 def write(tmp_path: Path, name: str, text: str) -> Path:
@@ -44,6 +45,25 @@ class TestLoadRRSeries:
         path = write(tmp_path, "rec.txt", "# header\n\n800\n# mid\n810\n\n790\n")
         assert load_rr_series(path).intervals == (800.0, 810.0, 790.0)
 
+    def test_leading_byte_order_mark_skipped(self, tmp_path):
+        path = write(tmp_path, "rec.txt", "\ufeff800\n810\n790\n")
+        assert load_rr_series(path).intervals == (800.0, 810.0, 790.0)
+
+    def test_space_separated_values(self, tmp_path):
+        path = write(tmp_path, "rec.txt", "800 810\n790  805, 795\n")
+        assert load_rr_series(path).intervals == (800.0, 810.0, 790.0, 805.0, 795.0)
+
+    def test_tab_separated_values(self, tmp_path):
+        path = write(tmp_path, "rec.txt", "800\t810\t790\n")
+        assert load_rr_series(path).intervals == (800.0, 810.0, 790.0)
+
+    def test_utf16_file_is_a_parse_error_naming_file(self, tmp_path):
+        path = tmp_path / "rec.txt"
+        path.write_text("800\n810\n790\n", encoding="utf-16")
+        with pytest.raises(RRParseError) as err:
+            load_rr_series(path)
+        assert "rec.txt" in str(err.value)
+
     def test_negative_value_names_line(self, tmp_path):
         path = write(tmp_path, "rec.txt", "800\n-5\n700\n")
         with pytest.raises(RRValidationError) as err:
@@ -63,6 +83,17 @@ class TestLoadRRSeries:
             load_rr_series(path)
         assert err.value.line == 2
 
+    def test_value_above_bound_names_line(self, tmp_path):
+        path = write(tmp_path, "rec.txt", "800\n1e151\n700\n")
+        with pytest.raises(RRValidationError) as err:
+            load_rr_series(path)
+        assert err.value.line == 2
+        assert "rec.txt" in str(err.value)
+
+    def test_value_at_bound_accepted(self, tmp_path):
+        path = write(tmp_path, "rec.txt", f"{MAX_INTERVAL!r}\n1\n{MAX_INTERVAL!r}\n")
+        assert load_rr_series(path).intervals == (MAX_INTERVAL, 1.0, MAX_INTERVAL)
+
     def test_too_short_file(self, tmp_path):
         path = write(tmp_path, "rec.txt", "800\n810\n")
         with pytest.raises(TooShortSeriesError):
@@ -78,7 +109,7 @@ class TestRRSeriesInvariants:
         with pytest.raises(TooShortSeriesError):
             series_from_values([800, 810])
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan"), 1e200])
     def test_bad_interval_rejected(self, bad):
         with pytest.raises(RRValidationError):
             series_from_values([800.0, bad, 900.0])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +6,8 @@ from hypothesis import strategies as st
 from tvmhrv import (
     EmptyInputError,
     NoPointInRadiusError,
+    PlotPoints,
     Quadrant,
-    SodpPoint,
     cctm,
     ctm,
     mean_distance_d,
@@ -21,8 +22,16 @@ THREE_POINTS_MEAN_DISTANCE = 21.796145384105944
 FIVE = series_from_values([800, 810, 790, 805, 795])
 
 
+LABELS = list(Quadrant)  # indexed by quadrant code
+CODE = {q: code for code, q in enumerate(LABELS)}
+
+
 def five_points():
     return second_order_diff(FIVE)
+
+
+def xy(points):
+    return list(zip(points.x.tolist(), points.y.tolist()))
 
 
 # Dyadic values keep sums/differences exact in binary floating point, which
@@ -39,11 +48,11 @@ pow2_scale = st.sampled_from([0.25, 0.5, 2.0, 4.0, 8.0])
 class TestSecondOrderDiff:
     def test_constant_series_on_axis(self):
         points = second_order_diff(series_from_values([800, 800, 800, 800]))
-        assert [(p.x, p.y) for p in points] == [(0.0, 0.0), (0.0, 0.0)]
-        assert all(p.quadrant is Quadrant.ON_AXIS for p in points)
+        assert xy(points) == [(0.0, 0.0), (0.0, 0.0)]
+        assert points.code.tolist() == [CODE[Quadrant.ON_AXIS]] * 2
 
     def test_five_interval_example(self):
-        assert [(p.x, p.y) for p in five_points()] == [
+        assert xy(five_points()) == [
             (10.0, -20.0),
             (-20.0, 15.0),
             (15.0, -10.0),
@@ -51,18 +60,25 @@ class TestSecondOrderDiff:
 
     def test_minimum_length_series(self):
         points = second_order_diff(series_from_values([800, 810, 790]))
-        assert [(p.x, p.y) for p in points] == [(10.0, -20.0)]
+        assert xy(points) == [(10.0, -20.0)]
 
     def test_point_count_and_indices(self):
         points = second_order_diff(series_from_values(range(100, 150)))
         assert len(points) == 48
-        assert [p.index for p in points] == list(range(48))
+        assert points.x.dtype == points.y.dtype == np.float64
+        assert points.code.dtype == np.int8
+        assert points.x.shape == points.y.shape == points.code.shape == (48,)
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            PlotPoints(x=[1.0, 2.0], y=[1.0])
 
     def test_reconstruction_invariant(self):
         iv = FIVE.intervals
-        for p in five_points():
-            assert p.x == iv[p.index + 1] - iv[p.index]
-            assert p.y == iv[p.index + 2] - iv[p.index + 1]
+        points = five_points()
+        for i in range(len(points)):
+            assert points.x[i] == iv[i + 1] - iv[i]
+            assert points.y[i] == iv[i + 2] - iv[i + 1]
 
 
 class TestQuadrants:
@@ -79,7 +95,7 @@ class TestQuadrants:
         ],
     )
     def test_sign_rules(self, x, y, expected):
-        assert SodpPoint(x=x, y=y, index=0).quadrant is expected
+        assert LABELS[PlotPoints(x=[x], y=[y]).code[0]] is expected
 
 
 class TestCtm:
@@ -95,13 +111,13 @@ class TestCtm:
 
     def test_boundary_point_excluded(self):
         # Strict inequality: distance exactly r does not count.
-        points = [SodpPoint(x=3.0, y=4.0, index=0)]
+        points = PlotPoints(x=[3.0], y=[4.0])
         assert ctm(points, 5.0) == 0.0
         assert ctm(points, 5.0000001) == 1.0
 
     def test_empty_points_rejected(self):
         with pytest.raises(EmptyInputError):
-            ctm([], 3.0)
+            ctm(PlotPoints(x=[], y=[]), 3.0)
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -118,7 +134,7 @@ class TestCctm:
         assert ctm(points, 1.0) == 1.0
 
     def test_single_point_quadrant_one(self):
-        assert cctm([SodpPoint(x=1.0, y=1.0, index=0)], 2.0) == (1.0, 0.0, 0.0, 0.0)
+        assert cctm(PlotPoints(x=[1.0], y=[1.0]), 2.0) == (1.0, 0.0, 0.0, 0.0)
 
 
 class TestMeanDistance:
@@ -137,7 +153,7 @@ class TestMeanDistance:
 
     def test_empty_input_distinct_error(self):
         with pytest.raises(EmptyInputError):
-            mean_distance_d([], 3.0)
+            mean_distance_d(PlotPoints(x=[], y=[]), 3.0)
 
 
 class TestRadiusCounts:
@@ -159,7 +175,8 @@ class TestRadiusCounts:
 def test_translation_invariance_is_exact(values, shift):
     p1 = second_order_diff(series_from_values(values))
     p2 = second_order_diff(series_from_values([v + shift for v in values]))
-    assert [(p.x, p.y, p.quadrant) for p in p1] == [(p.x, p.y, p.quadrant) for p in p2]
+    assert xy(p1) == xy(p2)
+    assert p1.code.tolist() == p2.code.tolist()
 
 
 @given(dyadic_intervals, pow2_scale, st.floats(min_value=0.1, max_value=100.0))
@@ -167,7 +184,7 @@ def test_scale_equivariance_is_exact(values, c, r):
     """Power-of-two scaling is exact, so scaled points and CTM match bitwise."""
     p1 = second_order_diff(series_from_values(values))
     p2 = second_order_diff(series_from_values([c * v for v in values]))
-    assert [(p.x, p.y) for p in p2] == [(c * p.x, c * p.y) for p in p1]
+    assert xy(p2) == [(c * x, c * y) for x, y in xy(p1)]
     assert ctm(p2, c * r) == ctm(p1, r)
     assert cctm(p2, c * r) == cctm(p1, r)
 

@@ -1,24 +1,33 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import reference_pipeline
+from oracle import (
+    reference_pipeline,
+    reference_radius_counts,
+    reference_sodp,
+    reference_tvm_coordinates,
+)
 from tvmhrv import (
     EmptyInputError,
-    SodpPoint,
+    IndicatorParams,
+    PlotPoints,
     SubspaceGrid,
-    TvmPoint,
     build_grid,
     build_tvm_points,
+    point_distances,
     quadrant_etv,
+    radius_counts,
+    report,
     second_order_diff,
     series_from_values,
     temporal_variation_entropy,
-    tvm_pipeline,
 )
+from tvmhrv.series import MAX_INTERVAL
 from tvmhrv.tvm import GridCell
 
 # Frozen with the straight-line reference in oracle.py.
@@ -41,63 +50,95 @@ divisions_st = st.tuples(
 )
 
 
-def sodp(x, y, index=0):
-    return SodpPoint(x=float(x), y=float(y), index=index)
+def plot(*pairs):
+    """Hand-built plot points from (x, y) pairs."""
+    return PlotPoints(x=[float(x) for x, _ in pairs], y=[float(y) for _, y in pairs])
+
+
+def lift(values):
+    return build_tvm_points(second_order_diff(series_from_values(values)))
+
+
+def etv(values, divisions=(10, 10, 10)):
+    """(global, per-quadrant) E_TV of a series, as report() gives them."""
+    rep = report(series_from_values(values), IndicatorParams(divisions=divisions))
+    return rep.etv_global, rep.etv_quadrant
+
+
+def columns(lifted):
+    """Every per-point column of lifted points, as lists."""
+    base = lifted.base
+    return [a.tolist() for a in (base.x, base.y, base.code, lifted.d_co, lifted.le, lifted.l, lifted.z)]
+
+
+NONE = np.zeros(1, dtype=bool)  # a mask that selects no point
 
 
 class TestBuildTvmPoints:
     def test_three_point_example(self):
-        points = build_tvm_points(second_order_diff(series_from_values([800, 810, 790, 805, 795])))
-        assert [p.d_co for p in points] == [10.0, -5.0, -5.0]
-        for p, l_exp, z_exp in zip(points, THREE_POINT_L, THREE_POINT_Z):
-            assert p.le == p.base.distance
-            assert p.l == pytest.approx(l_exp, abs=1e-12)
-            assert p.z == pytest.approx(z_exp, abs=1e-12)
+        points = lift([800, 810, 790, 805, 795])
+        assert points.d_co.tolist() == [10.0, -5.0, -5.0]
+        assert points.le.tolist() == point_distances(points.base).tolist()
+        assert sum(points.le.tolist()) / 3 == pytest.approx(THREE_POINT_MEAN_LE, abs=1e-12)
+        for l, z, l_exp, z_exp in zip(points.l, points.z, THREE_POINT_L, THREE_POINT_Z):
+            assert l == pytest.approx(l_exp, abs=1e-12)
+            assert z == pytest.approx(z_exp, abs=1e-12)
         # Same values at coarser precision.
-        assert points[0].l == pytest.approx(0.7361, abs=1e-3)
-        assert points[0].z == pytest.approx(7.361, abs=1e-3)
+        assert points.l[0] == pytest.approx(0.7361, abs=1e-3)
+        assert points.z[0] == pytest.approx(7.361, abs=1e-3)
 
     def test_degenerate_all_origin(self):
-        points = build_tvm_points(second_order_diff(series_from_values([800] * 6)))
-        assert all(p.d_co == 0.0 and p.le == 0.0 and p.l == 0.5 and p.z == 0.0 for p in points)
+        points = lift([800] * 6)
+        assert len(points) == 4
+        assert set(points.d_co.tolist()) == set(points.le.tolist()) == {0.0}
+        assert set(points.l.tolist()) == {0.5}
+        assert set(points.z.tolist()) == {0.0}
 
     def test_single_point(self):
-        (p,) = build_tvm_points([sodp(3, 4)])
-        assert p.le == 5.0
-        assert p.d_co == 1.0
-        assert p.l == pytest.approx(SINGLE_POINT_L, abs=1e-15)
-        assert p.z == pytest.approx(SINGLE_POINT_L, abs=1e-5)
+        points = build_tvm_points(plot((3, 4)))
+        assert points.le.tolist() == [5.0]
+        assert points.d_co.tolist() == [1.0]
+        assert points.l[0] == pytest.approx(SINGLE_POINT_L, abs=1e-15)
+        assert points.z[0] == pytest.approx(SINGLE_POINT_L, abs=1e-5)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            build_tvm_points([])
+            build_tvm_points(PlotPoints(x=[], y=[]))
 
     def test_derived_fields(self):
-        p = TvmPoint(base=sodp(-3, 4), l=0.75)
-        assert p.d_co == 1.0
-        assert p.le == 5.0
-        assert p.z == 0.75
+        points = build_tvm_points(plot((-3, 4), (6, -8)))
+        assert points.d_co.tolist() == [1.0, 2.0]
+        assert points.le.tolist() == [5.0, 10.0]
+        assert points.z.tolist() == (points.d_co * points.l).tolist()
 
-    def test_l_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            TvmPoint(base=sodp(1, 1), l=1.0)
-        with pytest.raises(ValueError):
-            TvmPoint(base=sodp(1, 1), l=0.49)
+    def test_far_outlier_rounds_l_to_one(self):
+        # One point 38 times the mean distance: exp(-38) is below half an
+        # ulp of 1, so l rounds to exactly 1.0, as in the oracle.
+        values = [800.0] * 39 + [1600.0]
+        points = lift(values)
+        _, _, _, ls, zs = reference_tvm_coordinates(*reference_sodp(values))
+        assert points.l.tolist() == ls
+        assert points.l[-1] == 1.0
+        assert points.z.tolist() == zs
+        ref_global, ref_quadrant = reference_pipeline(values, (10, 10, 10))
+        got_global, got_quadrant = etv(values)
+        assert got_global == pytest.approx(ref_global, rel=1e-9)
+        assert list(got_quadrant) == pytest.approx(ref_quadrant, rel=1e-9)
 
 
 class TestBuildGrid:
     def test_single_cell(self):
-        points = build_tvm_points([sodp(1, 2), sodp(-1, 3), sodp(2, -2)])
+        points = build_tvm_points(plot((1, 2), (-1, 3), (2, -2)))
         grid = build_grid(points, (1, 1, 1))
         assert grid.divisions == (1, 1, 1)
         assert grid.total_points == 3
         (cell,) = grid.cells.values()
         assert cell.count == 3
-        assert cell.abs_z_sum == pytest.approx(math.fsum(abs(p.z) for p in points), abs=0)
+        assert cell.abs_z_sum == pytest.approx(math.fsum(np.abs(points.z).tolist()), abs=0)
 
     def test_x_binning_by_hand(self):
         # x in {0, 1, 2}, two x-bins [0,1) and [1,2]; y and z collapse.
-        points = build_tvm_points([sodp(0, 5), sodp(1, 5), sodp(2, 5)])
+        points = build_tvm_points(plot((0, 5), (1, 5), (2, 5)))
         grid = build_grid(points, (2, 1, 1))
         assert grid.divisions == (2, 1, 1)
         counts = {key[0]: cell.count for key, cell in grid.cells.items()}
@@ -105,12 +146,12 @@ class TestBuildGrid:
 
     def test_zero_extent_z_axis_collapses_alone(self):
         # |y| == |x| everywhere, so z is identically 0 while x and y vary.
-        points = build_tvm_points([sodp(1, 1), sodp(2, 2), sodp(-3, 3)])
+        points = build_tvm_points(plot((1, 1), (2, 2), (-3, 3)))
         grid = build_grid(points, (2, 2, 4))
         assert grid.divisions == (2, 2, 1)
 
     def test_identical_points_collapse_every_axis(self):
-        points = build_tvm_points([sodp(2, 3)] * 5)
+        points = build_tvm_points(plot(*[(2, 3)] * 5))
         grid = build_grid(points, (4, 4, 4))
         assert grid.divisions == (1, 1, 1)
         assert grid.n_cells == 1
@@ -118,40 +159,38 @@ class TestBuildGrid:
         assert cell.count == 5
 
     def test_bounds_are_exact_extremes(self):
-        points = build_tvm_points([sodp(-3, 1), sodp(5, -2), sodp(2, 7)])
+        points = build_tvm_points(plot((-3, 1), (5, -2), (2, 7)))
         grid = build_grid(points, (3, 3, 3))
         assert grid.bounds[0] == (-3.0, 5.0)
         assert grid.bounds[1] == (-2.0, 7.0)
-        zs = [p.z for p in points]
+        zs = points.z.tolist()
         assert grid.bounds[2] == (min(zs), max(zs))
 
     def test_maximum_point_included(self):
         # The top of the last bin is closed, so the max lands inside.
-        points = build_tvm_points([sodp(0, 5), sodp(1, 5), sodp(2, 5)])
+        points = build_tvm_points(plot((0, 5), (1, 5), (2, 5)))
         grid = build_grid(points, (4, 1, 1))
         assert sum(cell.count for cell in grid.cells.values()) == 3
         assert max(key[0] for key in grid.cells) == 3
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            build_grid([], (2, 2, 2))
+            build_grid(build_tvm_points(plot((1, 2)))[NONE], (2, 2, 2))
 
     @pytest.mark.parametrize("bad", [(0, 1, 1), (1, -2, 1), (1, 1, 1.5)])
     def test_bad_divisions(self, bad):
-        points = build_tvm_points([sodp(1, 2)])
+        points = build_tvm_points(plot((1, 2)))
         with pytest.raises(ValueError):
             build_grid(points, bad)
 
 
 class TestEntropy:
     def test_single_cell_grid_is_zero(self):
-        points = build_tvm_points([sodp(1, 2), sodp(-1, 3), sodp(2, -2)])
+        points = build_tvm_points(plot((1, 2), (-1, 3), (2, -2)))
         assert temporal_variation_entropy(build_grid(points, (1, 1, 1))) == 0.0
 
     def test_constant_series_is_zero(self):
-        result = tvm_pipeline(series_from_values([800] * 20), (3, 3, 3))
-        assert result.etv_global == 0.0
-        assert result.etv_quadrant == (0.0, 0.0, 0.0, 0.0)
+        assert etv([800] * 20, (3, 3, 3)) == (0.0, (0.0, 0.0, 0.0, 0.0))
 
     def test_hand_built_grid(self):
         # Two occupied cells out of two: n = (1, 2), |z| mass (0.5, 0.375).
@@ -169,94 +208,136 @@ class TestEntropy:
     def test_seeded_series_matches_brute_force(self):
         rng = random.Random(424242)
         values = [round(rng.uniform(600, 1100), 3) for _ in range(200)]
-        result = tvm_pipeline(series_from_values(values), (3, 3, 3))
+        got_global, got_quadrant = etv(values, (3, 3, 3))
         ref_global, ref_quadrant = reference_pipeline(values, (3, 3, 3))
-        assert result.etv_global == pytest.approx(ref_global, rel=1e-9)
-        for got, want in zip(result.etv_quadrant, ref_quadrant):
+        assert got_global == pytest.approx(ref_global, rel=1e-9)
+        for got, want in zip(got_quadrant, ref_quadrant):
             assert got == pytest.approx(want, rel=1e-9)
+
+
+def assert_matches_oracle(values, divisions, radii):
+    """Points, radius counts and E_TV of a series against tests/oracle.py.
+
+    Coordinates, distances and counts must be equal; l, z and E_TV, whose
+    sums the oracle takes in plain order, agree to 1e-9 relative.
+    """
+    points = lift(values)
+    xs, ys = reference_sodp(values)
+    d_cos, les, _, ls, zs = reference_tvm_coordinates(xs, ys)
+    assert points.base.x.tolist() == xs
+    assert points.base.y.tolist() == ys
+    assert points.d_co.tolist() == d_cos
+    assert points.le.tolist() == les
+    np.testing.assert_allclose(points.l, ls, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(points.z, zs, rtol=1e-9, atol=0)
+    for r in radii:
+        counts = radius_counts(points.base, r)
+        within, quadrant, on_axis = reference_radius_counts(xs, ys, r)
+        assert (counts.within, list(counts.quadrant), counts.on_axis) == (within, quadrant, on_axis)
+    got_global, got_quadrant = etv(values, divisions)
+    ref_global, ref_quadrant = reference_pipeline(values, divisions)
+    assert got_global == pytest.approx(ref_global, rel=1e-9, abs=0)
+    assert list(got_quadrant) == pytest.approx(ref_quadrant, rel=1e-9, abs=0)
+
+
+class TestOracleAgreement:
+    def test_seeded_20k_interval_series(self):
+        # Mean-reverting walk around 800 ms with millisecond-fraction values.
+        rng = random.Random(20261018)
+        values, v = [], 800.0
+        for _ in range(20_000):
+            v = 800.0 + 0.9 * (v - 800.0) + rng.gauss(0.0, 25.0)
+            values.append(round(max(v, 300.0), 3))
+        assert_matches_oracle(values, (10, 10, 10), radii=(3.0, 6.0, 50.0))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160])
+    def test_tiny_intervals(self, scale):
+        # At 1e-300 every x*x underflows to 0, so all distances and mean_le
+        # are 0; at 1e-160 the squares are subnormal.
+        rng = random.Random(7)
+        values = [scale * rng.uniform(1.0, 2.0) for _ in range(300)]
+        assert_matches_oracle(values, (4, 5, 6), radii=(scale, 1.0))
+
+    def test_intervals_at_the_upper_bound(self):
+        rng = random.Random(8)
+        values = [
+            MAX_INTERVAL * rng.uniform(0.5, 1.0) if rng.random() < 0.5 else rng.uniform(1.0, 1e3)
+            for _ in range(300)
+        ]
+        values[0] = values[-1] = MAX_INTERVAL
+        assert_matches_oracle(values, (4, 5, 6), radii=(1e3, MAX_INTERVAL))
 
 
 class TestQuadrantEtv:
     def test_single_quadrant_occupied(self):
-        points = build_tvm_points([sodp(1, 2), sodp(2, 1), sodp(0.5, 1.5), sodp(1.2, 2.2)])
+        points = build_tvm_points(plot((1, 2), (2, 1), (0.5, 1.5), (1.2, 2.2)))
         q = quadrant_etv(points, (2, 2, 2))
         assert q[1] == q[2] == q[3] == 0.0
 
     def test_mirrored_set_has_equal_quadrant_entropies(self):
         base = [(0.3, 1.7), (1.1, 0.9), (2.3, 0.4), (0.7, 2.9), (1.9, 2.1)]
         mirrored = []
-        for i, (x, y) in enumerate(base):
-            mirrored += [
-                sodp(x, y, 4 * i),
-                sodp(-x, y, 4 * i + 1),
-                sodp(-x, -y, 4 * i + 2),
-                sodp(x, -y, 4 * i + 3),
-            ]
-        q = quadrant_etv(build_tvm_points(mirrored), (3, 3, 3))
+        for x, y in base:
+            mirrored += [(x, y), (-x, y), (-x, -y), (x, -y)]
+        q = quadrant_etv(build_tvm_points(plot(*mirrored)), (3, 3, 3))
         assert q[0] > 0.0
         for other in q[1:]:
             assert other == pytest.approx(q[0], abs=1e-12)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            quadrant_etv([], (2, 2, 2))
+            quadrant_etv(build_tvm_points(plot((1, 2)))[NONE], (2, 2, 2))
 
 
 class TestPipeline:
     def test_constant_series(self):
-        result = tvm_pipeline(series_from_values([800] * 10))
-        assert result.etv_global == 0.0
-        assert result.etv_quadrant == (0.0, 0.0, 0.0, 0.0)
+        assert etv([800] * 10) == (0.0, (0.0, 0.0, 0.0, 0.0))
 
     def test_single_cell_divisions_force_zero(self):
-        result = tvm_pipeline(series_from_values([800, 810, 790, 805, 795]), (1, 1, 1))
-        assert result.etv_global == 0.0
+        assert etv([800, 810, 790, 805, 795], (1, 1, 1))[0] == 0.0
 
     def test_point_count(self):
-        result = tvm_pipeline(series_from_values(range(500, 530)))
-        assert len(result.points) == 28
+        assert len(lift(range(500, 530))) == 28
 
 
 @settings(deadline=None)
 @given(dyadic_intervals, dyadic_shift, divisions_st)
 def test_pipeline_translation_invariance_bitwise(values, shift, divisions):
-    r1 = tvm_pipeline(series_from_values(values), divisions)
-    r2 = tvm_pipeline(series_from_values([v + shift for v in values]), divisions)
-    assert r2.etv_global == r1.etv_global
-    assert r2.etv_quadrant == r1.etv_quadrant
-    assert [(p.base.x, p.base.y, p.d_co, p.le, p.l, p.z) for p in r2.points] == [
-        (p.base.x, p.base.y, p.d_co, p.le, p.l, p.z) for p in r1.points
-    ]
+    shifted = [v + shift for v in values]
+    assert etv(shifted, divisions) == etv(values, divisions)
+    assert columns(lift(shifted)) == columns(lift(values))
 
 
 @settings(deadline=None)
 @given(dyadic_intervals, st.sampled_from([0.5, 2.0, 10.0]), divisions_st)
 def test_pipeline_scale_equivariance(values, c, divisions):
-    r1 = tvm_pipeline(series_from_values(values), divisions)
-    r2 = tvm_pipeline(series_from_values([c * v for v in values]), divisions)
-    assert r2.etv_global == pytest.approx(c * r1.etv_global, rel=1e-9, abs=1e-12)
-    for got, want in zip(r2.etv_quadrant, r1.etv_quadrant):
+    g1, q1 = etv(values, divisions)
+    g2, q2 = etv([c * v for v in values], divisions)
+    assert g2 == pytest.approx(c * g1, rel=1e-9, abs=1e-12)
+    for got, want in zip(q2, q1):
         assert got == pytest.approx(c * want, rel=1e-9, abs=1e-12)
 
 
 @settings(deadline=None)
 @given(dyadic_intervals, divisions_st)
 def test_pipeline_invariants(values, divisions):
-    result = tvm_pipeline(series_from_values(values), divisions)
-    assert result.etv_global >= 0.0
-    assert all(v >= 0.0 for v in result.etv_quadrant)
-    for p in result.points:
-        assert 0.5 <= p.l < 1.0
-        assert math.copysign(1.0, p.z) == math.copysign(1.0, p.d_co) or p.z == p.d_co == 0.0
-        assert abs(p.z) <= abs(p.d_co)
+    etv_global, etv_quadrant = etv(values, divisions)
+    assert etv_global >= 0.0
+    assert all(v >= 0.0 for v in etv_quadrant)
+    p = lift(values)
+    assert np.all((0.5 <= p.l) & (p.l < 1.0))
+    same_sign = np.copysign(1.0, p.z) == np.copysign(1.0, p.d_co)
+    assert np.all(same_sign | ((p.z == 0.0) & (p.d_co == 0.0)))
+    assert np.all(np.abs(p.z) <= np.abs(p.d_co))
 
 
 @settings(deadline=None)
 @given(dyadic_intervals, divisions_st, st.randoms(use_true_random=False))
 def test_grid_statistics_ignore_point_order(values, divisions, rnd):
-    points = build_tvm_points(second_order_diff(series_from_values(values)))
-    shuffled = list(points)
-    rnd.shuffle(shuffled)
+    points = lift(values)
+    order = list(range(len(points)))
+    rnd.shuffle(order)
+    shuffled = points[np.array(order)]
     g1 = build_grid(points, divisions)
     g2 = build_grid(shuffled, divisions)
     assert g1.bounds == g2.bounds
