@@ -23,8 +23,6 @@ from .analysis import (
 from .cluster import (
     ClusteringOutcome,
     KMeansResult,
-    LabeledFeatures,
-    classify,
     kmeans_1d,
     pairwise_classify,
     rand_accuracy,
@@ -64,7 +62,6 @@ from .sodp import (
 )
 from .tvm import (
     DEFAULT_DIVISIONS,
-    GridCell,
     LiftedPoints,
     SubspaceGrid,
     build_grid,

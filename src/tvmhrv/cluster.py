@@ -4,9 +4,8 @@ The evaluation protocol pits two recording groups against each other: their
 scalar indicator values are concatenated, clustered with k=2, and scored by
 RI = correct decisions / total decisions under the better of the two
 cluster-to-label bijections. Everything here is deterministic: centroids
-start at the feature minimum and maximum (evenly spaced in between for
-k > 2), distance ties break toward the lower centroid, and there is no
-randomness anywhere.
+start at the feature minimum and maximum, distance ties break toward the
+lower centroid, and there is no randomness anywhere.
 """
 
 from __future__ import annotations
@@ -18,26 +17,6 @@ from typing import Sequence
 from .errors import DistinctValuesError, EmptyInputError
 
 MAX_ITERATIONS = 1000
-
-
-@dataclass(frozen=True)
-class LabeledFeatures:
-    """One indicator value per recording, aligned with its group label."""
-
-    values: tuple[float, ...]
-    truth: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "truth", tuple(self.truth))
-        if len(self.values) != len(self.truth):
-            raise ValueError(
-                f"{len(self.values)} values vs {len(self.truth)} labels"
-            )
-        if len(set(self.truth)) != 2:
-            raise ValueError(
-                f"need exactly two distinct labels, got {sorted(set(self.truth))}"
-            )
 
 
 @dataclass(frozen=True)
@@ -57,40 +36,29 @@ class ClusteringOutcome:
 
 def _assign(values: Sequence[float], centroids: Sequence[float]) -> tuple[int, ...]:
     # Nearest centroid; ties go to the lower centroid (centroids are ascending).
-    out = []
-    for v in values:
-        best = 0
-        best_dist = abs(v - centroids[0])
-        for j in range(1, len(centroids)):
-            dist = abs(v - centroids[j])
-            if dist < best_dist:
-                best = j
-                best_dist = dist
-        out.append(best)
-    return tuple(out)
+    low, high = centroids
+    return tuple(int(abs(v - high) < abs(v - low)) for v in values)
 
 
-def kmeans_1d(values: Sequence[float], k: int = 2) -> KMeansResult:
-    """Lloyd iteration on scalars with deterministic extremes initialization."""
+def kmeans_1d(values: Sequence[float]) -> KMeansResult:
+    """Two-cluster Lloyd iteration on scalars, started at the extremes."""
     values = [float(v) for v in values]
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
     distinct = sorted(set(values))
-    if len(distinct) < k:
+    if len(distinct) < 2:
         raise DistinctValuesError(
-            f"k-means with k={k} needs at least {k} distinct values, "
-            f"got {len(distinct)}"
+            f"k-means with k=2 needs at least 2 distinct values, got {len(distinct)}"
         )
 
     lo, hi = distinct[0], distinct[-1]
-    centroids = [lo + (hi - lo) * j / (k - 1) for j in range(k)]
+    # lo + (hi - lo) is not always hi: lo=-1e20, hi=1 gives 0.
+    centroids = [lo, lo + (hi - lo)]
     assignments = _assign(values, centroids)
 
     iterations = 0
     for _ in range(MAX_ITERATIONS):
         iterations += 1
         new_centroids = []
-        for j in range(k):
+        for j in range(2):
             members = [v for v, a in zip(values, assignments) if a == j]
             # An empty cluster keeps its previous centroid.
             new_centroids.append(fmean(members) if members else centroids[j])
@@ -122,18 +90,6 @@ def rand_accuracy(assignments: Sequence[int], truth: Sequence[str]) -> float:
     return max(direct, swapped) / len(truth)
 
 
-def classify(features: LabeledFeatures) -> ClusteringOutcome:
-    """Cluster labeled features with k=2 and score with RI."""
-    result = kmeans_1d(features.values, k=2)
-    ri = rand_accuracy(result.assignments, features.truth)
-    return ClusteringOutcome(
-        assignments=result.assignments,
-        centroids=(result.centroids[0], result.centroids[1]),
-        ri=ri,
-        iterations=result.iterations,
-    )
-
-
 def pairwise_classify(
     features_a: Sequence[float],
     features_b: Sequence[float],
@@ -145,8 +101,11 @@ def pairwise_classify(
         raise EmptyInputError("both groups must contribute at least one feature")
     if label_a == label_b:
         raise ValueError(f"group labels must differ, both are {label_a!r}")
-    features = LabeledFeatures(
-        values=tuple(features_a) + tuple(features_b),
-        truth=(label_a,) * len(features_a) + (label_b,) * len(features_b),
+    result = kmeans_1d([*features_a, *features_b])
+    truth = [label_a] * len(features_a) + [label_b] * len(features_b)
+    return ClusteringOutcome(
+        assignments=result.assignments,
+        centroids=(result.centroids[0], result.centroids[1]),
+        ri=rand_accuracy(result.assignments, truth),
+        iterations=result.iterations,
     )
-    return classify(features)

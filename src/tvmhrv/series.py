@@ -136,10 +136,8 @@ def _recording_files(directory: Path) -> list[Path]:
 
 
 def load_dataset_group(directory, unit: Unit = Unit.UNITLESS) -> DatasetGroup:
-    """Load every .txt/.csv file in a directory, in lexicographic name order."""
-    directory = Path(directory)
-    recordings = tuple(load_rr_series(p, unit=unit) for p in _recording_files(directory))
-    return DatasetGroup(name=directory.name, recordings=recordings)
+    """Load every .txt/.csv file in a directory, sorted by source_id."""
+    return load_groups([directory], unit)[0]
 
 
 def load_groups(

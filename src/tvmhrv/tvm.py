@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -61,24 +60,23 @@ class LiftedPoints:
         )
 
 
-@dataclass(frozen=True)
-class GridCell:
-    count: int
-    abs_z_sum: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceGrid:
     """Bounding cuboid of a point set, cut into equal-width subspaces.
 
     `divisions` are the effective per-axis bin counts: an axis whose extent
-    is zero collapses to a single bin whatever was requested. `cells` holds
-    only occupied cells; empty ones still count toward `n_cells`.
+    is zero collapses to a single bin whatever was requested. The occupied
+    cells are three aligned columns in ascending cell order: `cells` holds
+    the C-order flat index of each cell's (ix, iy, iz) over `divisions`,
+    `counts` its point count and `abs_z_sums` the sum of its points' |z|.
+    Empty cells are not stored; they still count toward `n_cells`.
     """
 
     bounds: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     divisions: tuple[int, int, int]
-    cells: Mapping[tuple[int, int, int], GridCell]
+    cells: np.ndarray
+    counts: np.ndarray
+    abs_z_sums: np.ndarray
     total_points: int
 
     @property
@@ -141,21 +139,17 @@ def build_grid(
     )
     keys = np.ravel_multi_index(index, k)
     order = np.argsort(keys, kind="stable")
-    occupied, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    keys = keys[order]
+    # Each run of equal keys is one occupied cell; edges bound the runs.
+    edges = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), keys.size]
     abs_z = np.abs(points.z[order]).tolist()
-    # fsum is correctly rounded, so cell sums do not depend on point order.
-    cells = {
-        key: GridCell(count=n, abs_z_sum=math.fsum(abs_z[i : i + n]))
-        for key, i, n in zip(
-            zip(*(c.tolist() for c in np.unravel_index(occupied, k))),
-            starts.tolist(),
-            counts.tolist(),
-        )
-    }
     return SubspaceGrid(
         bounds=bounds,
         divisions=k,
-        cells=cells,
+        cells=keys[edges[:-1]],
+        counts=np.diff(edges),
+        # fsum is correctly rounded, so cell sums do not depend on point order.
+        abs_z_sums=np.array([math.fsum(abs_z[i:j]) for i, j in zip(edges, edges[1:])]),
         total_points=len(points),
     )
 
@@ -167,12 +161,12 @@ def temporal_variation_entropy(grid: SubspaceGrid) -> float:
     m_total = grid.total_points
     m_bar = m_total / grid.n_cells
     terms = []
-    for key in sorted(grid.cells):
-        cell = grid.cells[key]
-        p = abs(cell.count - m_bar) / m_total
+    for count, abs_z_sum in zip(grid.counts.tolist(), grid.abs_z_sums.tolist(), strict=True):
+        p = abs(count - m_bar) / m_total
         if p == 0.0:
             continue
-        terms.append(cell.count * cell.abs_z_sum * p * (-math.log(p)))
+        terms.append(count * abs_z_sum * p * (-math.log(p)))
+    # fsum is correctly rounded, so the terms' order does not matter.
     return math.fsum(terms)
 
 

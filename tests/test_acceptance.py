@@ -5,6 +5,7 @@ One test per criterion; each prints a single PASS/FAIL line (visible with
 oracle side lives in oracle.py and shares no code with the library.
 """
 
+import math
 import os
 import random
 import time
@@ -139,7 +140,8 @@ def test_criterion_2_invariant_suite():
             assert ctm(points, lo) <= ctm(points, hi)
 
         # Quadrant-sum identity (exact, at the integer-count level),
-        # E_TV >= 0, l in [0.5, 1), and grid count conservation.
+        # E_TV >= 0, l in [0.5, 1] and below 1 within 36 mean distances, and
+        # grid count conservation.
         for _ in range(200):
             values = [rng.uniform(300.0, 1500.0) for _ in range(rng.randint(3, 80))]
             series = series_from_values(values)
@@ -156,9 +158,12 @@ def test_criterion_2_invariant_suite():
             assert result.etv_global >= 0.0
             assert all(v >= 0.0 for v in result.etv_quadrant)
             tvm_points = build_tvm_points(points)
-            assert np.all((0.5 <= tvm_points.l) & (tvm_points.l < 1.0))
+            # l rounds to exactly 1.0 only beyond about 36.7 mean distances.
+            assert np.all((0.5 <= tvm_points.l) & (tvm_points.l <= 1.0))
+            mean_le = math.fsum(tvm_points.le.tolist()) / len(tvm_points)
+            assert np.all(tvm_points.l[tvm_points.le < 36 * mean_le] < 1.0)
             grid = build_grid(tvm_points, divisions)
-            assert sum(cell.count for cell in grid.cells.values()) == len(series) - 2
+            assert grid.counts.sum() == len(series) - 2
         assert time.perf_counter() - started < 30.0
 
 

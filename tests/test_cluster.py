@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 from tvmhrv import (
     DistinctValuesError,
     EmptyInputError,
-    LabeledFeatures,
-    classify,
     kmeans_1d,
     pairwise_classify,
     rand_accuracy,
@@ -35,15 +33,6 @@ class TestKMeans:
     def test_identical_values_rejected(self):
         with pytest.raises(DistinctValuesError):
             kmeans_1d([5.0, 5.0, 5.0])
-
-    def test_k_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            kmeans_1d([1.0, 2.0], k=1)
-
-    def test_three_clusters(self):
-        result = kmeans_1d([0.0, 0.1, 5.0, 5.1, 10.0, 10.1], k=3)
-        assert result.assignments == (0, 0, 1, 1, 2, 2)
-        assert list(result.centroids) == sorted(result.centroids)
 
     @given(features)
     def test_deterministic(self, values):
@@ -126,21 +115,27 @@ class TestPairwiseClassify:
         with pytest.raises(EmptyInputError):
             pairwise_classify([], [1.0, 2.0])
 
+    def test_assignments_follow_the_concatenated_features(self):
+        outcome = pairwise_classify([1.0, 2.0], [8.0, 9.0], label_a="A", label_b="B")
+        assert outcome.ri == 1.0
+        assert outcome.assignments == (0, 0, 1, 1)
+        assert outcome.centroids == (1.5, 8.5)
+        assert outcome.iterations == 1
+
     def test_equal_labels_rejected(self):
         with pytest.raises(ValueError):
             pairwise_classify([1.0], [2.0], label_a="x", label_b="x")
 
 
 class TestLabeledFeatures:
+    """Features clustered by kmeans_1d and scored against their labels."""
+
     def test_validates_alignment(self):
+        assignments = kmeans_1d([1.0, 2.0]).assignments
         with pytest.raises(ValueError):
-            LabeledFeatures(values=(1.0, 2.0), truth=("A",))
+            rand_accuracy(assignments, ("A",))
 
     def test_validates_two_labels(self):
+        assignments = kmeans_1d([1.0, 2.0]).assignments
         with pytest.raises(ValueError):
-            LabeledFeatures(values=(1.0, 2.0), truth=("A", "A"))
-
-    def test_classify_roundtrip(self):
-        outcome = classify(LabeledFeatures(values=(1.0, 2.0, 8.0, 9.0), truth=("A", "A", "B", "B")))
-        assert outcome.ri == 1.0
-        assert outcome.assignments == (0, 0, 1, 1)
+            rand_accuracy(assignments, ("A", "A"))

@@ -122,12 +122,15 @@ class TestDatasetGroup:
     def test_loads_all_files_in_name_order(self, tmp_path):
         ddir = tmp_path / "nsr2db"
         ddir.mkdir()
-        for name in ("b.txt", "a.txt", "c.csv"):
+        for name in ("b.txt", "a.txt", "c.csv", "a-b.txt"):
             write(ddir, name, "800\n810\n790\n")
         write(ddir, "ignored.dat", "not rr data")
         group = load_dataset_group(ddir)
         assert group.name == "nsr2db"
-        assert [rec.source_id for rec in group.recordings] == ["a", "b", "c"]
+        # Sorted by source id, as load_groups sorts: "a-b.txt" comes before
+        # "a.txt" by file name, but "a" before "a-b" by id.
+        assert [rec.source_id for rec in group.recordings] == ["a", "a-b", "b", "c"]
+        assert group == load_groups([ddir])[0]
 
     def test_malformed_file_named_in_error(self, tmp_path):
         ddir = tmp_path / "grp"

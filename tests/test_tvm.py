@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
@@ -28,7 +28,6 @@ from tvmhrv import (
     temporal_variation_entropy,
 )
 from tvmhrv.series import MAX_INTERVAL
-from tvmhrv.tvm import GridCell
 
 # Frozen with the straight-line reference in oracle.py.
 THREE_POINT_MEAN_LE = 21.796145384105944
@@ -132,17 +131,17 @@ class TestBuildGrid:
         grid = build_grid(points, (1, 1, 1))
         assert grid.divisions == (1, 1, 1)
         assert grid.total_points == 3
-        (cell,) = grid.cells.values()
-        assert cell.count == 3
-        assert cell.abs_z_sum == pytest.approx(math.fsum(np.abs(points.z).tolist()), abs=0)
+        assert grid.cells.tolist() == [0]
+        assert grid.counts.tolist() == [3]
+        assert grid.abs_z_sums.tolist() == [math.fsum(np.abs(points.z).tolist())]
 
     def test_x_binning_by_hand(self):
         # x in {0, 1, 2}, two x-bins [0,1) and [1,2]; y and z collapse.
         points = build_tvm_points(plot((0, 5), (1, 5), (2, 5)))
         grid = build_grid(points, (2, 1, 1))
         assert grid.divisions == (2, 1, 1)
-        counts = {key[0]: cell.count for key, cell in grid.cells.items()}
-        assert counts == {0: 1, 1: 2}
+        assert grid.cells.tolist() == [0, 1]
+        assert grid.counts.tolist() == [1, 2]
 
     def test_zero_extent_z_axis_collapses_alone(self):
         # |y| == |x| everywhere, so z is identically 0 while x and y vary.
@@ -155,8 +154,7 @@ class TestBuildGrid:
         grid = build_grid(points, (4, 4, 4))
         assert grid.divisions == (1, 1, 1)
         assert grid.n_cells == 1
-        (cell,) = grid.cells.values()
-        assert cell.count == 5
+        assert grid.counts.tolist() == [5]
 
     def test_bounds_are_exact_extremes(self):
         points = build_tvm_points(plot((-3, 1), (5, -2), (2, 7)))
@@ -170,8 +168,8 @@ class TestBuildGrid:
         # The top of the last bin is closed, so the max lands inside.
         points = build_tvm_points(plot((0, 5), (1, 5), (2, 5)))
         grid = build_grid(points, (4, 1, 1))
-        assert sum(cell.count for cell in grid.cells.values()) == 3
-        assert max(key[0] for key in grid.cells) == 3
+        assert grid.counts.sum() == 3
+        assert grid.cells.max() == 3
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
@@ -197,10 +195,9 @@ class TestEntropy:
         grid = SubspaceGrid(
             bounds=((0.0, 2.0), (5.0, 5.0), (0.125, 0.5)),
             divisions=(2, 1, 1),
-            cells={
-                (0, 0, 0): GridCell(count=1, abs_z_sum=0.5),
-                (1, 0, 0): GridCell(count=2, abs_z_sum=0.375),
-            },
+            cells=np.array([0, 1]),
+            counts=np.array([1, 2]),
+            abs_z_sums=np.array([0.5, 0.375]),
             total_points=3,
         )
         assert temporal_variation_entropy(grid) == pytest.approx(MANUAL_GRID_ETV, rel=1e-12)
@@ -320,12 +317,17 @@ def test_pipeline_scale_equivariance(values, c, divisions):
 
 @settings(deadline=None)
 @given(dyadic_intervals, divisions_st)
+# One point 38 mean distances out, where l rounds to exactly 1.0.
+@example([800.0] * 39 + [1600.0], (5, 5, 5))
 def test_pipeline_invariants(values, divisions):
     etv_global, etv_quadrant = etv(values, divisions)
     assert etv_global >= 0.0
     assert all(v >= 0.0 for v in etv_quadrant)
     p = lift(values)
-    assert np.all((0.5 <= p.l) & (p.l < 1.0))
+    # l rounds to exactly 1.0 only beyond about 36.7 mean distances.
+    assert np.all((0.5 <= p.l) & (p.l <= 1.0))
+    mean_le = math.fsum(p.le.tolist()) / len(p)
+    assert np.all(p.l[p.le < 36 * mean_le] < 1.0)
     same_sign = np.copysign(1.0, p.z) == np.copysign(1.0, p.d_co)
     assert np.all(same_sign | ((p.z == 0.0) & (p.d_co == 0.0)))
     assert np.all(np.abs(p.z) <= np.abs(p.d_co))
@@ -342,8 +344,36 @@ def test_grid_statistics_ignore_point_order(values, divisions, rnd):
     g2 = build_grid(shuffled, divisions)
     assert g1.bounds == g2.bounds
     assert g1.divisions == g2.divisions
-    assert g1.cells == g2.cells
+    assert g1.cells.tolist() == g2.cells.tolist()
+    assert g1.counts.tolist() == g2.counts.tolist()
+    assert g1.abs_z_sums.tolist() == g2.abs_z_sums.tolist()
     assert temporal_variation_entropy(g1) == temporal_variation_entropy(g2)
+
+
+@settings(deadline=None)
+@given(dyadic_intervals, divisions_st)
+def test_grid_columns_match_per_point_binning(values, divisions):
+    # Each point binned on its own in plain Python, as tests/oracle.py bins.
+    points = lift(values)
+    coords = [a.tolist() for a in (points.base.x, points.base.y, points.z)]
+    axes = []
+    for column, requested in zip(coords, divisions):
+        lo, hi = min(column), max(column)
+        axes.append((lo, hi, 1 if hi == lo else requested))
+    members = {}
+    for i, point in enumerate(zip(*coords)):
+        key = 0
+        for value, (lo, hi, k) in zip(point, axes):
+            ix = 0 if k == 1 else min(int((value - lo) / (hi - lo) * k), k - 1)
+            key = key * k + ix
+        members.setdefault(key, []).append(abs(coords[2][i]))
+    grid = build_grid(points, divisions)
+    assert grid.divisions == tuple(k for _, _, k in axes)
+    assert grid.cells.tolist() == sorted(members)
+    assert grid.counts.tolist() == [len(members[key]) for key in sorted(members)]
+    assert grid.abs_z_sums.tolist() == [math.fsum(members[key]) for key in sorted(members)]
+    assert grid.cells.dtype == grid.counts.dtype == np.int64
+    assert grid.abs_z_sums.dtype == np.float64
 
 
 @given(dyadic_intervals, divisions_st)
@@ -351,4 +381,4 @@ def test_grid_count_conservation(values, divisions):
     series = series_from_values(values)
     points = build_tvm_points(second_order_diff(series))
     grid = build_grid(points, divisions)
-    assert sum(cell.count for cell in grid.cells.values()) == grid.total_points == len(series) - 2
+    assert grid.counts.sum() == grid.total_points == len(series) - 2
