@@ -5,6 +5,8 @@ its temporal variation entropy, deterministic k-means/RI evaluation, and
 batch analysis helpers.
 """
 
+import logging
+
 from .analysis import (
     ALL_INDICATORS,
     RADIUS_INDICATORS,
@@ -44,16 +46,12 @@ from .series import (
     load_dataset_group,
     load_groups,
     load_rr_series,
-    save_rr_series,
-    series_from_values,
     split_segments,
 )
 from .sodp import (
     PlotPoints,
     Quadrant,
     RadiusCounts,
-    cctm,
-    ctm,
     mean_distance_d,
     point_distances,
     radius_census,
@@ -71,3 +69,7 @@ from .tvm import (
 )
 
 __version__ = "0.1.0"
+
+# Warnings go to the "tvmhrv" logger; the library prints nothing unless the
+# application (the CLI, for one) gives that logger a handler.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

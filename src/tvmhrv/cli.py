@@ -9,6 +9,7 @@ is 0 iff every requested output was written.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -29,6 +30,8 @@ from .sodp import Quadrant, second_order_diff
 from .tvm import build_tvm_points
 
 DEFAULT_R_GRID = "0.5:10:0.5"
+
+log = logging.getLogger("tvmhrv")
 
 
 def parse_divisions(text: str) -> tuple[int, int, int]:
@@ -125,10 +128,20 @@ def _params(args) -> IndicatorParams:
     return IndicatorParams(r_ctm=args.r_ctm, r_d=args.r_d, divisions=args.divisions)
 
 
-def _recordings(args) -> list[RRSeries]:
-    """Flatten files and directories into recordings, sorted by source_id."""
+def _recordings(args) -> tuple[list[RRSeries], dict[str, list[str]]]:
+    """Flatten files and directories into recordings, sorted by source_id.
+
+    Also returns, in id order, each source id that more than one recording
+    has, with the inputs those recordings came from.
+    """
     groups = load_groups(args.inputs, Unit(args.unit), args.segment_len, allow_files=True)
-    return sorted((rec for g in groups for rec in g.recordings), key=lambda s: s.source_id)
+    inputs: dict[str, list[str]] = {}
+    for path, group in zip(args.inputs, groups):
+        for rec in group.recordings:
+            inputs.setdefault(rec.source_id, []).append(str(path))
+    shared = {sid: paths for sid, paths in sorted(inputs.items()) if len(paths) > 1}
+    recordings = sorted((rec for g in groups for rec in g.recordings), key=lambda s: s.source_id)
+    return recordings, shared
 
 
 def _group_features(directory, args, params):
@@ -148,7 +161,13 @@ def _group_features(directory, args, params):
 
 def cmd_indicators(args) -> int:
     params = _params(args)
-    reports = [report(rec, params) for rec in _recordings(args)]
+    recordings, shared = _recordings(args)
+    for sid, inputs in shared.items():
+        log.warning(
+            "inputs %s share the source id %r; only the row order tells their rows apart",
+            ", ".join(inputs), sid,
+        )
+    reports = [report(rec, params) for rec in recordings]
     if args.format == "csv":
         write_csv(
             args.out,
@@ -187,15 +206,13 @@ def _write_points(path, fmt, source_id, header, rows) -> None:
 
 
 def cmd_points(args) -> int:
-    recordings = _recordings(args)
-    seen = set()
-    for rec in recordings:
-        if rec.source_id in seen:
-            raise TvmhrvError(
-                f"two inputs share the source id {rec.source_id!r}; "
-                "their point files would overwrite each other"
-            )
-        seen.add(rec.source_id)
+    recordings, shared = _recordings(args)
+    if shared:
+        sid, inputs = next(iter(shared.items()))
+        raise TvmhrvError(
+            f"inputs {', '.join(inputs)} share the source id {sid!r}; "
+            "their point files would overwrite each other"
+        )
     out_dir = args.out if args.out is not None else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -279,11 +296,18 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Attached for this call only, so warnings go to the stderr of the moment
+    # and repeated in-process calls print each warning once.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("tvmhrv: warning: %(message)s"))
+    log.addHandler(handler)
     try:
         return _COMMANDS[args.command](args)
     except (TvmhrvError, OSError, ValueError) as exc:
         print(f"tvmhrv: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

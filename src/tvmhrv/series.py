@@ -1,4 +1,4 @@
-"""RR-interval series: loading, validation, segmentation, serialization.
+"""RR-interval series: loading, validation and segmentation.
 
 Accepted on-disk format is UTF-8 text (a leading byte-order mark is
 skipped) holding numbers separated by commas and/or whitespace: one interval
@@ -8,10 +8,13 @@ skipped. Units are metadata only; nothing downstream converts values.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .errors import (
     EmptyDirectoryError,
@@ -21,6 +24,8 @@ from .errors import (
 )
 
 RR_EXTENSIONS = (".txt", ".csv")
+
+log = logging.getLogger("tvmhrv")
 
 # Largest accepted interval: successive differences then stay below 1e150 in
 # magnitude, so x*x + y*y cannot overflow on the way to a point's distance.
@@ -33,33 +38,42 @@ class Unit(str, Enum):
     UNITLESS = "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RRSeries:
-    """An ordered sequence of interval durations, each in (0, MAX_INTERVAL]."""
+    """An ordered sequence of interval durations, each in (0, MAX_INTERVAL].
 
-    intervals: tuple[float, ...]
+    `intervals` is a read-only 1-D float64 array, copied from the input.
+    """
+
+    intervals: np.ndarray
     unit: Unit = Unit.UNITLESS
     source_id: str = ""
 
     def __post_init__(self):
-        intervals = tuple(float(v) for v in self.intervals)
-        object.__setattr__(self, "intervals", intervals)
-        if len(intervals) < 3:
-            raise TooShortSeriesError(
-                f"series {self.source_id!r} has {len(intervals)} intervals; need at least 3"
+        intervals = np.array(self.intervals, dtype=np.float64)
+        if intervals.ndim != 1:
+            raise ValueError(
+                f"series {self.source_id!r}: intervals must be 1-D, got shape {intervals.shape}"
             )
-        for i, v in enumerate(intervals):
-            if not 0.0 < v <= MAX_INTERVAL:
-                raise RRValidationError(
-                    f"series {self.source_id!r}: interval {i} is {v!r}; "
-                    f"intervals must be > 0 and <= {MAX_INTERVAL:g}"
-                )
+        intervals.flags.writeable = False
+        object.__setattr__(self, "intervals", intervals)
+        if intervals.size < 3:
+            raise TooShortSeriesError(
+                f"series {self.source_id!r} has {intervals.size} intervals; need at least 3"
+            )
+        valid = (intervals > 0.0) & (intervals <= MAX_INTERVAL)
+        if not valid.all():
+            i = int(np.argmin(valid))
+            raise RRValidationError(
+                f"series {self.source_id!r}: interval {i} is {float(intervals[i])!r}; "
+                f"intervals must be > 0 and <= {MAX_INTERVAL:g}"
+            )
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return self.intervals.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetGroup:
     """A named collection of recordings, e.g. one directory of RR files."""
 
@@ -114,13 +128,7 @@ def load_rr_series(path, unit: Unit = Unit.UNITLESS) -> RRSeries:
         raise TooShortSeriesError(
             f"{path}: found {len(values)} intervals; need at least 3"
         )
-    return RRSeries(intervals=tuple(values), unit=unit, source_id=path.stem)
-
-
-def save_rr_series(series: RRSeries, path) -> None:
-    """Write one interval per line; repr round-trips 64-bit floats exactly."""
-    path = Path(path)
-    path.write_text("".join(f"{v!r}\n" for v in series.intervals))
+    return RRSeries(intervals=values, unit=unit, source_id=path.stem)
 
 
 def _recording_files(directory: Path) -> list[Path]:
@@ -151,9 +159,9 @@ def load_groups(
     A directory gives the group of its .txt/.csv files, named after it. A
     file gives a one-recording group named after its stem when allow_files
     is set, and is rejected as not a directory otherwise. With segment_len,
-    every recording is cut by split_segments (a partial tail is dropped); a
-    recording shorter than one segment raises TooShortSeriesError naming
-    its file.
+    every recording is cut by split_segments; a partial tail is dropped with
+    a warning on the `tvmhrv` logger naming the file, and a recording
+    shorter than one segment raises TooShortSeriesError naming its file.
     """
     groups = []
     for path in map(Path, paths):
@@ -170,6 +178,11 @@ def load_groups(
                 )
             else:
                 recordings.extend(split_segments(rec, segment_len))
+                if tail := len(rec) % segment_len:
+                    log.warning(
+                        "%s: dropped the last %d of %d intervals, fewer than one segment of %d",
+                        file, tail, len(rec), segment_len,
+                    )
         recordings.sort(key=lambda s: s.source_id)
         name = path.stem if single else path.name
         groups.append(DatasetGroup(name=name, recordings=tuple(recordings)))
@@ -195,12 +208,3 @@ def split_segments(series: RRSeries, length: int) -> list[RRSeries]:
             )
         )
     return segments
-
-
-def series_from_values(
-    values: Iterable[float] | Sequence[float],
-    unit: Unit = Unit.UNITLESS,
-    source_id: str = "",
-) -> RRSeries:
-    """Convenience constructor for in-memory series."""
-    return RRSeries(intervals=tuple(values), unit=unit, source_id=source_id)

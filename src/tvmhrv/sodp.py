@@ -94,7 +94,7 @@ class RadiusCounts:
 
 def second_order_diff(series: RRSeries) -> PlotPoints:
     """Build the n-2 plot points of a series, in index order."""
-    diff = np.diff(np.asarray(series.intervals, dtype=np.float64))
+    diff = np.diff(series.intervals)
     return PlotPoints(x=diff[:-1], y=diff[1:])
 
 
@@ -131,16 +131,6 @@ def radius_census(
 def radius_counts(points: PlotPoints, r: float) -> RadiusCounts:
     """Count the points with distance < r, split by quadrant."""
     return radius_census(points, [r])[0][0]
-
-
-def ctm(points: PlotPoints, r: float) -> float:
-    """Central tendency measure: fraction of points with distance < r."""
-    return radius_counts(points, r).ctm
-
-
-def cctm(points: PlotPoints, r: float) -> tuple[float, float, float, float]:
-    """Per-quadrant CTM components; denominator is the total point count."""
-    return radius_counts(points, r).cctm
 
 
 def mean_distance_d(points: PlotPoints, r: float) -> float:

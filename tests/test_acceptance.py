@@ -22,11 +22,10 @@ from oracle import (
 )
 from tvmhrv import (
     IndicatorParams,
+    RRSeries,
     aggregate,
     build_grid,
     build_tvm_points,
-    cctm,
-    ctm,
     indicator_value,
     load_groups,
     mean_distance_d,
@@ -34,7 +33,6 @@ from tvmhrv import (
     radius_counts,
     report,
     second_order_diff,
-    series_from_values,
     temporal_variation_entropy,
 )
 from tvmhrv.cli import main as cli_main
@@ -57,7 +55,7 @@ def etv_report(series, divisions=(10, 10, 10)):
 
 
 def lifted(values):
-    return build_tvm_points(second_order_diff(series_from_values(values)))
+    return build_tvm_points(second_order_diff(RRSeries(values)))
 
 
 def rel_close(got: float, want: float, rel: float = 1e-9) -> bool:
@@ -80,7 +78,7 @@ def test_criterion_1_oracle_equivalence():
                 divisions = (rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6))
             r = rng.uniform(0.5, 80.0)
 
-            series = series_from_values(values, source_id=f"case{case:03d}")
+            series = RRSeries(values, source_id=f"case{case:03d}")
             points = second_order_diff(series)
             counts = radius_counts(points, r)
             xs, ys = reference_sodp(values)
@@ -110,8 +108,8 @@ def test_criterion_2_invariant_suite():
             shift = rng.randint(0, 2**20) / 8.0
             divisions = (rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5))
             shifted = [v + shift for v in values]
-            r1 = etv_report(series_from_values(values), divisions)
-            r2 = etv_report(series_from_values(shifted), divisions)
+            r1 = etv_report(RRSeries(values), divisions)
+            r2 = etv_report(RRSeries(shifted), divisions)
             assert r2.etv_global == r1.etv_global
             assert r2.etv_quadrant == r1.etv_quadrant
             p1, p2 = lifted(values), lifted(shifted)
@@ -126,8 +124,8 @@ def test_criterion_2_invariant_suite():
             c = (0.5, 2.0, 10.0)[i % 3]
             values = [dyadic(2**14) for _ in range(rng.randint(3, 60))]
             divisions = (rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5))
-            r1 = etv_report(series_from_values(values), divisions)
-            r2 = etv_report(series_from_values([c * v for v in values]), divisions)
+            r1 = etv_report(RRSeries(values), divisions)
+            r2 = etv_report(RRSeries([c * v for v in values]), divisions)
             assert rel_close(r2.etv_global, c * r1.etv_global)
             for got, want in zip(r2.etv_quadrant, r1.etv_quadrant):
                 assert rel_close(got, c * want)
@@ -135,23 +133,23 @@ def test_criterion_2_invariant_suite():
         # CTM monotone in r.
         for _ in range(200):
             values = [rng.uniform(300.0, 1500.0) for _ in range(rng.randint(3, 80))]
-            points = second_order_diff(series_from_values(values))
+            points = second_order_diff(RRSeries(values))
             lo, hi = sorted((rng.uniform(0.1, 100.0), rng.uniform(0.1, 100.0)))
-            assert ctm(points, lo) <= ctm(points, hi)
+            assert radius_counts(points, lo).ctm <= radius_counts(points, hi).ctm
 
         # Quadrant-sum identity (exact, at the integer-count level),
         # E_TV >= 0, l in [0.5, 1] and below 1 within 36 mean distances, and
         # grid count conservation.
         for _ in range(200):
             values = [rng.uniform(300.0, 1500.0) for _ in range(rng.randint(3, 80))]
-            series = series_from_values(values)
+            series = RRSeries(values)
             points = second_order_diff(series)
             r = rng.uniform(0.1, 120.0)
             counts = radius_counts(points, r)
             assert sum(counts.quadrant) + counts.on_axis == counts.within
             # The reported ratios are these exact counts over the total.
-            assert ctm(points, r) == counts.within / counts.total
-            assert cctm(points, r) == tuple(q / counts.total for q in counts.quadrant)
+            assert counts.ctm == counts.within / counts.total
+            assert counts.cctm == tuple(q / counts.total for q in counts.quadrant)
 
             divisions = (rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5))
             result = etv_report(series, divisions)
@@ -170,19 +168,19 @@ def test_criterion_2_invariant_suite():
 def test_criterion_3_degenerate_cases():
     """Constant series, single-cell grids, and length-3 series behave."""
     with criterion(3, "degenerate cases"):
-        constant = series_from_values([800] * 25, source_id="flat")
+        constant = RRSeries([800] * 25, source_id="flat")
         points = second_order_diff(constant)
-        assert ctm(points, 3.0) == 1.0
+        assert radius_counts(points, 3.0).ctm == 1.0
         assert mean_distance_d(points, 6.0) == 0.0
         result = etv_report(constant)
         assert result.etv_global == 0.0
         assert result.etv_quadrant == (0.0, 0.0, 0.0, 0.0)
 
-        varied = series_from_values([800, 810, 790, 805, 795, 820])
+        varied = RRSeries([800, 810, 790, 805, 795, 820])
         single_cell = build_grid(build_tvm_points(second_order_diff(varied)), (1, 1, 1))
         assert temporal_variation_entropy(single_cell) == 0.0
 
-        tiny = series_from_values([800, 810, 790], source_id="tiny")
+        tiny = RRSeries([800, 810, 790], source_id="tiny")
         rep = report(tiny, IndicatorParams())
         assert rep.source_id == "tiny"
         assert len(build_tvm_points(second_order_diff(tiny))) == 1

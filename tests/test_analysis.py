@@ -9,17 +9,17 @@ from tvmhrv import (
     DatasetGroup,
     EmptyInputError,
     IndicatorParams,
+    RRSeries,
     SweepTable,
     aggregate,
     indicator_value,
     report,
-    series_from_values,
     summarize,
     sweep_r,
 )
 
-FIVE = series_from_values([800, 810, 790, 805, 795], source_id="five")
-CONSTANT = series_from_values([800] * 12, source_id="flat")
+FIVE = RRSeries([800, 810, 790, 805, 795], source_id="five")
+CONSTANT = RRSeries([800] * 12, source_id="flat")
 
 
 def jittery(seed: int, n: int = 40, spread: float = 40.0) -> list:
@@ -45,7 +45,7 @@ class TestReport:
         assert rep.d is None
 
     def test_minimum_length_series_end_to_end(self):
-        rep = report(series_from_values([800, 810, 790], source_id="tiny"))
+        rep = report(RRSeries([800, 810, 790], source_id="tiny"))
         assert rep.source_id == "tiny"
         assert rep.etv_global == 0.0  # a single point is its own single cell
 
@@ -85,7 +85,7 @@ class TestSweep:
     )
     @example(values=[800, 810, 790, 805, 795], r=3.0)  # no point inside r: D is None
     def test_single_recording_equals_report_for_every_radius_indicator(self, values, r):
-        series = series_from_values(values, source_id="solo")
+        series = RRSeries(values, source_id="solo")
         rep = report(series, IndicatorParams(r_ctm=r, r_d=r))
         group = DatasetGroup(name="solo", recordings=(series,))
         for indicator in RADIUS_INDICATORS:
@@ -94,8 +94,8 @@ class TestSweep:
 
     def test_ctm_rows_non_decreasing(self):
         groups = [
-            DatasetGroup(name="a", recordings=(series_from_values(jittery(1)),)),
-            DatasetGroup(name="b", recordings=(series_from_values(jittery(2, spread=5.0)),)),
+            DatasetGroup(name="a", recordings=(RRSeries(jittery(1)),)),
+            DatasetGroup(name="b", recordings=(RRSeries(jittery(2, spread=5.0)),)),
         ]
         table = sweep_r(groups, "ctm", [0.5, 1.0, 2.0, 5.0, 20.0, 100.0])
         for row in table.rows.values():
@@ -178,8 +178,8 @@ class TestAggregate:
 
     def test_matches_per_recording_reports(self):
         recs = (
-            series_from_values(jittery(3), source_id="r1"),
-            series_from_values(jittery(4), source_id="r2"),
+            RRSeries(jittery(3), source_id="r1"),
+            RRSeries(jittery(4), source_id="r2"),
         )
         params = IndicatorParams(r_ctm=30.0, r_d=60.0)
         summary = aggregate(DatasetGroup(name="pair", recordings=recs), params)
@@ -194,8 +194,8 @@ class TestAggregate:
         assert "ctm" in summary.stats
 
     def test_order_independence(self):
-        r1 = series_from_values(jittery(5), source_id="a")
-        r2 = series_from_values(jittery(6), source_id="b")
+        r1 = RRSeries(jittery(5), source_id="a")
+        r2 = RRSeries(jittery(6), source_id="b")
         s1 = aggregate(DatasetGroup(name="g", recordings=(r1, r2)))
         s2 = aggregate(DatasetGroup(name="g", recordings=(r2, r1)))
         assert s1.stats == s2.stats

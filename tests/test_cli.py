@@ -102,6 +102,34 @@ class TestIndicators:
         rows = read_csv(out)
         assert [row[0] for row in rows[1:]] == [f"long#{k:03d}" for k in range(4)]
 
+    def test_segment_len_warns_of_the_dropped_tail(self, tmp_path, capsys):
+        path = write_series(tmp_path / "long.txt", list(range(700, 722)))
+        for _ in range(2):
+            # Each in-process run prints its warning once, to the current stderr.
+            assert run(["indicators", path, "--segment-len", "5", "--out", tmp_path / "r.csv"]) == 0
+            assert capsys.readouterr().err == (
+                f"tvmhrv: warning: {path}: dropped the last 2 of 22 intervals, "
+                "fewer than one segment of 5\n"
+            )
+        assert run(["indicators", path, "--segment-len", "11", "--out", tmp_path / "r.csv"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_shared_source_ids_warned_once_each(self, tmp_path, capsys):
+        for name in ("one", "two"):
+            ddir = tmp_path / name
+            ddir.mkdir()
+            for stem in ("a", "b"):
+                write_series(ddir / f"{stem}.txt", [800, 810, 790, 805])
+        write_series(tmp_path / "one" / "c.txt", [800, 810, 790, 805])
+        out = tmp_path / "report.csv"
+        assert run(["indicators", tmp_path / "one", tmp_path / "two", "--out", out]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"tvmhrv: warning: inputs {tmp_path / 'one'}, {tmp_path / 'two'} share the "
+            f"source id {sid!r}; only the row order tells their rows apart"
+            for sid in ("a", "b")
+        ]
+        assert [row[0] for row in read_csv(out)[1:]] == ["a", "a", "b", "b", "c"]
+
     def test_recording_shorter_than_segment_len_is_an_error(self, rr_file, capsys):
         assert run(["indicators", rr_file, "--segment-len", "10"]) == 1
         captured = capsys.readouterr()
@@ -148,7 +176,9 @@ class TestPoints:
             ddir.mkdir()
             write_series(ddir / "rec.txt", [800, 810, 790, 805])
         assert run(["points", tmp_path / "one", tmp_path / "two", "--out", tmp_path / "pts"]) == 1
-        assert "rec" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'rec'" in err and str(tmp_path / "one") in err and str(tmp_path / "two") in err
+        assert not (tmp_path / "pts").exists()
 
     def test_json_format_equivalent_values(self, rr_file, tmp_path):
         out_c = tmp_path / "c"

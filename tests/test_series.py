@@ -1,5 +1,10 @@
+import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,11 +20,11 @@ from tvmhrv import (
     load_dataset_group,
     load_groups,
     load_rr_series,
-    save_rr_series,
-    series_from_values,
     split_segments,
 )
 from tvmhrv.series import MAX_INTERVAL
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write(tmp_path: Path, name: str, text: str) -> Path:
@@ -32,30 +37,30 @@ class TestLoadRRSeries:
     def test_line_per_interval(self, tmp_path):
         path = write(tmp_path, "rec.txt", "800\n810\n790\n805\n795\n")
         series = load_rr_series(path, unit=Unit.MILLISECONDS)
-        assert series.intervals == (800.0, 810.0, 790.0, 805.0, 795.0)
+        assert series.intervals.tolist() == [800.0, 810.0, 790.0, 805.0, 795.0]
         assert series.unit is Unit.MILLISECONDS
         assert series.source_id == "rec"
 
     def test_single_csv_row(self, tmp_path):
         path = write(tmp_path, "rec.csv", "0.80, 0.81, 0.79\n")
         series = load_rr_series(path, unit=Unit.SECONDS)
-        assert series.intervals == (0.80, 0.81, 0.79)
+        assert series.intervals.tolist() == [0.80, 0.81, 0.79]
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = write(tmp_path, "rec.txt", "# header\n\n800\n# mid\n810\n\n790\n")
-        assert load_rr_series(path).intervals == (800.0, 810.0, 790.0)
+        assert load_rr_series(path).intervals.tolist() == [800.0, 810.0, 790.0]
 
     def test_leading_byte_order_mark_skipped(self, tmp_path):
         path = write(tmp_path, "rec.txt", "\ufeff800\n810\n790\n")
-        assert load_rr_series(path).intervals == (800.0, 810.0, 790.0)
+        assert load_rr_series(path).intervals.tolist() == [800.0, 810.0, 790.0]
 
     def test_space_separated_values(self, tmp_path):
         path = write(tmp_path, "rec.txt", "800 810\n790  805, 795\n")
-        assert load_rr_series(path).intervals == (800.0, 810.0, 790.0, 805.0, 795.0)
+        assert load_rr_series(path).intervals.tolist() == [800.0, 810.0, 790.0, 805.0, 795.0]
 
     def test_tab_separated_values(self, tmp_path):
         path = write(tmp_path, "rec.txt", "800\t810\t790\n")
-        assert load_rr_series(path).intervals == (800.0, 810.0, 790.0)
+        assert load_rr_series(path).intervals.tolist() == [800.0, 810.0, 790.0]
 
     def test_utf16_file_is_a_parse_error_naming_file(self, tmp_path):
         path = tmp_path / "rec.txt"
@@ -92,7 +97,7 @@ class TestLoadRRSeries:
 
     def test_value_at_bound_accepted(self, tmp_path):
         path = write(tmp_path, "rec.txt", f"{MAX_INTERVAL!r}\n1\n{MAX_INTERVAL!r}\n")
-        assert load_rr_series(path).intervals == (MAX_INTERVAL, 1.0, MAX_INTERVAL)
+        assert load_rr_series(path).intervals.tolist() == [MAX_INTERVAL, 1.0, MAX_INTERVAL]
 
     def test_too_short_file(self, tmp_path):
         path = write(tmp_path, "rec.txt", "800\n810\n")
@@ -107,15 +112,39 @@ class TestLoadRRSeries:
 class TestRRSeriesInvariants:
     def test_too_short_construction(self):
         with pytest.raises(TooShortSeriesError):
-            series_from_values([800, 810])
+            RRSeries([800, 810])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan"), 1e200])
     def test_bad_interval_rejected(self, bad):
         with pytest.raises(RRValidationError):
-            series_from_values([800.0, bad, 900.0])
+            RRSeries([800.0, bad, 900.0])
+
+    def test_first_bad_interval_named_with_its_repr(self):
+        with pytest.raises(RRValidationError, match=r"series 'rec': interval 2 is -1\.0;"):
+            RRSeries([800.0, 810.0, -1.0, 0.0, float("nan")], source_id="rec")
 
     def test_length(self):
-        assert len(series_from_values([1, 2, 3, 4])) == 4
+        assert len(RRSeries([1, 2, 3, 4])) == 4
+
+
+class TestIntervalsArray:
+    def test_float64_and_read_only(self):
+        series = RRSeries([800, 810, 790])
+        assert series.intervals.dtype == np.float64
+        assert series.intervals.shape == (3,)
+        with pytest.raises(ValueError):
+            series.intervals[0] = 1.0
+
+    @pytest.mark.parametrize("container", [list, np.array])
+    def test_copied_from_the_input(self, container):
+        values = container([800.0, 810.0, 790.0])
+        series = RRSeries(values)
+        values[0] = 1.0
+        assert series.intervals.tolist() == [800.0, 810.0, 790.0]
+
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            RRSeries([[800.0, 810.0, 790.0], [800.0, 810.0, 790.0]])
 
 
 class TestDatasetGroup:
@@ -130,7 +159,11 @@ class TestDatasetGroup:
         # Sorted by source id, as load_groups sorts: "a-b.txt" comes before
         # "a.txt" by file name, but "a" before "a-b" by id.
         assert [rec.source_id for rec in group.recordings] == ["a", "a-b", "b", "c"]
-        assert group == load_groups([ddir])[0]
+        (same,) = load_groups([ddir])
+        assert same.name == group.name
+        assert [(r.source_id, r.intervals.tolist()) for r in same.recordings] == [
+            (r.source_id, r.intervals.tolist()) for r in group.recordings
+        ]
 
     def test_malformed_file_named_in_error(self, tmp_path):
         ddir = tmp_path / "grp"
@@ -158,22 +191,24 @@ class TestDatasetGroup:
 
 class TestSegments:
     def test_split_exact(self):
-        series = series_from_values(range(1, 13), source_id="rec")
+        series = RRSeries(range(1, 13), source_id="rec")
         segments = split_segments(series, 4)
         assert [s.source_id for s in segments] == ["rec#000", "rec#001", "rec#002"]
-        assert segments[1].intervals == (5.0, 6.0, 7.0, 8.0)
+        assert segments[1].intervals.tolist() == [5.0, 6.0, 7.0, 8.0]
+        for k, segment in enumerate(segments):
+            assert segment.intervals.tolist() == series.intervals[4 * k : 4 * k + 4].tolist()
 
     def test_partial_tail_dropped(self):
-        series = series_from_values(range(1, 12), source_id="rec")
+        series = RRSeries(range(1, 12), source_id="rec")
         assert len(split_segments(series, 4)) == 2
 
     def test_shorter_than_window_yields_nothing(self):
-        series = series_from_values([1, 2, 3], source_id="rec")
+        series = RRSeries([1, 2, 3], source_id="rec")
         assert split_segments(series, 5) == []
 
     def test_window_below_three_rejected(self):
         with pytest.raises(ValueError):
-            split_segments(series_from_values([1, 2, 3]), 2)
+            split_segments(RRSeries([1, 2, 3]), 2)
 
 
 class TestLoadGroups:
@@ -194,6 +229,30 @@ class TestLoadGroups:
     def test_segments_with_partial_tail_dropped(self, grp):
         (group,) = load_groups([grp], segment_len=5)
         assert [rec.source_id for rec in group.recordings] == ["a#000", "b#000", "b#001"]
+
+    def test_partial_tails_logged_not_printed(self, grp, caplog, capsys):
+        with caplog.at_level(logging.WARNING, logger="tvmhrv"):
+            load_groups([grp], segment_len=5)
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("tvmhrv", logging.WARNING,
+             f"{grp / name}: dropped the last 1 of {n} intervals, fewer than one segment of 5")
+            for name, n in (("a.csv", 6), ("b.txt", 11))
+        ]
+        assert capsys.readouterr().err == ""
+
+    def test_library_prints_nothing_by_default(self, grp):
+        # A fresh interpreter with no logging set up: without the package's
+        # NullHandler, Python would print the tail warnings to stderr.
+        code = f"import tvmhrv; tvmhrv.load_groups([{str(grp)!r}], segment_len=5)"
+        pythonpath = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert done.stderr == ""
 
     def test_recording_shorter_than_segment_names_file(self, grp):
         with pytest.raises(TooShortSeriesError) as err:
@@ -222,8 +281,7 @@ class TestLoadGroups:
     )
 )
 def test_save_load_round_trip(tmp_path_factory, values):
-    """repr-based serialization reproduces the exact float sequence."""
+    """Intervals written one repr per line load back as the exact floats."""
     path = tmp_path_factory.mktemp("rt") / "series.txt"
-    series = series_from_values(values, source_id="series")
-    save_rr_series(series, path)
-    assert load_rr_series(path).intervals == series.intervals
+    path.write_text("".join(f"{v!r}\n" for v in values))
+    assert load_rr_series(path).intervals.tolist() == values

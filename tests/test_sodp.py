@@ -8,18 +8,16 @@ from tvmhrv import (
     NoPointInRadiusError,
     PlotPoints,
     Quadrant,
-    cctm,
-    ctm,
+    RRSeries,
     mean_distance_d,
     radius_counts,
     second_order_diff,
-    series_from_values,
 )
 
 # Frozen with the straight-line reference in oracle.py.
 THREE_POINTS_MEAN_DISTANCE = 21.796145384105944
 
-FIVE = series_from_values([800, 810, 790, 805, 795])
+FIVE = RRSeries([800, 810, 790, 805, 795])
 
 
 LABELS = list(Quadrant)  # indexed by quadrant code
@@ -47,7 +45,7 @@ pow2_scale = st.sampled_from([0.25, 0.5, 2.0, 4.0, 8.0])
 
 class TestSecondOrderDiff:
     def test_constant_series_on_axis(self):
-        points = second_order_diff(series_from_values([800, 800, 800, 800]))
+        points = second_order_diff(RRSeries([800, 800, 800, 800]))
         assert xy(points) == [(0.0, 0.0), (0.0, 0.0)]
         assert points.code.tolist() == [CODE[Quadrant.ON_AXIS]] * 2
 
@@ -59,11 +57,11 @@ class TestSecondOrderDiff:
         ]
 
     def test_minimum_length_series(self):
-        points = second_order_diff(series_from_values([800, 810, 790]))
+        points = second_order_diff(RRSeries([800, 810, 790]))
         assert xy(points) == [(10.0, -20.0)]
 
     def test_point_count_and_indices(self):
-        points = second_order_diff(series_from_values(range(100, 150)))
+        points = second_order_diff(RRSeries(range(100, 150)))
         assert len(points) == 48
         assert points.x.dtype == points.y.dtype == np.float64
         assert points.code.dtype == np.int8
@@ -100,41 +98,41 @@ class TestQuadrants:
 
 class TestCtm:
     def test_all_points_at_origin(self):
-        points = second_order_diff(series_from_values([800] * 10))
-        assert ctm(points, 0.001) == 1.0
+        points = second_order_diff(RRSeries([800] * 10))
+        assert radius_counts(points, 0.001).ctm == 1.0
 
     def test_small_radius_excludes_all(self):
-        assert ctm(five_points(), 3.0) == 0.0
+        assert radius_counts(five_points(), 3.0).ctm == 0.0
 
     def test_large_radius_includes_all(self):
-        assert ctm(five_points(), 30.0) == 1.0
+        assert radius_counts(five_points(), 30.0).ctm == 1.0
 
     def test_boundary_point_excluded(self):
         # Strict inequality: distance exactly r does not count.
         points = PlotPoints(x=[3.0], y=[4.0])
-        assert ctm(points, 5.0) == 0.0
-        assert ctm(points, 5.0000001) == 1.0
+        assert radius_counts(points, 5.0).ctm == 0.0
+        assert radius_counts(points, 5.0000001).ctm == 1.0
 
     def test_empty_points_rejected(self):
         with pytest.raises(EmptyInputError):
-            ctm(PlotPoints(x=[], y=[]), 3.0)
+            radius_counts(PlotPoints(x=[], y=[]), 3.0)
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
-            ctm(five_points(), 0.0)
+            radius_counts(five_points(), 0.0)
 
 
 class TestCctm:
     def test_five_interval_example(self):
-        assert cctm(five_points(), 30.0) == (0.0, 1 / 3, 0.0, 2 / 3)
+        assert radius_counts(five_points(), 30.0).cctm == (0.0, 1 / 3, 0.0, 2 / 3)
 
     def test_on_axis_points_belong_to_no_quadrant(self):
-        points = second_order_diff(series_from_values([800] * 10))
-        assert cctm(points, 1.0) == (0.0, 0.0, 0.0, 0.0)
-        assert ctm(points, 1.0) == 1.0
+        points = second_order_diff(RRSeries([800] * 10))
+        assert radius_counts(points, 1.0).cctm == (0.0, 0.0, 0.0, 0.0)
+        assert radius_counts(points, 1.0).ctm == 1.0
 
     def test_single_point_quadrant_one(self):
-        assert cctm(PlotPoints(x=[1.0], y=[1.0]), 2.0) == (1.0, 0.0, 0.0, 0.0)
+        assert radius_counts(PlotPoints(x=[1.0], y=[1.0]), 2.0).cctm == (1.0, 0.0, 0.0, 0.0)
 
 
 class TestMeanDistance:
@@ -144,7 +142,7 @@ class TestMeanDistance:
         )
 
     def test_all_at_origin(self):
-        points = second_order_diff(series_from_values([800] * 5))
+        points = second_order_diff(RRSeries([800] * 5))
         assert mean_distance_d(points, 1.0) == 0.0
 
     def test_no_point_in_radius(self):
@@ -166,15 +164,15 @@ class TestRadiusCounts:
 
     @given(dyadic_intervals, st.floats(min_value=0.1, max_value=300.0))
     def test_quadrant_sum_identity(self, values, r):
-        counts = radius_counts(second_order_diff(series_from_values(values)), r)
+        counts = radius_counts(second_order_diff(RRSeries(values)), r)
         assert sum(counts.quadrant) + counts.on_axis == counts.within
         assert 0 <= counts.within <= counts.total
 
 
 @given(dyadic_intervals, dyadic_shift)
 def test_translation_invariance_is_exact(values, shift):
-    p1 = second_order_diff(series_from_values(values))
-    p2 = second_order_diff(series_from_values([v + shift for v in values]))
+    p1 = second_order_diff(RRSeries(values))
+    p2 = second_order_diff(RRSeries([v + shift for v in values]))
     assert xy(p1) == xy(p2)
     assert p1.code.tolist() == p2.code.tolist()
 
@@ -182,11 +180,11 @@ def test_translation_invariance_is_exact(values, shift):
 @given(dyadic_intervals, pow2_scale, st.floats(min_value=0.1, max_value=100.0))
 def test_scale_equivariance_is_exact(values, c, r):
     """Power-of-two scaling is exact, so scaled points and CTM match bitwise."""
-    p1 = second_order_diff(series_from_values(values))
-    p2 = second_order_diff(series_from_values([c * v for v in values]))
+    p1 = second_order_diff(RRSeries(values))
+    p2 = second_order_diff(RRSeries([c * v for v in values]))
     assert xy(p2) == [(c * x, c * y) for x, y in xy(p1)]
-    assert ctm(p2, c * r) == ctm(p1, r)
-    assert cctm(p2, c * r) == cctm(p1, r)
+    assert radius_counts(p2, c * r).ctm == radius_counts(p1, r).ctm
+    assert radius_counts(p2, c * r).cctm == radius_counts(p1, r).cctm
 
 
 @settings(max_examples=200)
@@ -197,19 +195,19 @@ def test_scale_equivariance_is_exact(values, c, r):
 )
 def test_ctm_monotone_in_radius(values, r1, r2):
     lo, hi = sorted((r1, r2))
-    points = second_order_diff(series_from_values(values))
-    assert ctm(points, lo) <= ctm(points, hi)
+    points = second_order_diff(RRSeries(values))
+    assert radius_counts(points, lo).ctm <= radius_counts(points, hi).ctm
 
 
 @given(dyadic_intervals)
 def test_ctm_reaches_one_for_large_radius(values):
-    points = second_order_diff(series_from_values(values))
-    assert ctm(points, 1e9) == 1.0
+    points = second_order_diff(RRSeries(values))
+    assert radius_counts(points, 1e9).ctm == 1.0
 
 
 @given(dyadic_intervals, st.floats(min_value=0.1, max_value=300.0))
 def test_cctm_bounded_by_ctm(values, r):
-    points = second_order_diff(series_from_values(values))
-    total = ctm(points, r)
-    for component in cctm(points, r):
+    points = second_order_diff(RRSeries(values))
+    total = radius_counts(points, r).ctm
+    for component in radius_counts(points, r).cctm:
         assert 0.0 <= component <= total <= 1.0

@@ -16,6 +16,7 @@ from tvmhrv import (
     EmptyInputError,
     IndicatorParams,
     PlotPoints,
+    RRSeries,
     SubspaceGrid,
     build_grid,
     build_tvm_points,
@@ -24,7 +25,6 @@ from tvmhrv import (
     radius_counts,
     report,
     second_order_diff,
-    series_from_values,
     temporal_variation_entropy,
 )
 from tvmhrv.series import MAX_INTERVAL
@@ -55,12 +55,12 @@ def plot(*pairs):
 
 
 def lift(values):
-    return build_tvm_points(second_order_diff(series_from_values(values)))
+    return build_tvm_points(second_order_diff(RRSeries(values)))
 
 
 def etv(values, divisions=(10, 10, 10)):
     """(global, per-quadrant) E_TV of a series, as report() gives them."""
-    rep = report(series_from_values(values), IndicatorParams(divisions=divisions))
+    rep = report(RRSeries(values), IndicatorParams(divisions=divisions))
     return rep.etv_global, rep.etv_quadrant
 
 
@@ -378,7 +378,7 @@ def test_grid_columns_match_per_point_binning(values, divisions):
 
 @given(dyadic_intervals, divisions_st)
 def test_grid_count_conservation(values, divisions):
-    series = series_from_values(values)
+    series = RRSeries(values)
     points = build_tvm_points(second_order_diff(series))
     grid = build_grid(points, divisions)
     assert grid.counts.sum() == grid.total_points == len(series) - 2
