@@ -15,7 +15,6 @@ from .analysis import (
     IndicatorReport,
     SummaryStats,
     SweepTable,
-    aggregate,
     indicator_value,
     report,
     summarize,

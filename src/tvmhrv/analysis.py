@@ -6,6 +6,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
+import shutil
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -35,11 +37,32 @@ def round_sig(v: float) -> float:
 
 @contextmanager
 def _output(path):
+    """Stdout for None; otherwise a file that appears at path only once written in full.
+
+    The text goes to a temporary file beside path that then replaces it, so
+    a failed write leaves no partial file and an existing one as it was. A
+    symbolic link, device or pipe at path is written through in place.
+    """
     if path is None:
         yield sys.stdout
-    else:
-        with Path(path).open("w", newline="") as fh:
+        return
+    path = Path(path)
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        with path.open("w", newline="") as fh:
             yield fh
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            yield fh
+        if path.exists():
+            shutil.copymode(path, tmp)  # opening path for writing would keep its mode
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            exc.filename = str(path)  # name the file asked for, not the temporary one
+        raise
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -105,7 +128,7 @@ class IndicatorParams:
 
 @dataclass(frozen=True)
 class IndicatorReport:
-    """Every scalar indicator of one recording, with the parameters used."""
+    """Every scalar indicator of one recording."""
 
     source_id: str
     ctm: float
@@ -113,26 +136,27 @@ class IndicatorReport:
     d: float | None
     etv_global: float
     etv_quadrant: tuple[float, float, float, float]
-    params: IndicatorParams
 
 
 def report(series: RRSeries, params: IndicatorParams = IndicatorParams()) -> IndicatorReport:
     """Compute all indicators of one recording."""
     points = second_order_diff(series)
-    (counts, _), (_, d_value) = radius_census(points, (params.r_ctm, params.r_d))
+    near, far = radius_census(points, (params.r_ctm, params.r_d))
     lifted = build_tvm_points(points)
     return IndicatorReport(
         source_id=series.source_id,
-        ctm=counts.ctm,
-        cctm=counts.cctm,
-        d=d_value,
-        etv_global=temporal_variation_entropy(build_grid(lifted, params.divisions)),
+        ctm=near.ctm,
+        cctm=near.cctm,
+        d=far.d,
+        etv_global=temporal_variation_entropy(
+            build_grid(points.x, points.y, lifted.z, params.divisions)
+        ),
         etv_quadrant=quadrant_etv(lifted, params.divisions),
-        params=params,
     )
 
 
-def indicator_value(rep: IndicatorReport, indicator: str) -> float | None:
+def indicator_value(rep: IndicatorReport | RadiusCounts, indicator: str) -> float | None:
+    """One named indicator of a report, or a radius indicator of a RadiusCounts."""
     if indicator == "ctm":
         return rep.ctm
     if indicator == "d":
@@ -167,14 +191,6 @@ class SweepTable:
             raise ValueError("r_values must be positive")
 
 
-def _radius_value(counts: RadiusCounts, d: float | None, indicator: str) -> float | None:
-    if indicator == "ctm":
-        return counts.ctm
-    if indicator == "d":
-        return d
-    return counts.cctm[int(indicator[4:]) - 1]
-
-
 def sweep_r(
     groups: Sequence[DatasetGroup],
     indicator: str,
@@ -196,7 +212,7 @@ def sweep_r(
         per_recording = []  # one value per radius, one list per recording
         for rec in sorted(group.recordings, key=lambda s: s.source_id):
             census = radius_census(second_order_diff(rec), r_values)
-            per_recording.append([_radius_value(c, d, indicator) for c, d in census])
+            per_recording.append([indicator_value(counts, indicator) for counts in census])
         row = []
         for at_r in zip(*per_recording):
             values = [v for v in at_r if v is not None]
@@ -223,7 +239,6 @@ class SummaryStats:
 @dataclass(frozen=True)
 class GroupSummary:
     name: str
-    params: IndicatorParams
     stats: Mapping[str, SummaryStats]
 
 
@@ -248,26 +263,20 @@ def summarize(values: Sequence[float]) -> SummaryStats:
     )
 
 
-def aggregate(group: DatasetGroup, params: IndicatorParams = IndicatorParams()) -> GroupSummary:
-    """Summarize every indicator across a group's recordings.
-
-    Recordings whose D is absent at r_d are left out of the D statistics; an
-    indicator with no values at all is omitted from the result.
-    """
-    reports = [report(rec, params) for rec in sorted(group.recordings, key=lambda s: s.source_id)]
-    return summarize_reports(group.name, reports)
-
-
 def summarize_reports(name: str, reports: Sequence[IndicatorReport]) -> GroupSummary:
-    """Summarize every indicator across the reports of one group, as aggregate does.
+    """Summarize every indicator across the reports of one group.
 
-    The reports must share one IndicatorParams.
+    The reports should share one IndicatorParams. They are taken in
+    source_id order, so the result does not depend on the order they come
+    in. Reports whose D is absent are left out of the D statistics; an
+    indicator with no values at all is omitted from the result.
     """
     if not reports:
         raise EmptyInputError(f"dataset group {name!r} has no recordings")
+    reports = sorted(reports, key=lambda rep: rep.source_id)
     stats = {}
     for indicator in ALL_INDICATORS:
         values = [v for rep in reports if (v := indicator_value(rep, indicator)) is not None]
         if values:
             stats[indicator] = summarize(values)
-    return GroupSummary(name=name, params=reports[0].params, stats=stats)
+    return GroupSummary(name=name, stats=stats)

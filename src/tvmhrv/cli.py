@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .cluster import pairwise_classify
 from .errors import TvmhrvError
-from .series import RRSeries, Unit, load_groups
+from .series import RRSeries, Unit, input_files, load_groups
 from .sodp import Quadrant, second_order_diff
 from .tvm import build_tvm_points
 
@@ -131,15 +131,16 @@ def _params(args) -> IndicatorParams:
 def _recordings(args) -> tuple[list[RRSeries], dict[str, list[str]]]:
     """Flatten files and directories into recordings, sorted by source_id.
 
-    Also returns, in id order, each source id that more than one recording
-    has, with the inputs those recordings came from.
+    Also returns, in id order, each source id (a file stem) that more than
+    one file has, with those files. Segment ids carry their file's stem, so
+    one source id covers all the segments of its files.
     """
     groups = load_groups(args.inputs, Unit(args.unit), args.segment_len, allow_files=True)
-    inputs: dict[str, list[str]] = {}
-    for path, group in zip(args.inputs, groups):
-        for rec in group.recordings:
-            inputs.setdefault(rec.source_id, []).append(str(path))
-    shared = {sid: paths for sid, paths in sorted(inputs.items()) if len(paths) > 1}
+    files: dict[str, list[str]] = {}
+    for path in args.inputs:
+        for file in input_files(path, allow_files=True):
+            files.setdefault(file.stem, []).append(str(file))
+    shared = {stem: names for stem, names in sorted(files.items()) if len(names) > 1}
     recordings = sorted((rec for g in groups for rec in g.recordings), key=lambda s: s.source_id)
     return recordings, shared
 
@@ -162,10 +163,10 @@ def _group_features(directory, args, params):
 def cmd_indicators(args) -> int:
     params = _params(args)
     recordings, shared = _recordings(args)
-    for sid, inputs in shared.items():
+    for sid, files in shared.items():
         log.warning(
-            "inputs %s share the source id %r; only the row order tells their rows apart",
-            ", ".join(inputs), sid,
+            "files %s share the source id %r; only the row order tells their rows apart",
+            ", ".join(files), sid,
         )
     reports = [report(rec, params) for rec in recordings]
     if args.format == "csv":
@@ -208,9 +209,9 @@ def _write_points(path, fmt, source_id, header, rows) -> None:
 def cmd_points(args) -> int:
     recordings, shared = _recordings(args)
     if shared:
-        sid, inputs = next(iter(shared.items()))
+        sid, files = next(iter(shared.items()))
         raise TvmhrvError(
-            f"inputs {', '.join(inputs)} share the source id {sid!r}; "
+            f"files {', '.join(files)} share the source id {sid!r}; "
             "their point files would overwrite each other"
         )
     out_dir = args.out if args.out is not None else Path(".")

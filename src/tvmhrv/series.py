@@ -131,15 +131,22 @@ def load_rr_series(path, unit: Unit = Unit.UNITLESS) -> RRSeries:
     return RRSeries(intervals=values, unit=unit, source_id=path.stem)
 
 
-def _recording_files(directory: Path) -> list[Path]:
-    if not directory.is_dir():
-        raise NotADirectoryError(f"{directory} is not a directory")
+def input_files(path: Path, allow_files: bool = False) -> list[Path]:
+    """The recording files one input names, sorted by name.
+
+    A directory names its .txt/.csv files. A file names itself when
+    allow_files is set and is rejected as not a directory otherwise.
+    """
+    if not path.is_dir():
+        if allow_files:
+            return [path]
+        raise NotADirectoryError(f"{path} is not a directory")
     files = sorted(
-        (p for p in directory.iterdir() if p.suffix.lower() in RR_EXTENSIONS),
+        (p for p in path.iterdir() if p.suffix.lower() in RR_EXTENSIONS),
         key=lambda p: p.name,
     )
     if not files:
-        raise EmptyDirectoryError(f"{directory}: no .txt or .csv recordings found")
+        raise EmptyDirectoryError(f"{path}: no .txt or .csv recordings found")
     return files
 
 
@@ -165,9 +172,8 @@ def load_groups(
     """
     groups = []
     for path in map(Path, paths):
-        single = allow_files and not path.is_dir()
         recordings = []
-        for file in [path] if single else _recording_files(path):
+        for file in input_files(path, allow_files):
             rec = load_rr_series(file, unit=unit)
             if segment_len is None:
                 recordings.append(rec)
@@ -184,7 +190,7 @@ def load_groups(
                         file, tail, len(rec), segment_len,
                     )
         recordings.sort(key=lambda s: s.source_id)
-        name = path.stem if single else path.name
+        name = path.name if path.is_dir() else path.stem
         groups.append(DatasetGroup(name=name, recordings=tuple(recordings)))
     return groups
 
@@ -193,18 +199,22 @@ def split_segments(series: RRSeries, length: int) -> list[RRSeries]:
     """Cut a recording into consecutive non-overlapping segments.
 
     Each segment has exactly `length` intervals; a trailing partial window is
-    dropped. Segment ids are `source#000`, `source#001`, ...
+    dropped. Segment ids are `source#000`, `source#001`, ..., with the index
+    zero-padded to at least 3 digits and to the width of the last index, so
+    they sort in time order.
     """
     if length < 3:
         raise ValueError(f"segment length must be >= 3, got {length}")
+    n = len(series) // length
+    width = max(3, len(str(n - 1)))
     segments = []
-    for k in range(len(series) // length):
+    for k in range(n):
         chunk = series.intervals[k * length : (k + 1) * length]
         segments.append(
             RRSeries(
                 intervals=chunk,
                 unit=series.unit,
-                source_id=f"{series.source_id}#{k:03d}",
+                source_id=f"{series.source_id}#{k:0{width}d}",
             )
         )
     return segments

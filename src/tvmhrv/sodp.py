@@ -64,23 +64,21 @@ class PlotPoints:
     def __len__(self) -> int:
         return self.x.size
 
-    def __getitem__(self, selection) -> PlotPoints:
-        """The points picked by a boolean mask or an index array."""
-        return PlotPoints(x=self.x[selection], y=self.y[selection])
-
 
 @dataclass(frozen=True)
 class RadiusCounts:
-    """Integer census of points strictly inside radius r.
+    """Integer census of points strictly inside radius r, and their mean distance.
 
     within == sum(quadrant) + on_axis holds exactly; total is the full point
-    count (the CTM/CCTM denominator).
+    count (the CTM/CCTM denominator). d is the mean distance D of the points
+    inside r, None when there are none.
     """
 
     within: int
     quadrant: tuple[int, int, int, int]
     on_axis: int
     total: int
+    d: float | None
 
     @property
     def ctm(self) -> float:
@@ -103,13 +101,10 @@ def point_distances(points: PlotPoints) -> np.ndarray:
     return np.sqrt(points.x * points.x + points.y * points.y)
 
 
-def radius_census(
-    points: PlotPoints, radii: Sequence[float]
-) -> list[tuple[RadiusCounts, float | None]]:
+def radius_census(points: PlotPoints, radii: Sequence[float]) -> list[RadiusCounts]:
     """Counts of the points with distance < r, and their mean distance D, per radius.
 
-    The distances are computed once for all radii. D is None when no point
-    lies inside r.
+    The distances are computed once for all radii.
     """
     if len(points) == 0:
         raise EmptyInputError("need at least one plot point")
@@ -121,21 +116,19 @@ def radius_census(
         inside = distances < r
         by_code = np.bincount(points.code[inside], minlength=5).tolist()
         within = sum(by_code)
-        counts = RadiusCounts(
-            within=within, quadrant=tuple(by_code[:4]), on_axis=by_code[4], total=len(points)
-        )
-        out.append((counts, float(np.mean(distances[inside])) if within else None))
+        d = float(np.mean(distances[inside])) if within else None
+        out.append(RadiusCounts(within, tuple(by_code[:4]), by_code[4], len(points), d))
     return out
 
 
 def radius_counts(points: PlotPoints, r: float) -> RadiusCounts:
     """Count the points with distance < r, split by quadrant."""
-    return radius_census(points, [r])[0][0]
+    return radius_census(points, [r])[0]
 
 
 def mean_distance_d(points: PlotPoints, r: float) -> float:
     """Mean distance from the origin over the points with distance < r."""
-    d = radius_census(points, [r])[0][1]
+    d = radius_census(points, [r])[0].d
     if d is None:
         raise NoPointInRadiusError(f"no point lies strictly inside radius {r}")
     return d

@@ -49,16 +49,6 @@ class LiftedPoints:
     def __len__(self) -> int:
         return len(self.base)
 
-    def __getitem__(self, selection) -> LiftedPoints:
-        """The points picked by a boolean mask or an index array."""
-        return LiftedPoints(
-            base=self.base[selection],
-            d_co=self.d_co[selection],
-            le=self.le[selection],
-            l=self.l[selection],
-            z=self.z[selection],
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class SubspaceGrid:
@@ -122,27 +112,25 @@ def _axis_index(
 
 
 def build_grid(
-    points: LiftedPoints, divisions: tuple[int, int, int] = DEFAULT_DIVISIONS
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, divisions: tuple[int, int, int] = DEFAULT_DIVISIONS
 ) -> SubspaceGrid:
-    """Bin points into the bounding cuboid spanned by their extremes."""
-    if len(points) == 0:
+    """Bin the points (x[i], y[i], z[i]) into the cuboid spanned by their extremes.
+
+    x, y and z are aligned float64 arrays of one length.
+    """
+    if z.size == 0:
         raise EmptyInputError("need at least one 3-D point")
     for d in divisions:
         if int(d) != d or d < 1:
             raise ValueError(f"divisions must be integers >= 1, got {divisions}")
 
-    bounds, k, index = zip(
-        *(
-            _axis_index(values, int(d))
-            for values, d in zip((points.base.x, points.base.y, points.z), divisions)
-        )
-    )
+    bounds, k, index = zip(*(_axis_index(v, int(d)) for v, d in zip((x, y, z), divisions)))
     keys = np.ravel_multi_index(index, k)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     # Each run of equal keys is one occupied cell; edges bound the runs.
     edges = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), keys.size]
-    abs_z = np.abs(points.z[order]).tolist()
+    abs_z = np.abs(z[order]).tolist()
     return SubspaceGrid(
         bounds=bounds,
         divisions=k,
@@ -150,7 +138,7 @@ def build_grid(
         counts=np.diff(edges),
         # fsum is correctly rounded, so cell sums do not depend on point order.
         abs_z_sums=np.array([math.fsum(abs_z[i:j]) for i, j in zip(edges, edges[1:])]),
-        total_points=len(points),
+        total_points=z.size,
     )
 
 
@@ -180,11 +168,11 @@ def quadrant_etv(
     """
     if len(points) == 0:
         raise EmptyInputError("need at least one 3-D point")
+    x, y, z = points.base.x, points.base.y, points.z
     out = []
     for code in range(4):
-        selected = points.base.code == code
-        if not selected.any():
-            out.append(0.0)
-        else:
-            out.append(temporal_variation_entropy(build_grid(points[selected], divisions)))
+        m = points.base.code == code
+        out.append(
+            temporal_variation_entropy(build_grid(x[m], y[m], z[m], divisions)) if m.any() else 0.0
+        )
     return (out[0], out[1], out[2], out[3])

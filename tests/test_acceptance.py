@@ -23,7 +23,6 @@ from oracle import (
 from tvmhrv import (
     IndicatorParams,
     RRSeries,
-    aggregate,
     build_grid,
     build_tvm_points,
     indicator_value,
@@ -33,6 +32,7 @@ from tvmhrv import (
     radius_counts,
     report,
     second_order_diff,
+    summarize_reports,
     temporal_variation_entropy,
 )
 from tvmhrv.cli import main as cli_main
@@ -160,7 +160,7 @@ def test_criterion_2_invariant_suite():
             assert np.all((0.5 <= tvm_points.l) & (tvm_points.l <= 1.0))
             mean_le = math.fsum(tvm_points.le.tolist()) / len(tvm_points)
             assert np.all(tvm_points.l[tvm_points.le < 36 * mean_le] < 1.0)
-            grid = build_grid(tvm_points, divisions)
+            grid = build_grid(points.x, points.y, tvm_points.z, divisions)
             assert grid.counts.sum() == len(series) - 2
         assert time.perf_counter() - started < 30.0
 
@@ -177,7 +177,9 @@ def test_criterion_3_degenerate_cases():
         assert result.etv_quadrant == (0.0, 0.0, 0.0, 0.0)
 
         varied = RRSeries([800, 810, 790, 805, 795, 820])
-        single_cell = build_grid(build_tvm_points(second_order_diff(varied)), (1, 1, 1))
+        varied_points = second_order_diff(varied)
+        varied_z = build_tvm_points(varied_points).z
+        single_cell = build_grid(varied_points.x, varied_points.y, varied_z, (1, 1, 1))
         assert temporal_variation_entropy(single_cell) == 0.0
 
         tiny = RRSeries([800, 810, 790], source_id="tiny")
@@ -274,12 +276,14 @@ def test_criterion_6_physionet_reproduction():
         nsr, cu = load_groups(
             [NSR2DB_DIR, CUDB_DIR], segment_len=int(segment_len) if segment_len else None
         )
-        nsr_ctm = aggregate(nsr, params).stats["ctm"].mean
-        cu_ctm = aggregate(cu, params).stats["ctm"].mean
+        nsr_reports = [report(rec, params) for rec in nsr.recordings]
+        cu_reports = [report(rec, params) for rec in cu.recordings]
+        nsr_ctm = summarize_reports(nsr.name, nsr_reports).stats["ctm"].mean
+        cu_ctm = summarize_reports(cu.name, cu_reports).stats["ctm"].mean
         assert abs(nsr_ctm - 0.93) <= 0.10, f"nsr2db CTM mean {nsr_ctm}"
         assert abs(cu_ctm - 0.39) <= 0.10, f"cudb CTM mean {cu_ctm}"
 
-        nsr_etv1 = [indicator_value(report(rec, params), "etv1") for rec in nsr.recordings]
-        cu_etv1 = [indicator_value(report(rec, params), "etv1") for rec in cu.recordings]
+        nsr_etv1 = [indicator_value(rep, "etv1") for rep in nsr_reports]
+        cu_etv1 = [indicator_value(rep, "etv1") for rep in cu_reports]
         outcome = pairwise_classify(nsr_etv1, cu_etv1, label_a="nsr2db", label_b="cudb")
         assert outcome.ri >= 0.9, f"quadrant-I E_TV RI {outcome.ri}"

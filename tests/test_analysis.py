@@ -1,4 +1,5 @@
 import math
+import stat
 
 import pytest
 from hypothesis import example, given
@@ -11,12 +12,13 @@ from tvmhrv import (
     IndicatorParams,
     RRSeries,
     SweepTable,
-    aggregate,
     indicator_value,
     report,
     summarize,
+    summarize_reports,
     sweep_r,
 )
+from tvmhrv.analysis import write_csv
 
 FIVE = RRSeries([800, 810, 790, 805, 795], source_id="five")
 CONSTANT = RRSeries([800] * 12, source_id="flat")
@@ -168,10 +170,14 @@ class TestSummarize:
         assert stats.n == len(values)
 
 
+def summarize_group(group, params=IndicatorParams()):
+    return summarize_reports(group.name, [report(rec, params) for rec in group.recordings])
+
+
 class TestAggregate:
     def test_identical_recordings_zero_std(self):
         group = DatasetGroup(name="same", recordings=(CONSTANT, CONSTANT, CONSTANT))
-        summary = aggregate(group)
+        summary = summarize_group(group)
         for stats in summary.stats.values():
             assert stats.std == 0.0
             assert stats.n == 3
@@ -182,24 +188,77 @@ class TestAggregate:
             RRSeries(jittery(4), source_id="r2"),
         )
         params = IndicatorParams(r_ctm=30.0, r_d=60.0)
-        summary = aggregate(DatasetGroup(name="pair", recordings=recs), params)
+        summary = summarize_group(DatasetGroup(name="pair", recordings=recs), params)
         values = [report(rec, params).ctm for rec in recs]
         assert summary.stats["ctm"].mean == pytest.approx(sum(values) / 2, abs=1e-15)
         assert summary.stats["ctm"].values == tuple(values)
 
     def test_d_omitted_when_never_defined(self):
         group = DatasetGroup(name="far", recordings=(FIVE,))
-        summary = aggregate(group, IndicatorParams(r_ctm=3.0, r_d=1.0))
+        summary = summarize_group(group, IndicatorParams(r_ctm=3.0, r_d=1.0))
         assert "d" not in summary.stats
         assert "ctm" in summary.stats
 
     def test_order_independence(self):
         r1 = RRSeries(jittery(5), source_id="a")
         r2 = RRSeries(jittery(6), source_id="b")
-        s1 = aggregate(DatasetGroup(name="g", recordings=(r1, r2)))
-        s2 = aggregate(DatasetGroup(name="g", recordings=(r2, r1)))
+        s1 = summarize_group(DatasetGroup(name="g", recordings=(r1, r2)))
+        s2 = summarize_group(DatasetGroup(name="g", recordings=(r2, r1)))
         assert s1.stats == s2.stats
 
     def test_empty_group_rejected(self):
         with pytest.raises(EmptyInputError):
-            aggregate(DatasetGroup(name="g", recordings=()))
+            summarize_group(DatasetGroup(name="g", recordings=()))
+
+
+def rows_then_failure():
+    yield ["a", 1.0]
+    raise RuntimeError("row source failed")
+
+
+class TestWriteCsv:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        out = tmp_path / "table.csv"
+        with pytest.raises(RuntimeError):
+            write_csv(out, ["name", "value"], rows_then_failure())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        out = tmp_path / "table.csv"
+        out.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            write_csv(out, ["name", "value"], rows_then_failure())
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "old\n"
+
+    def test_missing_directory_error_names_the_target(self, tmp_path):
+        out = tmp_path / "missing" / "table.csv"
+        with pytest.raises(FileNotFoundError) as info:
+            write_csv(out, ["name"], [["a"]])
+        assert str(out) in str(info.value) and ".tmp" not in str(info.value)
+
+    def test_new_file_mode_as_open_gives(self, tmp_path):
+        reference = tmp_path / "reference"
+        reference.open("w").close()
+        out = tmp_path / "table.csv"
+        write_csv(out, ["name"], [["a"]])
+        assert out.read_text() == "name\na\n"
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "table.csv"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        write_csv(out, ["name"], [["a"]])
+        assert out.read_text() == "name\na\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_csv(link, ["name"], [["a"]])
+        assert link.is_symlink()
+        assert target.read_text() == "name\na\n"

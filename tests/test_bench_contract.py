@@ -41,7 +41,7 @@ def test_counters_read_real_calls(corpus_dir):
     calls = {
         "series.load_rr_series": (path,),
         "sodp.second_order_diff": (series,),
-        "tvm.build_grid": (lifted, (10, 10, 10)),
+        "tvm.build_grid": (lifted.base.x, lifted.base.y, lifted.z, (10, 10, 10)),
         "cluster.kmeans_1d": ([0.1, 0.2, 0.9, 1.0],),
     }
     # A counter added to spans.py needs a call here.

@@ -124,11 +124,42 @@ class TestIndicators:
         out = tmp_path / "report.csv"
         assert run(["indicators", tmp_path / "one", tmp_path / "two", "--out", out]) == 0
         assert capsys.readouterr().err.splitlines() == [
-            f"tvmhrv: warning: inputs {tmp_path / 'one'}, {tmp_path / 'two'} share the "
+            f"tvmhrv: warning: files {tmp_path / 'one' / f'{sid}.txt'}, "
+            f"{tmp_path / 'two' / f'{sid}.txt'} share the "
             f"source id {sid!r}; only the row order tells their rows apart"
             for sid in ("a", "b")
         ]
         assert [row[0] for row in read_csv(out)[1:]] == ["a", "a", "b", "b", "c"]
+
+    def test_shared_source_id_warned_once_per_recording_under_segments(self, tmp_path, capsys):
+        for name in ("one", "two"):
+            (tmp_path / name).mkdir()
+            write_series(tmp_path / name / "a.txt", [800, 810, 790, 805] * 3)
+        out = tmp_path / "report.csv"
+        argv = ["indicators", tmp_path / "one", tmp_path / "two", "--segment-len", "4"]
+        assert run([*argv, "--out", out]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"tvmhrv: warning: files {tmp_path / 'one' / 'a.txt'}, {tmp_path / 'two' / 'a.txt'} "
+            "share the source id 'a'; only the row order tells their rows apart"
+        ]
+        assert [row[0] for row in read_csv(out)[1:]] == [f"a#{k:03d}" for k in (0, 0, 1, 1, 2, 2)]
+
+    def test_shared_source_id_in_one_directory_names_the_files(self, tmp_path, capsys):
+        ddir = tmp_path / "dupdir"
+        ddir.mkdir()
+        for suffix in (".txt", ".csv"):
+            write_series(ddir / f"rec{suffix}", [800, 810, 790, 805])
+        assert run(["indicators", ddir, "--out", tmp_path / "report.csv"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"tvmhrv: warning: files {ddir / 'rec.csv'}, {ddir / 'rec.txt'} share the "
+            "source id 'rec'; only the row order tells their rows apart"
+        ]
+
+    def test_segment_rows_in_time_order_past_999_segments(self, tmp_path):
+        path = write_series(tmp_path / "rec.txt", [800 + i % 7 for i in range(3030)])
+        out = tmp_path / "report.csv"
+        assert run(["indicators", path, "--segment-len", "3", "--out", out]) == 0
+        assert [row[0] for row in read_csv(out)[1:]] == [f"rec#{k:04d}" for k in range(1010)]
 
     def test_recording_shorter_than_segment_len_is_an_error(self, rr_file, capsys):
         assert run(["indicators", rr_file, "--segment-len", "10"]) == 1
@@ -178,6 +209,16 @@ class TestPoints:
         assert run(["points", tmp_path / "one", tmp_path / "two", "--out", tmp_path / "pts"]) == 1
         err = capsys.readouterr().err
         assert "'rec'" in err and str(tmp_path / "one") in err and str(tmp_path / "two") in err
+        assert not (tmp_path / "pts").exists()
+
+    def test_colliding_files_in_one_directory_named(self, tmp_path, capsys):
+        ddir = tmp_path / "dupdir"
+        ddir.mkdir()
+        for suffix in (".txt", ".csv"):
+            write_series(ddir / f"rec{suffix}", [800, 810, 790, 805])
+        assert run(["points", ddir, "--out", tmp_path / "pts"]) == 1
+        err = capsys.readouterr().err
+        assert f"files {ddir / 'rec.csv'}, {ddir / 'rec.txt'} share the source id 'rec'" in err
         assert not (tmp_path / "pts").exists()
 
     def test_json_format_equivalent_values(self, rr_file, tmp_path):

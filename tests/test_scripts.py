@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tvmhrv import ALL_INDICATORS, aggregate, load_dataset_group
+from tvmhrv import ALL_INDICATORS, load_dataset_group, report, summarize_reports
 from tvmhrv.analysis import format_value
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -55,7 +55,8 @@ def test_reproduce_tables_outputs(corpus_dir, tmp_path):
 
     expected = [["dataset", "indicator", "n", "mean", "std", "min", "q1", "median", "q3", "max"]]
     for directory in (steady, erratic):
-        summary = aggregate(load_dataset_group(directory))
+        group = load_dataset_group(directory)
+        summary = summarize_reports(group.name, [report(rec) for rec in group.recordings])
         for indicator, s in summary.stats.items():
             stats = (s.mean, s.std, s.minimum, s.q1, s.median, s.q3, s.maximum)
             expected.append([summary.name, indicator, str(s.n)] + [format_value(v) for v in stats])

@@ -198,6 +198,17 @@ class TestSegments:
         for k, segment in enumerate(segments):
             assert segment.intervals.tolist() == series.intervals[4 * k : 4 * k + 4].tolist()
 
+    def test_ids_sort_in_time_order_past_999_segments(self):
+        series = RRSeries([800.0] * 3030, source_id="rec")
+        ids = [s.source_id for s in split_segments(series, 3)]
+        assert ids == sorted(ids)
+        assert ids[0] == "rec#0000" and ids[-1] == "rec#1009"
+
+    def test_ids_keep_three_digits_up_to_1000_segments(self):
+        series = RRSeries([800.0] * 3000, source_id="rec")
+        ids = [s.source_id for s in split_segments(series, 3)]
+        assert ids[0] == "rec#000" and ids[-1] == "rec#999"
+
     def test_partial_tail_dropped(self):
         series = RRSeries(range(1, 12), source_id="rec")
         assert len(split_segments(series, 4)) == 2

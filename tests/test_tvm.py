@@ -15,6 +15,7 @@ from oracle import (
 from tvmhrv import (
     EmptyInputError,
     IndicatorParams,
+    LiftedPoints,
     PlotPoints,
     RRSeries,
     SubspaceGrid,
@@ -70,7 +71,14 @@ def columns(lifted):
     return [a.tolist() for a in (base.x, base.y, base.code, lifted.d_co, lifted.le, lifted.l, lifted.z)]
 
 
-NONE = np.zeros(1, dtype=bool)  # a mask that selects no point
+def xyz(lifted):
+    """The three columns that build_grid bins."""
+    return lifted.base.x, lifted.base.y, lifted.z
+
+
+EMPTY = LiftedPoints(
+    base=PlotPoints(x=[], y=[]), d_co=np.zeros(0), le=np.zeros(0), l=np.zeros(0), z=np.zeros(0)
+)
 
 
 class TestBuildTvmPoints:
@@ -128,7 +136,7 @@ class TestBuildTvmPoints:
 class TestBuildGrid:
     def test_single_cell(self):
         points = build_tvm_points(plot((1, 2), (-1, 3), (2, -2)))
-        grid = build_grid(points, (1, 1, 1))
+        grid = build_grid(*xyz(points), (1, 1, 1))
         assert grid.divisions == (1, 1, 1)
         assert grid.total_points == 3
         assert grid.cells.tolist() == [0]
@@ -138,7 +146,7 @@ class TestBuildGrid:
     def test_x_binning_by_hand(self):
         # x in {0, 1, 2}, two x-bins [0,1) and [1,2]; y and z collapse.
         points = build_tvm_points(plot((0, 5), (1, 5), (2, 5)))
-        grid = build_grid(points, (2, 1, 1))
+        grid = build_grid(*xyz(points), (2, 1, 1))
         assert grid.divisions == (2, 1, 1)
         assert grid.cells.tolist() == [0, 1]
         assert grid.counts.tolist() == [1, 2]
@@ -146,19 +154,19 @@ class TestBuildGrid:
     def test_zero_extent_z_axis_collapses_alone(self):
         # |y| == |x| everywhere, so z is identically 0 while x and y vary.
         points = build_tvm_points(plot((1, 1), (2, 2), (-3, 3)))
-        grid = build_grid(points, (2, 2, 4))
+        grid = build_grid(*xyz(points), (2, 2, 4))
         assert grid.divisions == (2, 2, 1)
 
     def test_identical_points_collapse_every_axis(self):
         points = build_tvm_points(plot(*[(2, 3)] * 5))
-        grid = build_grid(points, (4, 4, 4))
+        grid = build_grid(*xyz(points), (4, 4, 4))
         assert grid.divisions == (1, 1, 1)
         assert grid.n_cells == 1
         assert grid.counts.tolist() == [5]
 
     def test_bounds_are_exact_extremes(self):
         points = build_tvm_points(plot((-3, 1), (5, -2), (2, 7)))
-        grid = build_grid(points, (3, 3, 3))
+        grid = build_grid(*xyz(points), (3, 3, 3))
         assert grid.bounds[0] == (-3.0, 5.0)
         assert grid.bounds[1] == (-2.0, 7.0)
         zs = points.z.tolist()
@@ -167,25 +175,25 @@ class TestBuildGrid:
     def test_maximum_point_included(self):
         # The top of the last bin is closed, so the max lands inside.
         points = build_tvm_points(plot((0, 5), (1, 5), (2, 5)))
-        grid = build_grid(points, (4, 1, 1))
+        grid = build_grid(*xyz(points), (4, 1, 1))
         assert grid.counts.sum() == 3
         assert grid.cells.max() == 3
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            build_grid(build_tvm_points(plot((1, 2)))[NONE], (2, 2, 2))
+            build_grid(*xyz(EMPTY), (2, 2, 2))
 
     @pytest.mark.parametrize("bad", [(0, 1, 1), (1, -2, 1), (1, 1, 1.5)])
     def test_bad_divisions(self, bad):
         points = build_tvm_points(plot((1, 2)))
         with pytest.raises(ValueError):
-            build_grid(points, bad)
+            build_grid(*xyz(points), bad)
 
 
 class TestEntropy:
     def test_single_cell_grid_is_zero(self):
         points = build_tvm_points(plot((1, 2), (-1, 3), (2, -2)))
-        assert temporal_variation_entropy(build_grid(points, (1, 1, 1))) == 0.0
+        assert temporal_variation_entropy(build_grid(*xyz(points), (1, 1, 1))) == 0.0
 
     def test_constant_series_is_zero(self):
         assert etv([800] * 20, (3, 3, 3)) == (0.0, (0.0, 0.0, 0.0, 0.0))
@@ -283,7 +291,7 @@ class TestQuadrantEtv:
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
-            quadrant_etv(build_tvm_points(plot((1, 2)))[NONE], (2, 2, 2))
+            quadrant_etv(EMPTY, (2, 2, 2))
 
 
 class TestPipeline:
@@ -339,9 +347,8 @@ def test_grid_statistics_ignore_point_order(values, divisions, rnd):
     points = lift(values)
     order = list(range(len(points)))
     rnd.shuffle(order)
-    shuffled = points[np.array(order)]
-    g1 = build_grid(points, divisions)
-    g2 = build_grid(shuffled, divisions)
+    g1 = build_grid(*xyz(points), divisions)
+    g2 = build_grid(*(column[np.array(order)] for column in xyz(points)), divisions)
     assert g1.bounds == g2.bounds
     assert g1.divisions == g2.divisions
     assert g1.cells.tolist() == g2.cells.tolist()
@@ -367,7 +374,7 @@ def test_grid_columns_match_per_point_binning(values, divisions):
             ix = 0 if k == 1 else min(int((value - lo) / (hi - lo) * k), k - 1)
             key = key * k + ix
         members.setdefault(key, []).append(abs(coords[2][i]))
-    grid = build_grid(points, divisions)
+    grid = build_grid(*xyz(points), divisions)
     assert grid.divisions == tuple(k for _, _, k in axes)
     assert grid.cells.tolist() == sorted(members)
     assert grid.counts.tolist() == [len(members[key]) for key in sorted(members)]
@@ -380,5 +387,5 @@ def test_grid_columns_match_per_point_binning(values, divisions):
 def test_grid_count_conservation(values, divisions):
     series = RRSeries(values)
     points = build_tvm_points(second_order_diff(series))
-    grid = build_grid(points, divisions)
+    grid = build_grid(*xyz(points), divisions)
     assert grid.counts.sum() == grid.total_points == len(series) - 2
