@@ -6,11 +6,13 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 import shutil
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -93,16 +95,76 @@ def _round_floats(node) -> None:
             _round_floats(v)
 
 
-def write_json(path, payload: dict | list) -> None:
+def _json_scalar(v) -> str:
+    """The text json gives v after round_sig; v is a float, int, str, bool or None."""
+    if isinstance(v, float):
+        text = format_value(v)
+        # Fixed notation with a fraction, as nearly every point has: the float
+        # these 9 digits parse to has no shorter repr, and repr keeps the notation.
+        if "." in text and "e" not in text:
+            return text
+        v = float(text)
+        if v != v:
+            return "NaN"
+        if v in (math.inf, -math.inf):
+            return "Infinity" if v > 0 else "-Infinity"
+        return float.__repr__(v)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(
+        f"a record value must be a float, int, str, bool or None, not {type(v).__name__}"
+    )
+
+
+def _records_json(payload: dict, key: str, header: Sequence[str], columns: Sequence[Iterable]):
+    """The indented JSON of {**payload, key: records}, one record per chunk."""
+    if key in payload:
+        raise ValueError(f"records key {key!r} is also a key of the payload")
+    head = {**payload, key: []}
+    _round_floats(head)
+    text = json.dumps(head, indent=2)  # ends in "[]\n}"
+    rows = zip(*columns)
+    first = next(rows, None)
+    if first is None:
+        yield text
+        return
+    template = "\n    {\n      %s\n    }" % ",\n      ".join(
+        encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in header
+    )
+    yield text[:-3]
+    yield template % tuple(map(_json_scalar, first))
+    template = "," + template
+    for row in rows:
+        yield template % tuple(map(_json_scalar, row))
+    yield "\n  ]\n}"
+
+
+def write_json(path, payload: dict | list, records=None) -> None:
     """Write payload as indented JSON to path, or stdout if None.
 
     Every float in it goes through round_sig; ints, strings and None are
     written as they are. The rounding happens in place (tuples become
     lists), so pass a payload built for this call, not one shared with a
     result object.
+
+    records, if given, is (key, header, columns) and payload a dict without
+    key. The file is then that of payload with key added last, holding one
+    object per row of the aligned columns, which maps each header name to
+    the row's value: a float, int, str, bool or None. The records are
+    formatted one at a time, straight from the columns, so no list of them
+    is ever built.
     """
-    _round_floats(payload)
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    if records is None:
+        _round_floats(payload)
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    else:
+        chunks = _records_json(payload, *records)
     with _output(path) as fh:
         # Joined in batches: neither one write per token nor the whole text at once.
         while batch := "".join(itertools.islice(chunks, 8192)):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +53,8 @@ def parse_r_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"start, stop and step must be finite: {text!r}")
     if start <= 0 or step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"need 0 < start <= stop and step > 0: {text!r}")
     # Count bins up front so accumulated float error cannot drop the endpoint.
@@ -198,12 +201,11 @@ def cmd_indicators(args) -> int:
     return 0
 
 
-def _write_points(path, fmt, source_id, header, rows) -> None:
+def _write_points(path, fmt, source_id, header, columns) -> None:
     if fmt == "csv":
-        write_csv(path, header, rows)
+        write_csv(path, header, zip(*columns))
     else:
-        points = [dict(zip(header, row)) for row in rows]
-        write_json(path, {"source_id": source_id, "points": points})
+        write_json(path, {"source_id": source_id}, records=("points", header, columns))
 
 
 def cmd_points(args) -> int:
@@ -229,17 +231,17 @@ def cmd_points(args) -> int:
             args.format,
             rec.source_id,
             ["index", "x", "y", "quadrant"],
-            zip(index, x, y, quadrant),
+            [index, x, y, quadrant],
         )
         _write_points(
             out_dir / f"{rec.source_id}_tvm.{args.format}",
             args.format,
             rec.source_id,
             ["index", "x", "y", "d_co", "le", "l", "z", "quadrant"],
-            zip(
+            [
                 index, x, y, lifted.d_co.tolist(), lifted.le.tolist(), lifted.l.tolist(),
                 lifted.z.tolist(), quadrant,
-            ),
+            ],
         )
     return 0
 
@@ -270,6 +272,11 @@ def cmd_classify(args) -> int:
     name_a, features_a = _group_features(args.group_a, args, params)
     name_b, features_b = _group_features(args.group_b, args, params)
     outcome = pairwise_classify(features_a, features_b, label_a=name_a, label_b=name_b)
+    if not outcome.converged:
+        log.warning(
+            "k-means stopped after %d iterations with the assignments still changing",
+            outcome.iterations,
+        )
     if args.format == "csv":
         pair = f"{name_a}|{name_b}"
         write_csv(args.out, ["pair", "indicator", "ri"], [(pair, args.indicator, outcome.ri)])

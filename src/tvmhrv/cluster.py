@@ -24,6 +24,7 @@ class KMeansResult:
     assignments: tuple[int, ...]
     centroids: tuple[float, ...]
     iterations: int
+    converged: bool  # False if the assignments still changed at MAX_ITERATIONS
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,7 @@ class ClusteringOutcome:
     centroids: tuple[float, float]
     ri: float
     iterations: int
+    converged: bool
 
 
 def _assign(values: Sequence[float], centroids: Sequence[float]) -> tuple[int, ...]:
@@ -55,6 +57,7 @@ def kmeans_1d(values: Sequence[float]) -> KMeansResult:
     assignments = _assign(values, centroids)
 
     iterations = 0
+    converged = False
     for _ in range(MAX_ITERATIONS):
         iterations += 1
         new_centroids = []
@@ -66,6 +69,7 @@ def kmeans_1d(values: Sequence[float]) -> KMeansResult:
         new_assignments = _assign(values, new_centroids)
         centroids = new_centroids
         if new_assignments == assignments:
+            converged = True
             break
         assignments = new_assignments
 
@@ -73,6 +77,7 @@ def kmeans_1d(values: Sequence[float]) -> KMeansResult:
         assignments=assignments,
         centroids=tuple(centroids),
         iterations=iterations,
+        converged=converged,
     )
 
 
@@ -108,4 +113,5 @@ def pairwise_classify(
         centroids=(result.centroids[0], result.centroids[1]),
         ri=rand_accuracy(result.assignments, truth),
         iterations=result.iterations,
+        converged=result.converged,
     )

@@ -1,5 +1,7 @@
 import math
 import stat
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -18,7 +20,7 @@ from tvmhrv import (
     summarize_reports,
     sweep_r,
 )
-from tvmhrv.analysis import write_csv
+from tvmhrv.analysis import write_csv, write_json
 
 FIVE = RRSeries([800, 810, 790, 805, 795], source_id="five")
 CONSTANT = RRSeries([800] * 12, source_id="flat")
@@ -262,3 +264,43 @@ class TestWriteCsv:
         write_csv(link, ["name"], [["a"]])
         assert link.is_symlink()
         assert target.read_text() == "name\na\n"
+
+
+# Every kind of value a record may hold; st.floats() includes NaN, infinities,
+# -0.0 and subnormals.
+SCALARS = st.one_of(st.floats(), st.integers(), st.text(), st.none(), st.booleans())
+
+
+@st.composite
+def record_columns(draw):
+    header = draw(st.lists(st.text(), max_size=4, unique=True))
+    n = draw(st.integers(min_value=0, max_value=5))
+    return header, [draw(st.lists(SCALARS, min_size=n, max_size=n)) for _ in header]
+
+
+class TestWriteJsonRecords:
+    @given(
+        head=st.dictionaries(st.text().filter(lambda k: k != "points"), SCALARS, max_size=2),
+        table=record_columns(),
+    )
+    @example(
+        head={"source_id": "rec"},
+        table=(
+            ["index", "value", "mixed %s"],
+            [
+                list(range(9)),
+                [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 123456789.0, 1.5e300,
+                 math.nan, math.inf, -math.inf],
+                ["IV", "\u00e9t\u00e9 \u2603", None, True, False, -7, 2.5, 1e-7, 10**20],
+            ],
+        ),
+    )
+    @example(head={"source_id": "rec"}, table=(["index", "x"], [[], []]))
+    def test_streamed_records_equal_the_dict_tree(self, head, table):
+        header, columns = table
+        with tempfile.TemporaryDirectory() as tmp:
+            streamed, tree = Path(tmp, "streamed.json"), Path(tmp, "tree.json")
+            write_json(streamed, head, records=("points", header, columns))
+            points = [dict(zip(header, row)) for row in zip(*columns)]
+            write_json(tree, {**head, "points": points})
+            assert streamed.read_bytes() == tree.read_bytes()

@@ -1,10 +1,15 @@
 import csv
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from tvmhrv import RRSeries, cluster
+from tvmhrv.analysis import round_sig
 from tvmhrv.cli import main, parse_divisions, parse_r_grid
+from tvmhrv.sodp import Quadrant, second_order_diff
+from tvmhrv.tvm import build_tvm_points
 
 
 def run(argv):
@@ -235,6 +240,39 @@ class TestPoints:
             assert float(row[6]) == pt["z"]
             assert row[7] == pt["quadrant"]
 
+    def test_json_is_the_indented_dump_of_the_points(self, tmp_path):
+        # 20k intervals: whole milliseconds (integral x and y) then finer values.
+        rng = random.Random(8)
+        values = [round(rng.gauss(800, 40)) for _ in range(10_000)]
+        values += [round(rng.gauss(800, 40), 3) for _ in range(10_000)]
+        path = write_series(tmp_path / "day.txt", values)
+        assert run(["points", path, "--format", "json", "--out", tmp_path / "pts"]) == 0
+
+        lifted = build_tvm_points(second_order_diff(RRSeries(values, source_id="day")))
+        points = lifted.base
+        labels = [q.value for q in Quadrant]
+        columns = {
+            "x": points.x, "y": points.y, "d_co": lifted.d_co, "le": lifted.le, "l": lifted.l,
+            "z": lifted.z,
+        }
+        for kind, names in (("sodp", ["x", "y"]), ("tvm", list(columns))):
+            tree = {
+                "source_id": "day",
+                "points": [
+                    {
+                        "index": i,
+                        **{name: round_sig(float(columns[name][i])) for name in names},
+                        "quadrant": labels[points.code[i]],
+                    }
+                    for i in range(len(points))
+                ],
+            }
+            text = (tmp_path / "pts" / f"day_{kind}.json").read_text()
+            # Compared by lines, so a failure reports the first differing line
+            # instead of diffing two whole files.
+            expected = json.dumps(tree, indent=2) + "\n"
+            assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
 
 class TestSweep:
     @pytest.fixture
@@ -277,6 +315,14 @@ class TestSweep:
         write_series(a / "r9.txt", list(range(700, 720)))
         assert run(["sweep", a, b, "--segment-len", "10", "--out", tmp_path / "s.csv"]) == 1
         assert "r0.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["1:inf:1", "1:2:inf", "nan:2:1", "1:nan:1"])
+    def test_non_finite_r_grid_is_a_usage_error(self, two_groups, grid, capsys):
+        a, b = two_groups
+        with pytest.raises(SystemExit) as info:
+            run(["sweep", a, b, "--r-grid", grid])
+        assert info.value.code == 2
+        assert f"start, stop and step must be finite: {grid!r}" in capsys.readouterr().err
 
     def test_file_argument_rejected(self, two_groups, capsys):
         a, _ = two_groups
@@ -325,6 +371,27 @@ class TestClassify:
         # r_d tiny: no point inside the radius, D undefined for steady files.
         assert run(["classify", steady, wild, "--indicator", "d", "--r-d", "1e-9"]) == 1
         assert "undefined" in capsys.readouterr().err
+
+    def test_k_means_stopped_before_convergence_is_warned(self, tmp_path, capsys, monkeypatch):
+        # 12 intervals ending in k alternating beats: CTM 1.0, 0.7 and 0.6 against
+        # 0.2 and 0.2, which k-means needs two passes to split.
+        groups = []
+        for name, flips in (("a", (0, 4, 5)), ("b", (9, 9))):
+            ddir = tmp_path / name
+            ddir.mkdir()
+            for j, k in enumerate(flips):
+                values = [800] * (12 - k) + [800 + 100 * (i % 2) for i in range(k)]
+                write_series(ddir / f"r{j}.txt", values)
+            groups.append(ddir)
+        argv = ["classify", *groups, "--out", tmp_path / "ri.csv"]
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(cluster, "MAX_ITERATIONS", 1)
+        assert run(argv) == 0
+        assert capsys.readouterr().err == (
+            "tvmhrv: warning: k-means stopped after 1 iterations with the assignments "
+            "still changing\n"
+        )
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from tvmhrv import (
     DistinctValuesError,
     EmptyInputError,
+    cluster,
     kmeans_1d,
     pairwise_classify,
     rand_accuracy,
@@ -48,6 +49,16 @@ class TestKMeans:
         pairs = sorted(zip(values, result.assignments))
         labels = [a for _, a in pairs]
         assert labels == sorted(labels)
+
+    def test_stop_at_max_iterations_is_reported(self, monkeypatch):
+        # The first update moves 4.9 to the upper cluster, so a second pass is needed.
+        values = [0.0, 4.9, 5.1, 5.2, 10.0]
+        result = kmeans_1d(values)
+        assert (result.iterations, result.converged) == (2, True)
+        monkeypatch.setattr(cluster, "MAX_ITERATIONS", 1)
+        result = kmeans_1d(values)
+        assert (result.iterations, result.converged) == (1, False)
+        assert pairwise_classify(values[:2], values[2:]).converged is False
 
     def test_tie_breaks_to_lower_centroid(self):
         # 5 is equidistant from both centroids; it must join cluster 0.
