@@ -198,6 +198,8 @@ class IndicatorReport:
     d: float | None
     etv_global: float
     etv_quadrant: tuple[float, float, float, float]
+    # Points per quadrant I-IV; an empty quadrant's E_TV is reported as 0.
+    quadrant_points: tuple[int, int, int, int]
 
 
 def report(series: RRSeries, params: IndicatorParams = IndicatorParams()) -> IndicatorReport:
@@ -214,6 +216,7 @@ def report(series: RRSeries, params: IndicatorParams = IndicatorParams()) -> Ind
             build_grid(points.x, points.y, lifted.z, params.divisions)
         ),
         etv_quadrant=quadrant_etv(lifted, params.divisions),
+        quadrant_points=tuple(np.bincount(points.code, minlength=5)[:4].tolist()),
     )
 
 

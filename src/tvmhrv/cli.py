@@ -62,6 +62,16 @@ def parse_r_grid(text: str) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(count))
 
 
+def parse_segment_len(text: str) -> int:
+    try:
+        length = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if length < 3:
+        raise argparse.ArgumentTypeError(f"segment length must be >= 3, got {length}")
+    return length
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--unit",
@@ -80,7 +90,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--segment-len",
-        type=int,
+        type=parse_segment_len,
         default=None,
         metavar="N",
         help="split each recording into consecutive N-interval segments "
@@ -163,6 +173,26 @@ def _group_features(directory, args, params):
     return group.name, features
 
 
+def _some(ids: list[str], shown: int = 3) -> str:
+    return ", ".join(ids[:shown] + ["..."] * (len(ids) > shown))
+
+
+def _warn_degenerate(reports, params: IndicatorParams) -> None:
+    """One warning for all reports whose D is undefined, one for all with an empty quadrant."""
+    no_d = [rep.source_id for rep in reports if rep.d is None]
+    if no_d:
+        log.warning(
+            "no point lies inside r_d=%g in %d recordings (%s); their D is left empty",
+            params.r_d, len(no_d), _some(no_d),
+        )
+    empty = [rep.source_id for rep in reports if 0 in rep.quadrant_points]
+    if empty:
+        log.warning(
+            "an empty quadrant's E_TV is reported as 0 in %d recordings (%s)",
+            len(empty), _some(empty),
+        )
+
+
 def cmd_indicators(args) -> int:
     params = _params(args)
     recordings, shared = _recordings(args)
@@ -172,6 +202,7 @@ def cmd_indicators(args) -> int:
             ", ".join(files), sid,
         )
     reports = [report(rec, params) for rec in recordings]
+    _warn_degenerate(reports, params)
     if args.format == "csv":
         write_csv(
             args.out,

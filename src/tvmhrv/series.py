@@ -4,15 +4,21 @@ Accepted on-disk format is UTF-8 text (a leading byte-order mark is
 skipped) holding numbers separated by commas and/or whitespace: one interval
 per line, or a CSV row/column. Blank lines and lines starting with '#' are
 skipped. Units are metadata only; nothing downstream converts values.
+
+A file is parsed in blocks of BLOCK_CHARS characters straight into one
+float64 array. The line scanner `_read_rr_file` is the specification: it
+reads a file that holds a comment, and names the line of the first bad
+value when the block parser finds one.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -30,6 +36,9 @@ log = logging.getLogger("tvmhrv")
 # Largest accepted interval: successive differences then stay below 1e150 in
 # magnitude, so x*x + y*y cannot overflow on the way to a point's distance.
 MAX_INTERVAL = 1e150
+
+# Characters the block parser reads at a time.
+BLOCK_CHARS = 1 << 16
 
 
 class Unit(str, Enum):
@@ -90,8 +99,8 @@ class DatasetGroup:
 
 
 def _read_rr_file(path: Path) -> list[float]:
+    """The values of an RR file, scanned line by line; slow, but it names lines."""
     values: list[float] = []
-    # Lines are read from the open file one at a time, never as one list.
     with path.open(encoding="utf-8-sig") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -120,10 +129,39 @@ def _read_rr_file(path: Path) -> list[float]:
     return values
 
 
+def _token_blocks(fh: TextIO) -> Iterator[list[str]]:
+    """The tokens of fh's text, one list per block of BLOCK_CHARS characters.
+
+    A token cut by the end of a block is carried into the next list. A token
+    longer than a block raises ValueError, as carrying it on would make the
+    parse quadratic.
+    """
+    head = ""  # the start of a token cut by the end of the last block
+    while block := fh.read(BLOCK_CHARS):
+        if len(head) > BLOCK_CHARS:
+            raise ValueError("a token longer than a block")
+        text = head + block
+        tokens = text.replace(",", " ").split()
+        head = tokens.pop() if tokens and not (text[-1].isspace() or text[-1] == ",") else ""
+        yield tokens
+    if head:
+        yield [head]
+
+
 def load_rr_series(path, unit: Unit = Unit.UNITLESS) -> RRSeries:
     """Load one RR recording from a text file; source_id is the file stem."""
     path = Path(path)
-    values = _read_rr_file(path)
+    with path.open(encoding="utf-8-sig") as fh:
+        tokens = itertools.chain.from_iterable(_token_blocks(fh))
+        try:
+            values = np.fromiter(map(float, tokens), np.float64)
+        except ValueError:
+            # A token float rejects (a comment's '#' is one), text that is not
+            # UTF-8 (UnicodeDecodeError is a ValueError) or a token too long.
+            values = None
+    if values is None or not ((values > 0.0) & (values <= MAX_INTERVAL)).all():
+        # The line scanner skips comments, and names the file and line of a bad value.
+        values = _read_rr_file(path)
     if len(values) < 3:
         raise TooShortSeriesError(
             f"{path}: found {len(values)} intervals; need at least 3"

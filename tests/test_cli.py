@@ -64,7 +64,12 @@ class TestIndicators:
         assert len(rows) == 2
         assert rows[1][0] == "rec"
         assert rows[1][1] == "0"  # ctm at default r=3
-        assert capsys.readouterr().err == ""
+        # Three points, none inside r_d=6, in quadrants II and IV only.
+        assert capsys.readouterr().err == (
+            "tvmhrv: warning: no point lies inside r_d=6 in 1 recordings (rec); "
+            "their D is left empty\n"
+            "tvmhrv: warning: an empty quadrant's E_TV is reported as 0 in 1 recordings (rec)\n"
+        )
 
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         missing = tmp_path / "nope.txt"
@@ -109,15 +114,17 @@ class TestIndicators:
 
     def test_segment_len_warns_of_the_dropped_tail(self, tmp_path, capsys):
         path = write_series(tmp_path / "long.txt", list(range(700, 722)))
+        # Every point is (1, 1): quadrants II-IV are empty in every segment.
+        empty = "tvmhrv: warning: an empty quadrant's E_TV is reported as 0 in {}\n"
         for _ in range(2):
             # Each in-process run prints its warning once, to the current stderr.
             assert run(["indicators", path, "--segment-len", "5", "--out", tmp_path / "r.csv"]) == 0
             assert capsys.readouterr().err == (
                 f"tvmhrv: warning: {path}: dropped the last 2 of 22 intervals, "
                 "fewer than one segment of 5\n"
-            )
+            ) + empty.format("4 recordings (long#000, long#001, long#002, ...)")
         assert run(["indicators", path, "--segment-len", "11", "--out", tmp_path / "r.csv"]) == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == empty.format("2 recordings (long#000, long#001)")
 
     def test_shared_source_ids_warned_once_each(self, tmp_path, capsys):
         for name in ("one", "two"):
@@ -133,6 +140,12 @@ class TestIndicators:
             f"{tmp_path / 'two' / f'{sid}.txt'} share the "
             f"source id {sid!r}; only the row order tells their rows apart"
             for sid in ("a", "b")
+        ] + [
+            # Two points each, in quadrants II and IV, neither inside r_d=6.
+            "tvmhrv: warning: no point lies inside r_d=6 in 5 recordings (a, a, b, ...); "
+            "their D is left empty",
+            "tvmhrv: warning: an empty quadrant's E_TV is reported as 0 in 5 recordings "
+            "(a, a, b, ...)",
         ]
         assert [row[0] for row in read_csv(out)[1:]] == ["a", "a", "b", "b", "c"]
 
@@ -145,7 +158,11 @@ class TestIndicators:
         assert run([*argv, "--out", out]) == 0
         assert capsys.readouterr().err.splitlines() == [
             f"tvmhrv: warning: files {tmp_path / 'one' / 'a.txt'}, {tmp_path / 'two' / 'a.txt'} "
-            "share the source id 'a'; only the row order tells their rows apart"
+            "share the source id 'a'; only the row order tells their rows apart",
+            "tvmhrv: warning: no point lies inside r_d=6 in 6 recordings "
+            "(a#000, a#000, a#001, ...); their D is left empty",
+            "tvmhrv: warning: an empty quadrant's E_TV is reported as 0 in 6 recordings "
+            "(a#000, a#000, a#001, ...)",
         ]
         assert [row[0] for row in read_csv(out)[1:]] == [f"a#{k:03d}" for k in (0, 0, 1, 1, 2, 2)]
 
@@ -157,8 +174,57 @@ class TestIndicators:
         assert run(["indicators", ddir, "--out", tmp_path / "report.csv"]) == 0
         assert capsys.readouterr().err.splitlines() == [
             f"tvmhrv: warning: files {ddir / 'rec.csv'}, {ddir / 'rec.txt'} share the "
-            "source id 'rec'; only the row order tells their rows apart"
+            "source id 'rec'; only the row order tells their rows apart",
+            "tvmhrv: warning: no point lies inside r_d=6 in 2 recordings (rec, rec); "
+            "their D is left empty",
+            "tvmhrv: warning: an empty quadrant's E_TV is reported as 0 in 2 recordings "
+            "(rec, rec)",
         ]
+
+    @pytest.mark.parametrize("length", ["2", "0", "-3", "x"])
+    def test_segment_len_below_three_is_a_usage_error(self, rr_file, length, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["indicators", rr_file, "--segment-len", length])
+        assert info.value.code == 2
+        assert "--segment-len" in capsys.readouterr().err
+
+    @pytest.fixture
+    def four_quadrant_group(self, tmp_path):
+        # 60 random intervals: every quadrant holds points, and D is defined at r_d=6.
+        ddir = tmp_path / "grp"
+        ddir.mkdir()
+        for k in range(5):
+            rng = random.Random(k)
+            write_series(ddir / f"r{k}.txt", [800 + rng.uniform(-5, 5) for _ in range(60)])
+        return ddir
+
+    def test_undefined_d_warned_once_per_run(self, four_quadrant_group, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert run(["indicators", four_quadrant_group, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert run(["indicators", four_quadrant_group, "--r-d", "1e-9", "--out", out]) == 0
+        assert capsys.readouterr().err == (
+            "tvmhrv: warning: no point lies inside r_d=1e-09 in 5 recordings "
+            "(r0, r1, r2, ...); their D is left empty\n"
+        )
+        assert [row[6] for row in read_csv(out)[1:]] == [""] * 5
+
+    def test_empty_quadrant_warned_once_per_run(self, four_quadrant_group, tmp_path, capsys):
+        # Rising by 1 ms a beat: every point is (1, 1), in quadrant I.
+        write_series(four_quadrant_group / "rise.txt", list(range(700, 720)))
+        out = tmp_path / "report.csv"
+        assert run(["indicators", four_quadrant_group, "--out", out]) == 0
+        assert capsys.readouterr().err == (
+            "tvmhrv: warning: an empty quadrant's E_TV is reported as 0 in 1 recordings (rise)\n"
+        )
+        # Three points per segment cannot fill four quadrants; r_d=100 keeps D defined.
+        argv = ["indicators", four_quadrant_group, "--segment-len", "5", "--r-d", "100"]
+        assert run([*argv, "--out", out]) == 0
+        assert capsys.readouterr().err == (
+            "tvmhrv: warning: an empty quadrant's E_TV is reported as 0 in 64 recordings "
+            "(r0#000, r0#001, r0#002, ...)\n"
+        )
+        assert [row[9:] for row in read_csv(out)[1:] if row[0] == "rise#000"] == [["0"] * 3]
 
     def test_segment_rows_in_time_order_past_999_segments(self, tmp_path):
         path = write_series(tmp_path / "rec.txt", [800 + i % 7 for i in range(3030)])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvmhrv import (
@@ -22,7 +22,8 @@ from tvmhrv import (
     load_rr_series,
     split_segments,
 )
-from tvmhrv.series import MAX_INTERVAL
+from tvmhrv import series as series_module
+from tvmhrv.series import MAX_INTERVAL, _read_rr_file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -296,3 +297,119 @@ def test_save_load_round_trip(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("rt") / "series.txt"
     path.write_text("".join(f"{v!r}\n" for v in values))
     assert load_rr_series(path).intervals.tolist() == values
+
+
+def _outcome(load, path):
+    """('ok', float64 bytes) or (error type, message, path, line)."""
+    try:
+        return ("ok", np.asarray(load(path), dtype=np.float64).tobytes())
+    except (RRParseError, RRValidationError, TooShortSeriesError) as exc:
+        return (type(exc), str(exc), getattr(exc, "path", None), getattr(exc, "line", None))
+
+
+def _reference(path):
+    values = _read_rr_file(path)
+    if len(values) < 3:
+        raise TooShortSeriesError(f"{path}: found {len(values)} intervals; need at least 3")
+    return values
+
+
+GOOD_TOKENS = st.one_of(
+    st.sampled_from(["800", "810.5", "1e3", "0.8", ".5", "7.", "+3", "1_000", repr(MAX_INTERVAL)]),
+    st.floats(min_value=1e-3, max_value=1e5).map(repr),
+    st.floats(min_value=1e-3, max_value=1e5).map(lambda v: f"{v:.3f}"),
+)
+BAD_TOKENS = st.sampled_from(["0", "-5", "nan", "inf", "1e151", "oops", "8OO", "1e", "--1"])
+SEPARATORS = st.sampled_from(
+    [",", ", ", " ", "  ", "\t", " ,\t", "\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\n \n"]
+)
+RARELY = st.sampled_from([False, False, False, True])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tokens=st.lists(st.one_of(*[GOOD_TOKENS] * 5, BAD_TOKENS), max_size=30),
+    separators=st.lists(SEPARATORS, min_size=30, max_size=30),
+    bom=st.booleans(),
+    lead=st.sampled_from(["", "\n", " ", "\r\n"]),
+    end=st.sampled_from(["", "\n", "\r\n", "\r", ",", " \n\n"]),
+    comment_at=RARELY.flatmap(lambda yes: st.integers(0, 30) if yes else st.none()),
+    bad_byte_at=RARELY.flatmap(lambda yes: st.integers(0, 400) if yes else st.none()),
+    block=st.integers(1, 40),
+)
+@example(
+    tokens=["800", "1e151", "700"], separators=["\n"] * 30, bom=False, lead="", end="\n",
+    comment_at=None, bad_byte_at=None, block=3,
+)
+def test_block_parser_matches_the_line_scanner(
+    tmp_path_factory, tokens, separators, bom, lead, end, comment_at, bad_byte_at, block
+):
+    """The block parser gives the line scanner's values bit for bit, or its error."""
+    parts = [lead]
+    for k, token in enumerate(tokens):
+        if k == comment_at:
+            parts.append("\n# a comment, 800\n")
+        parts += [token, separators[k]] if k < len(tokens) - 1 else [token]
+    data = ("\ufeff" if bom else "").encode() + ("".join(parts) + end).encode()
+    if bad_byte_at is not None:
+        at = min(bad_byte_at, len(data))
+        data = data[:at] + b"\xff" + data[at:]
+    path = tmp_path_factory.mktemp("blocks") / "rec.txt"
+    path.write_bytes(data)
+    expected = _outcome(_reference, path)
+    with pytest.MonkeyPatch.context() as mp:
+        # Tiny blocks: tokens, CRLF pairs and bad values straddle block ends.
+        mp.setattr(series_module, "BLOCK_CHARS", block)
+        assert _outcome(lambda p: load_rr_series(p).intervals, path) == expected
+
+
+class TestBlockParser:
+    @pytest.fixture
+    def no_line_scan(self, monkeypatch):
+        def fail(path):
+            raise AssertionError(f"{path} went to the line scanner")
+
+        monkeypatch.setattr(series_module, "_read_rr_file", fail)
+
+    def test_tokens_carried_across_block_ends(self, tmp_path, monkeypatch, no_line_scan):
+        # No token is longer than a block, so none is carried over two block ends.
+        monkeypatch.setattr(series_module, "BLOCK_CHARS", 8)
+        path = tmp_path / "rec.txt"
+        path.write_bytes(b"\xef\xbb\xbf800.5\r\n810.25,790\t805.125\r\n\r\n795")
+        assert load_rr_series(path).intervals.tolist() == [800.5, 810.25, 790.0, 805.125, 795.0]
+
+    def test_one_row_csv_over_many_blocks(self, tmp_path, monkeypatch, no_line_scan):
+        monkeypatch.setattr(series_module, "BLOCK_CHARS", 64)
+        values = [round(600 + (k * 37) % 500 + k / 1000, 3) for k in range(5000)]
+        path = write(tmp_path, "rec.csv", ",".join(map(repr, values)))
+        assert load_rr_series(path).intervals.tolist() == values
+
+    def test_comment_after_the_first_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(series_module, "BLOCK_CHARS", 16)
+        path = write(tmp_path, "rec.txt", "800\n" * 10 + "# a note\n" + "810\n" * 10)
+        assert load_rr_series(path).intervals.tolist() == [800.0] * 10 + [810.0] * 10
+
+    @pytest.mark.parametrize(
+        "last, error, message",
+        [
+            ("oops", RRParseError, "line 21: cannot parse 'oops' as a number"),
+            ("-1", RRValidationError, "line 21: interval '-1' must be > 0 and <= 1e+150"),
+        ],
+    )
+    def test_error_in_the_last_block_names_its_line(self, tmp_path, monkeypatch, last, error, message):
+        monkeypatch.setattr(series_module, "BLOCK_CHARS", 16)
+        path = write(tmp_path, "rec.txt", "800\n" * 20 + last)
+        with pytest.raises(error) as err:
+            load_rr_series(path)
+        assert str(err.value) == f"{path}: {message}"
+        assert (err.value.path, err.value.line) == (path, 21)
+
+    def test_token_longer_than_a_block_goes_to_the_line_scanner(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(series_module, "BLOCK_CHARS", 4)
+        scanned = []
+        monkeypatch.setattr(
+            series_module, "_read_rr_file", lambda path: scanned.append(path) or _read_rr_file(path)
+        )
+        path = write(tmp_path, "rec.txt", "800\n" + "0" * 20 + "810\n790\n")
+        assert load_rr_series(path).intervals.tolist() == [800.0, 810.0, 790.0]
+        assert scanned == [path]
