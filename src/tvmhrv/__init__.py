@@ -15,6 +15,7 @@ from .analysis import (
     IndicatorReport,
     SummaryStats,
     SweepTable,
+    indicator_of,
     indicator_value,
     report,
     summarize,

@@ -21,7 +21,14 @@ import numpy as np
 from .errors import EmptyInputError
 from .series import DatasetGroup, RRSeries
 from .sodp import RadiusCounts, radius_census, second_order_diff
-from .tvm import DEFAULT_DIVISIONS, build_grid, build_tvm_points, quadrant_etv, temporal_variation_entropy
+from .tvm import (
+    DEFAULT_DIVISIONS,
+    LiftedPoints,
+    build_grid,
+    build_tvm_points,
+    quadrant_etv,
+    temporal_variation_entropy,
+)
 
 RADIUS_INDICATORS = ("ctm", "d", "cctm1", "cctm2", "cctm3", "cctm4")
 ENTROPY_INDICATORS = ("etv_global", "etv1", "etv2", "etv3", "etv4")
@@ -212,16 +219,52 @@ def report(series: RRSeries, params: IndicatorParams = IndicatorParams()) -> Ind
         ctm=near.ctm,
         cctm=near.cctm,
         d=far.d,
-        etv_global=temporal_variation_entropy(
-            build_grid(points.x, points.y, lifted.z, params.divisions)
-        ),
+        etv_global=_global_etv(lifted, params.divisions),
         etv_quadrant=quadrant_etv(lifted, params.divisions),
         quadrant_points=tuple(np.bincount(points.code, minlength=5)[:4].tolist()),
     )
 
 
+def _global_etv(lifted: LiftedPoints, divisions: tuple[int, int, int]) -> float:
+    return temporal_variation_entropy(
+        build_grid(lifted.base.x, lifted.base.y, lifted.z, divisions)
+    )
+
+
+def indicator_of(
+    series: RRSeries,
+    indicator: str,
+    params: IndicatorParams = IndicatorParams(),
+    empty: list[int] | None = None,
+) -> float | None:
+    """One named indicator of a recording, computing only what it needs.
+
+    The value is indicator_value(report(series, params), indicator), bit for
+    bit: a radius indicator takes the census at its one radius, etv_global
+    the global grid and etvN the grid of quadrant N alone. For etvN, the
+    quadrant's code (N - 1) is appended to empty if given and the quadrant
+    has no point, its E_TV then being 0.
+    """
+    _check_indicator(indicator)
+    points = second_order_diff(series)
+    if indicator in RADIUS_INDICATORS:
+        r = params.r_d if indicator == "d" else params.r_ctm
+        return indicator_value(radius_census(points, (r,))[0], indicator)
+    lifted = build_tvm_points(points)
+    if indicator == "etv_global":
+        return _global_etv(lifted, params.divisions)
+    code = int(indicator[3:]) - 1
+    return quadrant_etv(lifted, params.divisions, (code,), empty)[0]
+
+
+def _check_indicator(indicator: str) -> None:
+    if indicator not in ALL_INDICATORS:
+        raise ValueError(f"unknown indicator {indicator!r}; expected one of {ALL_INDICATORS}")
+
+
 def indicator_value(rep: IndicatorReport | RadiusCounts, indicator: str) -> float | None:
     """One named indicator of a report, or a radius indicator of a RadiusCounts."""
+    _check_indicator(indicator)
     if indicator == "ctm":
         return rep.ctm
     if indicator == "d":
@@ -230,9 +273,7 @@ def indicator_value(rep: IndicatorReport | RadiusCounts, indicator: str) -> floa
         return rep.etv_global
     if indicator.startswith("cctm"):
         return rep.cctm[int(indicator[4:]) - 1]
-    if indicator.startswith("etv"):
-        return rep.etv_quadrant[int(indicator[3:]) - 1]
-    raise ValueError(f"unknown indicator {indicator!r}; expected one of {ALL_INDICATORS}")
+    return rep.etv_quadrant[int(indicator[3:]) - 1]
 
 
 @dataclass(frozen=True)

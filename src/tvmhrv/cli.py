@@ -18,7 +18,7 @@ from .analysis import (
     ALL_INDICATORS,
     RADIUS_INDICATORS,
     IndicatorParams,
-    indicator_value,
+    indicator_of,
     report,
     sweep_r,
     write_csv,
@@ -158,17 +158,25 @@ def _recordings(args) -> tuple[list[RRSeries], dict[str, list[str]]]:
     return recordings, shared
 
 
-def _group_features(directory, args, params):
+def _group_features(directory, args, params, empty_ids: list[str]):
+    """The group's name and the indicator of each of its recordings.
+
+    Under etvN, the ids of the recordings whose quadrant N is empty are
+    appended to empty_ids.
+    """
     # One group at a time, so only one group's recordings are held at once.
     (group,) = load_groups([directory], Unit(args.unit), args.segment_len)
     features = []
     for rec in group.recordings:
-        value = indicator_value(report(rec, params), args.indicator)
+        empty = []
+        value = indicator_of(rec, args.indicator, params, empty)
         if value is None:
             raise TvmhrvError(
                 f"{group.name}/{rec.source_id}: indicator {args.indicator!r} is undefined "
                 f"(no point inside r_d={params.r_d}); cannot classify"
             )
+        if empty:
+            empty_ids.append(f"{group.name}/{rec.source_id}")
         features.append(value)
     return group.name, features
 
@@ -300,8 +308,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_classify(args) -> int:
     params = _params(args)
-    name_a, features_a = _group_features(args.group_a, args, params)
-    name_b, features_b = _group_features(args.group_b, args, params)
+    empty = []
+    name_a, features_a = _group_features(args.group_a, args, params, empty)
+    name_b, features_b = _group_features(args.group_b, args, params, empty)
+    if empty:
+        log.warning(
+            "an empty quadrant's %s is clustered as 0 in %d recordings (%s)",
+            args.indicator, len(empty), _some(empty),
+        )
     outcome = pairwise_classify(features_a, features_b, label_a=name_a, label_b=name_b)
     if not outcome.converged:
         log.warning(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -51,15 +51,18 @@ class Unit(str, Enum):
 class RRSeries:
     """An ordered sequence of interval durations, each in (0, MAX_INTERVAL].
 
-    `intervals` is a read-only 1-D float64 array, copied from the input.
+    `intervals` is a read-only 1-D float64 array, copied from the input
+    (load_rr_series hands over the array it has parsed instead).
     """
 
     intervals: np.ndarray
     unit: Unit = Unit.UNITLESS
     source_id: str = ""
+    # Set only by load_rr_series, for an array nothing else refers to: kept, not copied.
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        intervals = np.array(self.intervals, dtype=np.float64)
+    def __post_init__(self, _owned):
+        intervals = (np.asarray if _owned else np.array)(self.intervals, dtype=np.float64)
         if intervals.ndim != 1:
             raise ValueError(
                 f"series {self.source_id!r}: intervals must be 1-D, got shape {intervals.shape}"
@@ -166,7 +169,7 @@ def load_rr_series(path, unit: Unit = Unit.UNITLESS) -> RRSeries:
         raise TooShortSeriesError(
             f"{path}: found {len(values)} intervals; need at least 3"
         )
-    return RRSeries(intervals=values, unit=unit, source_id=path.stem)
+    return RRSeries(intervals=values, unit=unit, source_id=path.stem, _owned=True)
 
 
 def input_files(path: Path, allow_files: bool = False) -> list[Path]:

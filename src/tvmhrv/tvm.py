@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -162,20 +163,30 @@ def temporal_variation_entropy(grid: SubspaceGrid) -> float:
 
 
 def quadrant_etv(
-    points: LiftedPoints, divisions: tuple[int, int, int] = DEFAULT_DIVISIONS
-) -> tuple[float, float, float, float]:
+    points: LiftedPoints,
+    divisions: tuple[int, int, int] = DEFAULT_DIVISIONS,
+    quadrants: Sequence[int] = range(4),
+    empty: list[int] | None = None,
+) -> tuple[float, ...]:
     """E_TV per quadrant, each over a fresh grid spanning only that quadrant.
 
     The sigmoid scale l keeps its global mean_le; only the spatial filtering
     and bounding box are quadrant-local. An empty quadrant reports 0.
+
+    quadrants names the quadrants to compute by code (0-3 for I-IV), and the
+    result holds theirs in that order; by default all four. The codes of the
+    empty ones among them are appended to empty if given.
     """
     if len(points) == 0:
         raise EmptyInputError("need at least one 3-D point")
     x, y, z = points.base.x, points.base.y, points.z
     out = []
-    for code in range(4):
+    for code in quadrants:
         m = points.base.code == code
-        out.append(
-            temporal_variation_entropy(build_grid(x[m], y[m], z[m], divisions)) if m.any() else 0.0
-        )
-    return (out[0], out[1], out[2], out[3])
+        if m.any():
+            out.append(temporal_variation_entropy(build_grid(x[m], y[m], z[m], divisions)))
+        else:
+            out.append(0.0)
+            if empty is not None:
+                empty.append(code)
+    return tuple(out)

@@ -8,12 +8,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tvmhrv import (
+    ALL_INDICATORS,
     RADIUS_INDICATORS,
     DatasetGroup,
     EmptyInputError,
     IndicatorParams,
     RRSeries,
     SweepTable,
+    indicator_of,
     indicator_value,
     report,
     summarize,
@@ -62,6 +64,57 @@ class TestReport:
         assert indicator_value(rep, "etv4") == rep.etv_quadrant[3]
         with pytest.raises(ValueError):
             indicator_value(rep, "sd1")
+
+    @pytest.mark.parametrize("name", ["etv0", "etv5", "cctm0", "cctm9", "etv", "ctm1"])
+    def test_indicator_value_rejects_names_off_the_list(self, name):
+        # etv0 used to read etv_quadrant[-1], the quadrant IV value.
+        rep = report(FIVE)
+        with pytest.raises(ValueError, match="unknown indicator"):
+            indicator_value(rep, name)
+        with pytest.raises(ValueError, match="unknown indicator"):
+            indicator_of(FIVE, name)
+
+
+def bits(value):
+    """A float's exact bits (0.0 and -0.0 apart), or None."""
+    return None if value is None else value.hex()
+
+
+class TestIndicatorOf:
+    @given(
+        st.lists(st.floats(min_value=300.0, max_value=1500.0), min_size=3, max_size=60),
+        st.floats(min_value=0.01, max_value=400.0),
+        st.floats(min_value=0.01, max_value=400.0),
+        st.tuples(*[st.integers(min_value=1, max_value=6)] * 3),
+    )
+    def test_equals_the_report_bit_for_bit(self, values, r_ctm, r_d, divisions):
+        series = RRSeries(values, source_id="s")
+        params = IndicatorParams(r_ctm=r_ctm, r_d=r_d, divisions=divisions)
+        rep = report(series, params)
+        for name in ALL_INDICATORS:
+            assert bits(indicator_of(series, name, params)) == bits(indicator_value(rep, name))
+
+    @pytest.mark.parametrize("name", ALL_INDICATORS)
+    @pytest.mark.parametrize(
+        "series, params",
+        [
+            (CONSTANT, IndicatorParams()),  # every point at the origin: mean_le == 0
+            (RRSeries(list(range(700, 720)), source_id="rise"), IndicatorParams()),  # I only
+            (FIVE, IndicatorParams(r_ctm=30.0, r_d=3.0)),  # no point inside r_d: D is None
+            (RRSeries([800, 810, 790], source_id="tiny"), IndicatorParams()),
+        ],
+        ids=["constant", "one_quadrant", "no_d", "one_point"],
+    )
+    def test_degenerate_series(self, series, params, name):
+        want = indicator_value(report(series, params), name)
+        assert bits(indicator_of(series, name, params)) == bits(want)
+
+    def test_empty_quadrant_named(self):
+        rise = RRSeries(list(range(700, 720)), source_id="rise")
+        empty = []
+        for name in ALL_INDICATORS:
+            indicator_of(rise, name, IndicatorParams(), empty)
+        assert empty == [1, 2, 3]  # etv2, etv3 and etv4; etv_global reports none
 
 
 class TestParams:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tvmhrv import RRSeries, cluster
+from tvmhrv import ALL_INDICATORS, RRSeries, cli, cluster, indicator_value, report
 from tvmhrv.analysis import round_sig
 from tvmhrv.cli import main, parse_divisions, parse_r_grid
 from tvmhrv.sodp import Quadrant, second_order_diff
@@ -438,6 +438,24 @@ class TestClassify:
         assert run(["classify", steady, wild, "--indicator", "d", "--r-d", "1e-9"]) == 1
         assert "undefined" in capsys.readouterr().err
 
+    def test_empty_quadrant_warned_once_per_run(self, corpus_dir, tmp_path, capsys):
+        groups = [corpus_dir / "steady", corpus_dir / "erratic"]
+        out = tmp_path / "ri.csv"
+        # Every whole fixture recording has points in all four quadrants.
+        assert run(["classify", *groups, "--indicator", "etv1", "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        segmented = ["classify", *groups, "--segment-len", "5", "--out", out]
+        assert run([*segmented, "--indicator", "etv1"]) == 0
+        # 25 steady and 38 erratic segments of four points have none in quadrant I.
+        assert capsys.readouterr().err == (
+            "tvmhrv: warning: an empty quadrant's etv1 is clustered as 0 in 63 recordings "
+            "(steady/rec00#000, steady/rec00#002, steady/rec00#003, ...)\n"
+        )
+        assert read_csv(out)[1] == ["steady|erratic", "etv1", "0.510416667"]
+        # Only the quadrant clustered counts: etv_global has no empty quadrant to warn of.
+        assert run([*segmented, "--indicator", "etv_global"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_k_means_stopped_before_convergence_is_warned(self, tmp_path, capsys, monkeypatch):
         # 12 intervals ending in k alternating beats: CTM 1.0, 0.7 and 0.6 against
         # 0.2 and 0.2, which k-means needs two passes to split.
@@ -458,6 +476,43 @@ class TestClassify:
             "tvmhrv: warning: k-means stopped after 1 iterations with the assignments "
             "still changing\n"
         )
+
+
+class TestClassifyOneIndicator:
+    """classify computes only its indicator, with the outputs of the full report."""
+
+    @staticmethod
+    def outcome(argv, out_dir, capsys):
+        """Exit code, output bytes and error lines of a CSV and a JSON run."""
+        result = []
+        for fmt in ("csv", "json"):
+            out = out_dir / f"ri.{fmt}"
+            code = run([*argv, "--format", fmt, "--out", out])
+            err = capsys.readouterr().err.splitlines()
+            errors = [line for line in err if line.startswith("tvmhrv: error:")]
+            result.append((code, out.read_bytes() if out.exists() else None, errors))
+        return result
+
+    @pytest.mark.parametrize("segment", [[], ["--segment-len", "5"]], ids=["whole", "segments"])
+    @pytest.mark.parametrize("indicator", ALL_INDICATORS)
+    def test_outputs_equal_the_report_path(
+        self, corpus_dir, tmp_path, capsys, monkeypatch, indicator, segment
+    ):
+        argv = [
+            "classify", corpus_dir / "steady", corpus_dir / "erratic",
+            "--indicator", indicator, *segment,
+        ]
+        (tmp_path / "one").mkdir()
+        (tmp_path / "all").mkdir()
+        got = self.outcome(argv, tmp_path / "one", capsys)
+        monkeypatch.setattr(
+            cli,
+            "indicator_of",
+            lambda rec, name, params, empty: indicator_value(report(rec, params), name),
+        )
+        assert self.outcome(argv, tmp_path / "all", capsys) == got
+        # D at r_d=6 is undefined in some fixture recording: an error, no file.
+        assert [code for code, _, _ in got] == [1 if indicator == "d" else 0] * 2
 
 
 class TestDeterminism:

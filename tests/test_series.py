@@ -143,6 +143,24 @@ class TestIntervalsArray:
         values[0] = 1.0
         assert series.intervals.tolist() == [800.0, 810.0, 790.0]
 
+    def test_read_only_view_of_a_caller_array_copied(self):
+        # A float64 array the caller cannot write through may still change under it.
+        values = np.array([800.0, 810.0, 790.0])
+        view = values[:]
+        view.flags.writeable = False
+        series = RRSeries(view)
+        values[0] = 1.0
+        assert series.intervals.tolist() == [800.0, 810.0, 790.0]
+        assert not np.shares_memory(series.intervals, values)
+
+    def test_loaded_series_read_only(self, tmp_path):
+        path = tmp_path / "rec.txt"
+        path.write_text("800\n810\n790\n")
+        series = load_rr_series(path)
+        assert series.intervals.dtype == np.float64 and series.intervals.flags.owndata
+        with pytest.raises(ValueError):
+            series.intervals[0] = 1.0
+
     def test_two_dimensional_input_rejected(self):
         with pytest.raises(ValueError, match="1-D"):
             RRSeries([[800.0, 810.0, 790.0], [800.0, 810.0, 790.0]])

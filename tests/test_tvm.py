@@ -293,6 +293,18 @@ class TestQuadrantEtv:
         with pytest.raises(EmptyInputError):
             quadrant_etv(EMPTY, (2, 2, 2))
 
+    def test_asked_quadrants_only_in_the_order_asked(self):
+        points = lift([800 + 40 * math.sin(0.7 * i) for i in range(60)])
+        full = quadrant_etv(points, (4, 4, 4))
+        assert quadrant_etv(points, (4, 4, 4), (2, 0)) == (full[2], full[0])
+        assert quadrant_etv(points, (4, 4, 4), ()) == ()
+
+    def test_empty_quadrants_named(self):
+        points = build_tvm_points(plot((1, 2), (-2, -1), (0, 3)))
+        empty = []
+        assert quadrant_etv(points, (2, 2, 2), (3, 0, 1), empty)[::2] == (0.0, 0.0)
+        assert empty == [3, 1]
+
 
 class TestPipeline:
     def test_constant_series(self):
