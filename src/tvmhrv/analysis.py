@@ -4,6 +4,7 @@ CSV/JSON writer that every output goes through."""
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -14,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -74,20 +75,84 @@ def _output(path):
         raise
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+# Rows of array columns that the writers format with one `%` at a time.
+BLOCK_ROWS = 8192
+
+
+def _block_slots(columns: Sequence) -> list[str] | None:
+    """Each column's % slot if every one is a 1-D int, float64 or str array, else None."""
+    slots = []
+    for col in columns:
+        if not isinstance(col, np.ndarray) or col.ndim != 1:
+            return None
+        if col.dtype.kind in "iu":
+            slots.append("%d")
+        elif col.dtype == np.float64:
+            slots.append("%.9g")
+        elif col.dtype.kind == "U":
+            slots.append("%s")
+        else:
+            return None
+    return slots
+
+
+def _blocks(columns: Sequence[np.ndarray]) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each block of up to BLOCK_ROWS rows; rows end with the shortest column."""
+    n = min(map(len, columns), default=0)
+    for start in range(0, n, BLOCK_ROWS):
+        yield start, min(start + BLOCK_ROWS, n)
+
+
+def _interleave(values: list[list]) -> list:
+    """The rows of aligned equal-length columns, flattened row by row."""
+    k = len(values)
+    flat = [None] * (k * len(values[0]))
+    for j, column in enumerate(values):
+        flat[j::k] = column
+    return flat
+
+
+def _csv_row(row: Sequence) -> list:
+    return [format_value(v) if isinstance(v, float) else "" if v is None else v for v in row]
+
+
+def _csv_plain(strings: Iterable[str], width: int) -> bool:
+    """Whether csv.writer writes each string as it is, as a field of a row of width fields."""
+    rows = [[s] * width for s in strings]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue() == "".join(",".join(row) + "\n" for row in rows)
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), columns=None) -> None:
     """Write a header and rows of raw values as CSV to path, or stdout if None.
 
     Floats go through format_value, None becomes an empty field and anything
     else is written as it is. Rows are formatted one at a time, so a
     generator is never materialized.
+
+    columns, if given in place of rows, are aligned columns whose rows are
+    written. When every one is a numpy array of ints, float64 or str, the
+    rows go out BLOCK_ROWS at a time, each block through one `%` of a
+    repeated row template: '%.9g' % v is format_value's conversion. A block
+    holding a string that CSV must quote, and columns of any other kind, take
+    the row path. Either way the text is what csv.writer writes.
     """
     with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(
-            [format_value(v) if isinstance(v, float) else "" if v is None else v for v in row]
-            for row in rows
-        )
+        slots = None if columns is None else _block_slots(columns)
+        if slots is None:
+            writer.writerows(map(_csv_row, rows if columns is None else zip(*columns)))
+            return
+        template = ",".join(slots) + "\n"
+        str_columns = [j for j, slot in enumerate(slots) if slot == "%s"]
+        for start, stop in _blocks(columns):
+            values = [col[start:stop].tolist() for col in columns]
+            if _csv_plain(set().union(*(values[j] for j in str_columns)), len(slots)):
+                fh.write(template * (stop - start) % tuple(_interleave(values)))
+            else:
+                writer.writerows(map(_csv_row, zip(*values)))
 
 
 def _round_floats(node) -> None:
@@ -129,26 +194,82 @@ def _json_scalar(v) -> str:
     )
 
 
+# A float's JSON slot by the kind _json_kinds gives it.
+_JSON_FLOAT_SLOTS = np.array(["%.9g", "%.1f", "%s"], dtype=object)
+
+
+def _json_kinds(v: np.ndarray) -> np.ndarray:
+    """Per value: 0 where '%.9g' % v is v's JSON text, 1 where '%.1f' % v is, else 2.
+
+    1 is an integral |v| < 1e9. 2 is every other value whose 9-digit form
+    may lack a '.' or take an exponent: non-finite, |v| < 1e-3, |v| >= 1e8,
+    or within |v| * 1e-8 of an integer. Only _json_scalar writes those.
+    """
+    a = np.abs(v)
+    with np.errstate(invalid="ignore"):
+        whole = (v == np.rint(v)) & (a < 1e9)
+        plain = (a >= 1e-3) & (a < 1e8) & (np.abs(v - np.rint(v)) > a * 1e-8)
+    return whole + 2 * ~(plain | whole)
+
+
+def _json_block(pieces: list[str], columns: Sequence[np.ndarray], start: int, stop: int) -> str:
+    """The records of rows start to stop of array columns, through one `%`.
+
+    pieces is one record's template: literal text, then each column's slot
+    after its own literal. A float that '%.9g' would not write as json does
+    gets a '%.1f' or '%s' slot of its own, and for '%s' its _json_scalar text.
+    """
+    k = len(columns)
+    values, patched = [], {}
+    for j, col in enumerate(columns):
+        part = col[start:stop]
+        column = part.tolist()
+        if pieces[2 * j + 1] == "%s":
+            column = list(map(encode_basestring_ascii, column))
+        elif pieces[2 * j + 1] == "%.9g":
+            kinds = _json_kinds(part)
+            if kinds.any():
+                patched[j] = _JSON_FLOAT_SLOTS[kinds].tolist()
+                for i in np.flatnonzero(kinds == 2).tolist():
+                    column[i] = _json_scalar(column[i])
+        values.append(column)
+    block = pieces * (stop - start)
+    for j, slots in patched.items():
+        block[2 * j + 1 :: 2 * k + 1] = slots
+    return "".join(block) % tuple(_interleave(values))
+
+
 def _records_json(payload: dict, key: str, header: Sequence[str], columns: Sequence[Iterable]):
-    """The indented JSON of {**payload, key: records}, one record per chunk."""
+    """The indented JSON of {**payload, key: records}, up to BLOCK_ROWS records per chunk."""
     if key in payload:
         raise ValueError(f"records key {key!r} is also a key of the payload")
     head = {**payload, key: []}
     _round_floats(head)
     text = json.dumps(head, indent=2)  # ends in "[]\n}"
-    rows = zip(*columns)
-    first = next(rows, None)
+    slots = _block_slots(columns)
+    pieces = []  # one record's template: each slot after its own literal, then the close
+    for j, (name, slot) in enumerate(zip(header, slots or ["%s"] * len(header))):
+        name = encode_basestring_ascii(name).replace("%", "%%")
+        pieces += [(",\n      " if j else ",\n    {\n      ") + name + ": ", slot]
+    pieces.append("\n    }")
+    if slots is None:
+        template, rows = "".join(pieces), zip(*columns)
+        blocks = iter(
+            lambda: "".join(
+                template % tuple(map(_json_scalar, row))
+                for row in itertools.islice(rows, BLOCK_ROWS)
+            ),
+            "",
+        )
+    else:
+        blocks = (_json_block(pieces, columns, *rows) for rows in _blocks(columns))
+    first = next(blocks, None)
     if first is None:
         yield text
         return
-    template = "\n    {\n      %s\n    }" % ",\n      ".join(
-        encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in header
-    )
     yield text[:-3]
-    yield template % tuple(map(_json_scalar, first))
-    template = "," + template
-    for row in rows:
-        yield template % tuple(map(_json_scalar, row))
+    yield first[1:]  # the first record takes no comma
+    yield from blocks
     yield "\n  ]\n}"
 
 
@@ -164,18 +285,24 @@ def write_json(path, payload: dict | list, records=None) -> None:
     key. The file is then that of payload with key added last, holding one
     object per row of the aligned columns, which maps each header name to
     the row's value: a float, int, str, bool or None. The records are
-    formatted one at a time, straight from the columns, so no list of them
-    is ever built.
+    formatted BLOCK_ROWS at a time, straight from the columns, so no list of
+    them is ever built. When every column is a numpy array of ints, float64
+    or str, a block goes through one `%`: ints take '%d', strings their JSON
+    text and floats '%.9g', except the few values whose JSON text that is
+    not (an integral float takes '%.1f', and a value near an integer, below
+    1e-3, from 1e8 up or not finite takes the text of the per-value path).
+    Columns of any other kind are formatted one value at a time.
     """
     if records is None:
         _round_floats(payload)
-        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        tokens = json.JSONEncoder(indent=2).iterencode(payload)
+        # Joined in batches: neither one write per token nor the whole text at once.
+        chunks = iter(lambda: "".join(itertools.islice(tokens, 8192)), "")
     else:
         chunks = _records_json(payload, *records)
     with _output(path) as fh:
-        # Joined in batches: neither one write per token nor the whole text at once.
-        while batch := "".join(itertools.islice(chunks, 8192)):
-            fh.write(batch)
+        for chunk in chunks:
+            fh.write(chunk)
         fh.write("\n")
 
 

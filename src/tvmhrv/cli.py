@@ -14,6 +14,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
     ALL_INDICATORS,
     RADIUS_INDICATORS,
@@ -242,7 +244,7 @@ def cmd_indicators(args) -> int:
 
 def _write_points(path, fmt, source_id, header, columns) -> None:
     if fmt == "csv":
-        write_csv(path, header, zip(*columns))
+        write_csv(path, header, columns=columns)
     else:
         write_json(path, {"source_id": source_id}, records=("points", header, columns))
 
@@ -258,29 +260,25 @@ def cmd_points(args) -> int:
     out_dir = args.out if args.out is not None else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    labels = [q.value for q in Quadrant]  # indexed by quadrant code
+    labels = np.array([q.value for q in Quadrant])  # indexed by quadrant code
     for rec in recordings:
         lifted = build_tvm_points(second_order_diff(rec))
         points = lifted.base
-        index = range(len(points))
-        x, y = points.x.tolist(), points.y.tolist()
-        quadrant = [labels[c] for c in points.code.tolist()]
+        index = np.arange(len(points))
+        quadrant = labels[points.code]
         _write_points(
             out_dir / f"{rec.source_id}_sodp.{args.format}",
             args.format,
             rec.source_id,
             ["index", "x", "y", "quadrant"],
-            [index, x, y, quadrant],
+            [index, points.x, points.y, quadrant],
         )
         _write_points(
             out_dir / f"{rec.source_id}_tvm.{args.format}",
             args.format,
             rec.source_id,
             ["index", "x", "y", "d_co", "le", "l", "z", "quadrant"],
-            [
-                index, x, y, lifted.d_co.tolist(), lifted.le.tolist(), lifted.l.tolist(),
-                lifted.z.tolist(), quadrant,
-            ],
+            [index, points.x, points.y, lifted.d_co, lifted.le, lifted.l, lifted.z, quadrant],
         )
     return 0
 

@@ -1,9 +1,11 @@
 """RR-interval series: loading, validation and segmentation.
 
 Accepted on-disk format is UTF-8 text (a leading byte-order mark is
-skipped) holding numbers separated by commas and/or whitespace: one interval
-per line, or a CSV row/column. Blank lines and lines starting with '#' are
-skipped. Units are metadata only; nothing downstream converts values.
+skipped) holding numbers separated by commas and/or ASCII whitespace: one
+interval per line, or a CSV row/column. A number is ASCII decimal text, as
+float() reads it but with no '_'. Blank lines and lines starting with '#'
+are skipped; only those comments may hold non-ASCII text. Units are
+metadata only; nothing downstream converts values.
 
 A file is parsed in blocks of BLOCK_CHARS characters straight into one
 float64 array. The line scanner `_read_rr_file` is the specification: it
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import re
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -39,6 +42,8 @@ MAX_INTERVAL = 1e150
 
 # Characters the block parser reads at a time.
 BLOCK_CHARS = 1 << 16
+
+_ASCII_SEPARATORS = re.compile(r"[\s,]+", re.ASCII)
 
 
 class Unit(str, Enum):
@@ -101,17 +106,26 @@ class DatasetGroup:
         return len(self.recordings)
 
 
+def _tokens(line: str) -> list[str]:
+    """A line's tokens. Only commas and ASCII whitespace separate them, so a
+    non-ASCII space stays in its token and makes that token a bad one."""
+    if line.isascii():
+        return line.replace(",", " ").split()
+    return [token for token in _ASCII_SEPARATORS.split(line) if token]
+
+
 def _read_rr_file(path: Path) -> list[float]:
     """The values of an RR file, scanned line by line; slow, but it names lines."""
     values: list[float] = []
     with path.open(encoding="utf-8-sig") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
+                if line.lstrip().startswith("#"):
                     continue
-                for token in stripped.replace(",", " ").split():
+                for token in _tokens(line):
                     try:
+                        if "_" in token or not token.isascii():
+                            raise ValueError  # float() would take them
                         value = float(token)
                     except ValueError:
                         raise RRParseError(
@@ -137,10 +151,13 @@ def _token_blocks(fh: TextIO) -> Iterator[list[str]]:
 
     A token cut by the end of a block is carried into the next list. A token
     longer than a block raises ValueError, as carrying it on would make the
-    parse quadratic.
+    parse quadratic, and so does a block holding '_' or a non-ASCII
+    character, which float() would take in a number.
     """
     head = ""  # the start of a token cut by the end of the last block
     while block := fh.read(BLOCK_CHARS):
+        if not block.isascii() or "_" in block:
+            raise ValueError("text outside the number grammar")
         if len(head) > BLOCK_CHARS:
             raise ValueError("a token longer than a block")
         text = head + block

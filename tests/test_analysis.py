@@ -1,8 +1,12 @@
+import csv
+import io
+import json
 import math
 import stat
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -22,7 +26,8 @@ from tvmhrv import (
     summarize_reports,
     sweep_r,
 )
-from tvmhrv.analysis import write_csv, write_json
+from tvmhrv import analysis
+from tvmhrv.analysis import format_value, write_csv, write_json
 
 FIVE = RRSeries([800, 810, 790, 805, 795], source_id="five")
 CONSTANT = RRSeries([800] * 12, source_id="flat")
@@ -357,3 +362,101 @@ class TestWriteJsonRecords:
             points = [dict(zip(header, row)) for row in zip(*columns)]
             write_json(tree, {**head, "points": points})
             assert streamed.read_bytes() == tree.read_bytes()
+
+
+# Floats whose JSON text '%.9g' does not give, and their neighbours.
+EDGE_FLOATS = [
+    3.0, -7.0, 800.0, 123456789.0, 999999999.0, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+    1e-4, 5e-4, 9.9999e-4, 1e-3, 0.9999999999, 9.9999999996, 99999999.95, 999999999.5, 1e9,
+    1e16, 1.5e300, 800.25, math.nan, math.inf, -math.inf,
+]
+# Labels as the point export writes them, and strings that CSV must quote.
+LABELS = ["I", "II", "III", "IV", "axis", "", "a,b", 'say "hi"', "two\nlines", "cr\r", "été"]
+
+
+@st.composite
+def array_columns(draw):
+    """A header and aligned int64, float64 and str numpy columns."""
+    kinds = draw(st.lists(st.sampled_from(["int", "float", "str"]), max_size=5))
+    header = draw(st.lists(st.text(), min_size=len(kinds), max_size=len(kinds), unique=True))
+    n = draw(st.integers(min_value=0, max_value=12))
+    values = {
+        "int": st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        "float": st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)),
+        "str": st.one_of(st.sampled_from(LABELS), st.text()),
+    }
+    dtypes = {"int": np.int64, "float": np.float64, "str": str}
+    columns = [
+        np.array(draw(st.lists(values[kind], min_size=n, max_size=n)), dtype=dtypes[kind])
+        for kind in kinds
+    ]
+    return header, columns
+
+
+def edge_table():
+    """Every edge float in a float64 column, first, beside an int64 index."""
+    floats = np.array(EDGE_FLOATS, dtype=np.float64)
+    index = np.arange(len(floats), dtype=np.int64) - 3
+    return ["index", "value %s"], [index, floats]
+
+
+class TestBlockPath:
+    """Array columns, BLOCK_ROWS rows to a `%`, against the per-value writers."""
+
+    @given(table=array_columns(), block_rows=st.integers(min_value=1, max_value=5))
+    @example(table=edge_table(), block_rows=1)
+    @example(table=edge_table(), block_rows=4)
+    @example(table=(["q"], [np.array(["I", "", "IV", ""], dtype=str)]), block_rows=2)
+    @example(table=(["n"], [np.array([], dtype=np.float64)]), block_rows=3)
+    def test_csv_equals_csv_writer(self, table, block_rows):
+        header, columns = table
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*(col.tolist() for col in columns)):
+            writer.writerow([format_value(v) if isinstance(v, float) else v for v in row])
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "BLOCK_ROWS", block_rows)
+            out = Path(tmp, "block.csv")
+            write_csv(out, header, columns=columns)
+            with out.open(newline="") as fh:
+                assert fh.read() == expected.getvalue()
+
+    @given(
+        head=st.dictionaries(st.text().filter(lambda k: k != "points"), SCALARS, max_size=2),
+        table=array_columns(),
+        block_rows=st.integers(min_value=1, max_value=5),
+    )
+    @example(head={"source_id": "rec"}, table=edge_table(), block_rows=1)
+    @example(head={"source_id": "rec"}, table=edge_table(), block_rows=4)
+    @example(head={"source_id": "rec"}, table=(["x"], [np.array([], dtype=np.int64)]), block_rows=2)
+    def test_json_equals_the_dict_tree(self, head, table, block_rows):
+        header, columns = table
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "BLOCK_ROWS", block_rows)
+            streamed, tree = Path(tmp, "streamed.json"), Path(tmp, "tree.json")
+            write_json(streamed, head, records=("points", header, columns))
+            points = [dict(zip(header, row)) for row in zip(*(col.tolist() for col in columns))]
+            write_json(tree, {**head, "points": points})
+            assert streamed.read_bytes() == tree.read_bytes()
+
+    def test_plain_columns_skip_the_per_value_path(self, tmp_path, monkeypatch):
+        def fail(value):
+            raise AssertionError("formatted one value at a time")
+
+        for name in ("_csv_row", "format_value", "_json_scalar"):
+            monkeypatch.setattr(analysis, name, fail)
+        header = ["index", "x", "quadrant"]
+        columns = [
+            np.arange(4),
+            np.array([800.25, 3.0, -0.0, -12.5]),  # '%.1f' writes the integral ones
+            np.array(["I", "IV", "axis", "II"]),
+        ]
+        write_csv(tmp_path / "p.csv", header, columns=columns)
+        write_json(tmp_path / "p.json", {}, records=("points", header, columns))
+        assert (tmp_path / "p.csv").read_text().splitlines()[1:] == [
+            "0,800.25,I", "1,3,IV", "2,-0,axis", "3,-12.5,II",
+        ]
+        assert [list(p.values()) for p in json.loads((tmp_path / "p.json").read_text())["points"]] == [
+            [0, 800.25, "I"], [1, 3.0, "IV"], [2, -0.0, "axis"], [3, -12.5, "II"],
+        ]

@@ -244,6 +244,15 @@ class TestIndicators:
         err = capsys.readouterr().err
         assert "bad.txt" in err and "line 2" in err
 
+    @pytest.mark.parametrize("token", ["8_10", "\u0668\u0662\u0660"])
+    def test_number_outside_the_ascii_grammar_names_file_and_line(self, tmp_path, token, capsys):
+        bad = tmp_path / "odd.txt"
+        bad.write_text(f"800\n{token}\n790\n805\n", encoding="utf-8")
+        assert run(["indicators", bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"tvmhrv: error: {bad}: line 2: cannot parse {token!r} as a number\n"
+
     def test_value_above_bound_names_file_and_line(self, tmp_path, capsys):
         # x*x would overflow to inf and make the sigmoid scale NaN.
         bad = write_series(tmp_path / "huge.txt", ["1e200", 1, "1e200", 3])

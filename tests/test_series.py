@@ -89,6 +89,37 @@ class TestLoadRRSeries:
             load_rr_series(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, token, line",
+        [
+            ("800\n8_10\n790\n805\n", "8_10", 2),
+            ("800\n\u0668\u0662\u0660\n790\n805\n", "\u0668\u0662\u0660", 2),
+            ("800, 8_10, \u0668\u0662\u0660, 790, 805\n", "8_10", 1),
+            ("800\n810\n790 1_000\n", "1_000", 3),
+            # A non-ASCII space separates nothing: it is part of the token.
+            ("800\n810\u00a0790\n805\n", "810\u00a0790", 2),
+            ("800\n810\n\u00a0\n805\n", "\u00a0", 3),
+            ("800\n810\n790\u2028\n805\n", "790\u2028", 3),
+        ],
+    )
+    @pytest.mark.parametrize("block", [4, series_module.BLOCK_CHARS])
+    def test_token_outside_the_ascii_grammar_names_line(
+        self, tmp_path, monkeypatch, text, token, line, block
+    ):
+        monkeypatch.setattr(series_module, "BLOCK_CHARS", block)
+        path = tmp_path / "rec.txt"
+        path.write_text(text, encoding="utf-8")
+        for load in (load_rr_series, _read_rr_file):
+            with pytest.raises(RRParseError) as err:
+                load(path)
+            assert str(err.value) == f"{path}: line {line}: cannot parse {token!r} as a number"
+            assert (err.value.path, err.value.line) == (path, line)
+
+    def test_comment_may_hold_non_ascii_text(self, tmp_path):
+        path = tmp_path / "rec.txt"
+        path.write_text("# \u00e9t\u00e9 \u2603 8_10\n800\n810\n  # \u0668\u0662\u0660\n790\n", encoding="utf-8")
+        assert load_rr_series(path).intervals.tolist() == [800.0, 810.0, 790.0]
+
     def test_value_above_bound_names_line(self, tmp_path):
         path = write(tmp_path, "rec.txt", "800\n1e151\n700\n")
         with pytest.raises(RRValidationError) as err:
