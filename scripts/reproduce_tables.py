@@ -27,7 +27,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from tvmhrv import (
     ALL_INDICATORS,
     IndicatorParams,
-    Unit,
     indicator_value,
     load_groups,
     pairwise_classify,
@@ -41,7 +40,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("datasets", nargs="+", type=Path, help="dataset directories")
     parser.add_argument("--out", type=Path, default=Path("out/tables"))
-    parser.add_argument("--unit", choices=[u.value for u in Unit], default="ms")
     parser.add_argument("--r-ctm", type=float, default=3.0)
     parser.add_argument("--r-d", type=float, default=6.0)
     parser.add_argument("--divisions", type=parse_divisions, default=(10, 10, 10))
@@ -56,7 +54,7 @@ def main() -> int:
     args = parser.parse_args()
 
     params = IndicatorParams(r_ctm=args.r_ctm, r_d=args.r_d, divisions=args.divisions)
-    groups = load_groups(args.datasets, Unit(args.unit), args.segment_len)
+    groups = load_groups(args.datasets, args.segment_len)
     args.out.mkdir(parents=True, exist_ok=True)
 
     # One report per recording feeds both the summaries and the RI matrix.

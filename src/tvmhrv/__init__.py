@@ -42,7 +42,6 @@ from .errors import (
 from .series import (
     DatasetGroup,
     RRSeries,
-    Unit,
     load_dataset_group,
     load_groups,
     load_rr_series,

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -79,26 +78,39 @@ def _output(path):
 BLOCK_ROWS = 8192
 
 
-def _block_slots(columns: Sequence) -> list[str] | None:
-    """Each column's % slot if every one is a 1-D int, float64 or str array, else None."""
+def _column_slots(header: Sequence[str], columns: Sequence[np.ndarray]) -> list[str]:
+    """Each column's % slot; the columns must be aligned 1-D int, float64 or str arrays.
+
+    Raises TypeError for any other column, and ValueError unless there is one
+    header name per column and every column has the same length.
+    """
     slots = []
-    for col in columns:
-        if not isinstance(col, np.ndarray) or col.ndim != 1:
-            return None
-        if col.dtype.kind in "iu":
+    for j, col in enumerate(columns):
+        kind = col.dtype.kind if isinstance(col, np.ndarray) and col.ndim == 1 else None
+        if kind in ("i", "u"):
             slots.append("%d")
-        elif col.dtype == np.float64:
+        elif kind == "f" and col.dtype == np.float64:
             slots.append("%.9g")
-        elif col.dtype.kind == "U":
+        elif kind == "U":
             slots.append("%s")
         else:
-            return None
+            what = type(col).__name__
+            if isinstance(col, np.ndarray):
+                what = f"{col.ndim}-D {col.dtype} array"
+            raise TypeError(
+                f"columns must be 1-D numpy arrays of ints, float64 or str; column {j} is a {what}"
+            )
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    lengths = sorted({len(col) for col in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal length: {lengths}")
     return slots
 
 
 def _blocks(columns: Sequence[np.ndarray]) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each block of up to BLOCK_ROWS rows; rows end with the shortest column."""
-    n = min(map(len, columns), default=0)
+    """(start, stop) of each block of up to BLOCK_ROWS rows of aligned columns."""
+    n = len(columns[0]) if columns else 0
     for start in range(0, n, BLOCK_ROWS):
         yield start, min(start + BLOCK_ROWS, n)
 
@@ -113,7 +125,10 @@ def _interleave(values: list[list]) -> list:
 
 
 def _csv_row(row: Sequence) -> list:
-    return [format_value(v) if isinstance(v, float) else "" if v is None else v for v in row]
+    return [
+        format_value(float(v)) if isinstance(v, (float, np.floating)) else "" if v is None else v
+        for v in row
+    ]
 
 
 def _csv_plain(strings: Iterable[str], width: int) -> bool:
@@ -127,23 +142,24 @@ def _csv_plain(strings: Iterable[str], width: int) -> bool:
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), columns=None) -> None:
     """Write a header and rows of raw values as CSV to path, or stdout if None.
 
-    Floats go through format_value, None becomes an empty field and anything
-    else is written as it is. Rows are formatted one at a time, so a
-    generator is never materialized.
+    Floats, numpy's included, go through format_value, None becomes an empty
+    field and anything else is written as it is. Rows are formatted one at a
+    time, so a generator is never materialized.
 
-    columns, if given in place of rows, are aligned columns whose rows are
-    written. When every one is a numpy array of ints, float64 or str, the
-    rows go out BLOCK_ROWS at a time, each block through one `%` of a
-    repeated row template: '%.9g' % v is format_value's conversion. A block
-    holding a string that CSV must quote, and columns of any other kind, take
-    the row path. Either way the text is what csv.writer writes.
+    columns, if given in place of rows, are 1-D numpy arrays of ints, float64
+    or str, one per header name and all of one length; anything else raises
+    TypeError or ValueError before path is opened. Their rows go out
+    BLOCK_ROWS at a time, each block through one `%` of a repeated row
+    template: '%.9g' % v is format_value's conversion. A block holding a
+    string that CSV must quote is written row by row instead. Either way the
+    text is what csv.writer writes.
     """
+    slots = None if columns is None else _column_slots(header, columns)
     with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        slots = None if columns is None else _block_slots(columns)
         if slots is None:
-            writer.writerows(map(_csv_row, rows if columns is None else zip(*columns)))
+            writer.writerows(map(_csv_row, rows))
             return
         template = ",".join(slots) + "\n"
         str_columns = [j for j, slot in enumerate(slots) if slot == "%s"]
@@ -167,31 +183,12 @@ def _round_floats(node) -> None:
             _round_floats(v)
 
 
-def _json_scalar(v) -> str:
-    """The text json gives v after round_sig; v is a float, int, str, bool or None."""
-    if isinstance(v, float):
-        text = format_value(v)
-        # Fixed notation with a fraction, as nearly every point has: the float
-        # these 9 digits parse to has no shorter repr, and repr keeps the notation.
-        if "." in text and "e" not in text:
-            return text
-        v = float(text)
-        if v != v:
-            return "NaN"
-        if v in (math.inf, -math.inf):
-            return "Infinity" if v > 0 else "-Infinity"
+def _json_scalar(v: float) -> str:
+    """The text json gives round_sig(v)."""
+    v = round_sig(v)
+    if math.isfinite(v):
         return float.__repr__(v)
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    raise TypeError(
-        f"a record value must be a float, int, str, bool or None, not {type(v).__name__}"
-    )
+    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
 
 
 # A float's JSON slot by the kind _json_kinds gives it.
@@ -239,35 +236,22 @@ def _json_block(pieces: list[str], columns: Sequence[np.ndarray], start: int, st
     return "".join(block) % tuple(_interleave(values))
 
 
-def _records_json(payload: dict, key: str, header: Sequence[str], columns: Sequence[Iterable]):
-    """The indented JSON of {**payload, key: records}, up to BLOCK_ROWS records per chunk."""
-    if key in payload:
-        raise ValueError(f"records key {key!r} is also a key of the payload")
-    head = {**payload, key: []}
-    _round_floats(head)
-    text = json.dumps(head, indent=2)  # ends in "[]\n}"
-    slots = _block_slots(columns)
+def _records_json(text: str, header: Sequence[str], columns, slots: list[str]) -> Iterator[str]:
+    """text, a payload's JSON whose last value is [], with the columns' records in that list.
+
+    The records come BLOCK_ROWS to a chunk.
+    """
     pieces = []  # one record's template: each slot after its own literal, then the close
-    for j, (name, slot) in enumerate(zip(header, slots or ["%s"] * len(header))):
+    for j, (name, slot) in enumerate(zip(header, slots)):
         name = encode_basestring_ascii(name).replace("%", "%%")
         pieces += [(",\n      " if j else ",\n    {\n      ") + name + ": ", slot]
     pieces.append("\n    }")
-    if slots is None:
-        template, rows = "".join(pieces), zip(*columns)
-        blocks = iter(
-            lambda: "".join(
-                template % tuple(map(_json_scalar, row))
-                for row in itertools.islice(rows, BLOCK_ROWS)
-            ),
-            "",
-        )
-    else:
-        blocks = (_json_block(pieces, columns, *rows) for rows in _blocks(columns))
+    blocks = (_json_block(pieces, columns, *rows) for rows in _blocks(columns))
     first = next(blocks, None)
     if first is None:
         yield text
         return
-    yield text[:-3]
+    yield text[:-3]  # text ends in "[]\n}"
     yield first[1:]  # the first record takes no comma
     yield from blocks
     yield "\n  ]\n}"
@@ -279,27 +263,29 @@ def write_json(path, payload: dict | list, records=None) -> None:
     Every float in it goes through round_sig; ints, strings and None are
     written as they are. The rounding happens in place (tuples become
     lists), so pass a payload built for this call, not one shared with a
-    result object.
+    result object. The payload is formatted whole by json.
 
     records, if given, is (key, header, columns) and payload a dict without
     key. The file is then that of payload with key added last, holding one
-    object per row of the aligned columns, which maps each header name to
-    the row's value: a float, int, str, bool or None. The records are
-    formatted BLOCK_ROWS at a time, straight from the columns, so no list of
-    them is ever built. When every column is a numpy array of ints, float64
-    or str, a block goes through one `%`: ints take '%d', strings their JSON
-    text and floats '%.9g', except the few values whose JSON text that is
-    not (an integral float takes '%.1f', and a value near an integer, below
-    1e-3, from 1e8 up or not finite takes the text of the per-value path).
-    Columns of any other kind are formatted one value at a time.
+    object per row of the columns, which maps each header name to the row's
+    value. The columns follow write_csv's rule, checked before path is
+    opened. The records are formatted BLOCK_ROWS at a time, straight from
+    the columns, each block through one `%`: ints take '%d', strings their
+    JSON text and floats '%.9g', except the few values whose JSON text that
+    is not (an integral float takes '%.1f', and a value near an integer,
+    below 1e-3, from 1e8 up or not finite takes _json_scalar's text).
     """
     if records is None:
         _round_floats(payload)
-        tokens = json.JSONEncoder(indent=2).iterencode(payload)
-        # Joined in batches: neither one write per token nor the whole text at once.
-        chunks = iter(lambda: "".join(itertools.islice(tokens, 8192)), "")
+        chunks = [json.dumps(payload, indent=2)]
     else:
-        chunks = _records_json(payload, *records)
+        key, header, columns = records
+        if key in payload:
+            raise ValueError(f"records key {key!r} is also a key of the payload")
+        slots = _column_slots(header, columns)
+        head = {**payload, key: []}
+        _round_floats(head)
+        chunks = _records_json(json.dumps(head, indent=2), header, columns, slots)
     with _output(path) as fh:
         for chunk in chunks:
             fh.write(chunk)

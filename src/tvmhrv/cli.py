@@ -28,7 +28,7 @@ from .analysis import (
 )
 from .cluster import pairwise_classify
 from .errors import TvmhrvError
-from .series import RRSeries, Unit, input_files, load_groups
+from .series import RRSeries, input_files, load_groups
 from .sodp import Quadrant, second_order_diff
 from .tvm import build_tvm_points
 
@@ -77,9 +77,9 @@ def parse_segment_len(text: str) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--unit",
-        choices=[u.value for u in Unit],
-        default=Unit.MILLISECONDS.value,
-        help="unit tag for the input intervals (metadata only; default: ms)",
+        choices=["ms", "s", "none"],
+        default="ms",
+        help="unit of the input intervals; a tag only, nothing converts it (default: ms)",
     )
     parser.add_argument("--r-ctm", type=float, default=3.0, help="radius for CTM/CCTM (default: 3)")
     parser.add_argument("--r-d", type=float, default=6.0, help="radius for D (default: 6)")
@@ -150,7 +150,7 @@ def _recordings(args) -> tuple[list[RRSeries], dict[str, list[str]]]:
     one file has, with those files. Segment ids carry their file's stem, so
     one source id covers all the segments of its files.
     """
-    groups = load_groups(args.inputs, Unit(args.unit), args.segment_len, allow_files=True)
+    groups = load_groups(args.inputs, args.segment_len, allow_files=True)
     files: dict[str, list[str]] = {}
     for path in args.inputs:
         for file in input_files(path, allow_files=True):
@@ -167,7 +167,7 @@ def _group_features(directory, args, params, empty_ids: list[str]):
     appended to empty_ids.
     """
     # One group at a time, so only one group's recordings are held at once.
-    (group,) = load_groups([directory], Unit(args.unit), args.segment_len)
+    (group,) = load_groups([directory], args.segment_len)
     features = []
     for rec in group.recordings:
         empty = []
@@ -284,7 +284,7 @@ def cmd_points(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    groups = load_groups(args.inputs, Unit(args.unit), args.segment_len)
+    groups = load_groups(args.inputs, args.segment_len)
     table = sweep_r(groups, args.indicator, args.r_grid)
     if args.format == "csv":
         write_csv(

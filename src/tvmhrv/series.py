@@ -4,8 +4,8 @@ Accepted on-disk format is UTF-8 text (a leading byte-order mark is
 skipped) holding numbers separated by commas and/or ASCII whitespace: one
 interval per line, or a CSV row/column. A number is ASCII decimal text, as
 float() reads it but with no '_'. Blank lines and lines starting with '#'
-are skipped; only those comments may hold non-ASCII text. Units are
-metadata only; nothing downstream converts values.
+are skipped; only those comments may hold non-ASCII text. Values are
+taken in whatever unit the file holds them; nothing converts them.
 
 A file is parsed in blocks of BLOCK_CHARS characters straight into one
 float64 array. The line scanner `_read_rr_file` is the specification: it
@@ -19,7 +19,6 @@ import itertools
 import logging
 import re
 from dataclasses import InitVar, dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -46,12 +45,6 @@ BLOCK_CHARS = 1 << 16
 _ASCII_SEPARATORS = re.compile(r"[\s,]+", re.ASCII)
 
 
-class Unit(str, Enum):
-    MILLISECONDS = "ms"
-    SECONDS = "s"
-    UNITLESS = "none"
-
-
 @dataclass(frozen=True, eq=False)
 class RRSeries:
     """An ordered sequence of interval durations, each in (0, MAX_INTERVAL].
@@ -61,7 +54,6 @@ class RRSeries:
     """
 
     intervals: np.ndarray
-    unit: Unit = Unit.UNITLESS
     source_id: str = ""
     # Set only by load_rr_series, for an array nothing else refers to: kept, not copied.
     _owned: InitVar[bool] = False
@@ -168,7 +160,7 @@ def _token_blocks(fh: TextIO) -> Iterator[list[str]]:
         yield [head]
 
 
-def load_rr_series(path, unit: Unit = Unit.UNITLESS) -> RRSeries:
+def load_rr_series(path) -> RRSeries:
     """Load one RR recording from a text file; source_id is the file stem."""
     path = Path(path)
     with path.open(encoding="utf-8-sig") as fh:
@@ -186,7 +178,7 @@ def load_rr_series(path, unit: Unit = Unit.UNITLESS) -> RRSeries:
         raise TooShortSeriesError(
             f"{path}: found {len(values)} intervals; need at least 3"
         )
-    return RRSeries(intervals=values, unit=unit, source_id=path.stem, _owned=True)
+    return RRSeries(intervals=values, source_id=path.stem, _owned=True)
 
 
 def input_files(path: Path, allow_files: bool = False) -> list[Path]:
@@ -208,14 +200,13 @@ def input_files(path: Path, allow_files: bool = False) -> list[Path]:
     return files
 
 
-def load_dataset_group(directory, unit: Unit = Unit.UNITLESS) -> DatasetGroup:
+def load_dataset_group(directory) -> DatasetGroup:
     """Load every .txt/.csv file in a directory, sorted by source_id."""
-    return load_groups([directory], unit)[0]
+    return load_groups([directory])[0]
 
 
 def load_groups(
     paths: Iterable,
-    unit: Unit = Unit.UNITLESS,
     segment_len: int | None = None,
     allow_files: bool = False,
 ) -> list[DatasetGroup]:
@@ -232,7 +223,7 @@ def load_groups(
     for path in map(Path, paths):
         recordings = []
         for file in input_files(path, allow_files):
-            rec = load_rr_series(file, unit=unit)
+            rec = load_rr_series(file)
             if segment_len is None:
                 recordings.append(rec)
             elif len(rec) < segment_len:
@@ -268,11 +259,5 @@ def split_segments(series: RRSeries, length: int) -> list[RRSeries]:
     segments = []
     for k in range(n):
         chunk = series.intervals[k * length : (k + 1) * length]
-        segments.append(
-            RRSeries(
-                intervals=chunk,
-                unit=series.unit,
-                source_id=f"{series.source_id}#{k:0{width}d}",
-            )
-        )
+        segments.append(RRSeries(intervals=chunk, source_id=f"{series.source_id}#{k:0{width}d}"))
     return segments

@@ -324,44 +324,9 @@ class TestWriteCsv:
         assert target.read_text() == "name\na\n"
 
 
-# Every kind of value a record may hold; st.floats() includes NaN, infinities,
+# Every kind of scalar a payload may hold; st.floats() includes NaN, infinities,
 # -0.0 and subnormals.
 SCALARS = st.one_of(st.floats(), st.integers(), st.text(), st.none(), st.booleans())
-
-
-@st.composite
-def record_columns(draw):
-    header = draw(st.lists(st.text(), max_size=4, unique=True))
-    n = draw(st.integers(min_value=0, max_value=5))
-    return header, [draw(st.lists(SCALARS, min_size=n, max_size=n)) for _ in header]
-
-
-class TestWriteJsonRecords:
-    @given(
-        head=st.dictionaries(st.text().filter(lambda k: k != "points"), SCALARS, max_size=2),
-        table=record_columns(),
-    )
-    @example(
-        head={"source_id": "rec"},
-        table=(
-            ["index", "value", "mixed %s"],
-            [
-                list(range(9)),
-                [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 123456789.0, 1.5e300,
-                 math.nan, math.inf, -math.inf],
-                ["IV", "\u00e9t\u00e9 \u2603", None, True, False, -7, 2.5, 1e-7, 10**20],
-            ],
-        ),
-    )
-    @example(head={"source_id": "rec"}, table=(["index", "x"], [[], []]))
-    def test_streamed_records_equal_the_dict_tree(self, head, table):
-        header, columns = table
-        with tempfile.TemporaryDirectory() as tmp:
-            streamed, tree = Path(tmp, "streamed.json"), Path(tmp, "tree.json")
-            write_json(streamed, head, records=("points", header, columns))
-            points = [dict(zip(header, row)) for row in zip(*columns)]
-            write_json(tree, {**head, "points": points})
-            assert streamed.read_bytes() == tree.read_bytes()
 
 
 # Floats whose JSON text '%.9g' does not give, and their neighbours.
@@ -460,3 +425,53 @@ class TestBlockPath:
         assert [list(p.values()) for p in json.loads((tmp_path / "p.json").read_text())["points"]] == [
             [0, 800.25, "I"], [1, 3.0, "IV"], [2, -0.0, "axis"], [3, -12.5, "II"],
         ]
+
+
+class TestWriterInputs:
+    """What the column writers accept: aligned 1-D int, float64 or str arrays."""
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [1.0, 2.0],
+            np.array([[1.0, 2.0], [3.0, 4.0]]),
+            np.array([1.0, 2.0], dtype=np.float32),
+            np.array([True, False]),
+            np.array([1.0, "a"], dtype=object),
+        ],
+        ids=["list", "2-D", "float32", "bool", "object"],
+    )
+    @pytest.mark.parametrize("writer", ["csv", "json"])
+    def test_other_columns_are_a_type_error(self, tmp_path, column, writer):
+        out = tmp_path / f"p.{writer}"
+        with pytest.raises(TypeError, match="1-D numpy arrays of ints, float64 or str"):
+            if writer == "csv":
+                write_csv(out, ["x"], columns=[column])
+            else:
+                write_json(out, {}, records=("points", ["x"], [column]))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "header, columns, message",
+        [
+            (["a", "b"], [np.arange(3), np.array([1.5, 2.5])], "columns of unequal length"),
+            (["a"], [np.arange(2), np.array([1.5, 2.5])], "1 header names for 2 columns"),
+            (["a", "b", "c"], [np.arange(2), np.array([1.5, 2.5])], "3 header names for 2"),
+        ],
+        ids=["short-column", "short-header", "long-header"],
+    )
+    def test_misaligned_columns_are_a_value_error(self, tmp_path, capsys, header, columns, message):
+        for call in (
+            lambda path: write_csv(path, header, columns=columns),
+            lambda path: write_json(path, {}, records=("points", header, columns)),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call(None)  # stdout: nothing may be written before the check
+            assert capsys.readouterr().out == ""
+            with pytest.raises(ValueError, match=message):
+                call(tmp_path / "p")
+            assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_float_scalar_in_a_row(self, capsys):
+        write_csv(None, ["a", "b", "c"], [[np.float32(0.1), np.float64(0.1), 0.1]])
+        assert capsys.readouterr().out == "a,b,c\n0.100000001,0.1,0.1\n"

@@ -181,6 +181,20 @@ class TestIndicators:
             "(rec, rec)",
         ]
 
+    @pytest.mark.parametrize("unit", ["ms", "s", "none"])
+    def test_unit_is_a_tag_only(self, corpus_dir, golden_dir, tmp_path, unit):
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"indicators.{fmt}"
+            argv = ["indicators", corpus_dir / "steady", corpus_dir / "erratic", "--unit", unit]
+            assert run(argv + ["--format", fmt, "--out", out]) == 0
+            assert out.read_bytes() == (golden_dir / f"indicators.{fmt}").read_bytes()
+
+    def test_unknown_unit_is_a_usage_error(self, rr_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["indicators", rr_file, "--unit", "us"])
+        assert info.value.code == 2
+        assert "--unit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("length", ["2", "0", "-3", "x"])
     def test_segment_len_below_three_is_a_usage_error(self, rr_file, length, capsys):
         with pytest.raises(SystemExit) as info:

@@ -16,7 +16,6 @@ from tvmhrv import (
     RRSeries,
     RRValidationError,
     TooShortSeriesError,
-    Unit,
     load_dataset_group,
     load_groups,
     load_rr_series,
@@ -37,14 +36,13 @@ def write(tmp_path: Path, name: str, text: str) -> Path:
 class TestLoadRRSeries:
     def test_line_per_interval(self, tmp_path):
         path = write(tmp_path, "rec.txt", "800\n810\n790\n805\n795\n")
-        series = load_rr_series(path, unit=Unit.MILLISECONDS)
+        series = load_rr_series(path)
         assert series.intervals.tolist() == [800.0, 810.0, 790.0, 805.0, 795.0]
-        assert series.unit is Unit.MILLISECONDS
         assert series.source_id == "rec"
 
     def test_single_csv_row(self, tmp_path):
         path = write(tmp_path, "rec.csv", "0.80, 0.81, 0.79\n")
-        series = load_rr_series(path, unit=Unit.SECONDS)
+        series = load_rr_series(path)
         assert series.intervals.tolist() == [0.80, 0.81, 0.79]
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
@@ -282,10 +280,9 @@ class TestLoadGroups:
         return ddir
 
     def test_directory_group_sorted_by_source_id(self, grp):
-        (group,) = load_groups([grp], unit=Unit.MILLISECONDS)
+        (group,) = load_groups([grp])
         assert group.name == "grp"
         assert [rec.source_id for rec in group.recordings] == ["a", "b"]
-        assert all(rec.unit is Unit.MILLISECONDS for rec in group.recordings)
 
     def test_segments_with_partial_tail_dropped(self, grp):
         (group,) = load_groups([grp], segment_len=5)
