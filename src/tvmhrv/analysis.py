@@ -131,6 +131,13 @@ def _csv_row(row: Sequence) -> list:
     ]
 
 
+def _of_width(rows: Iterable[Sequence], width: int) -> Iterator[Sequence]:
+    for i, row in enumerate(rows, 1):
+        if len(row) != width:
+            raise ValueError(f"row {i} has {len(row)} fields under a header of {width}")
+        yield row
+
+
 def _csv_plain(strings: Iterable[str], width: int) -> bool:
     """Whether csv.writer writes each string as it is, as a field of a row of width fields."""
     rows = [[s] * width for s in strings]
@@ -144,7 +151,9 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), column
 
     Floats, numpy's included, go through format_value, None becomes an empty
     field and anything else is written as it is. Rows are formatted one at a
-    time, so a generator is never materialized.
+    time, so a generator is never materialized. A row whose width is not the
+    header's raises ValueError naming it; a file at path is then left absent
+    or as it was, but on stdout the rows before it stay printed.
 
     columns, if given in place of rows, are 1-D numpy arrays of ints, float64
     or str, one per header name and all of one length; anything else raises
@@ -159,7 +168,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), column
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if slots is None:
-            writer.writerows(map(_csv_row, rows))
+            writer.writerows(map(_csv_row, _of_width(rows, len(header))))
             return
         template = ",".join(slots) + "\n"
         str_columns = [j for j, slot in enumerate(slots) if slot == "%s"]

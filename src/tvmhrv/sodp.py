@@ -104,20 +104,24 @@ def point_distances(points: PlotPoints) -> np.ndarray:
 def radius_census(points: PlotPoints, radii: Sequence[float]) -> list[RadiusCounts]:
     """Counts of the points with distance < r, and their mean distance D, per radius.
 
-    The distances are computed once for all radii.
+    The radii, in any order, are checked up front and then visited from the
+    largest down: each cuts its inside set, in index order, from the one
+    above it, so D is the mean of the same array as distances[distances < r].
     """
     if len(points) == 0:
         raise EmptyInputError("need at least one plot point")
-    distances = point_distances(points)
-    out = []
+    radii = list(radii)
     for r in radii:
         if not (r > 0):
             raise ValueError(f"radius must be > 0, got {r}")
-        inside = distances < r
-        by_code = np.bincount(points.code[inside], minlength=5).tolist()
-        within = sum(by_code)
-        d = float(np.mean(distances[inside])) if within else None
-        out.append(RadiusCounts(within, tuple(by_code[:4]), by_code[4], len(points), d))
+    distances, codes = point_distances(points), points.code
+    out = [None] * len(radii)
+    for k in sorted(range(len(radii)), key=radii.__getitem__, reverse=True):
+        inside = distances < radii[k]
+        distances, codes = distances[inside], codes[inside]
+        by_code = np.bincount(codes, minlength=5).tolist()
+        d = float(np.mean(distances)) if distances.size else None
+        out[k] = RadiusCounts(distances.size, tuple(by_code[:4]), by_code[4], len(points), d)
     return out
 
 

@@ -314,6 +314,28 @@ class TestWriteCsv:
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
         assert list(tmp_path.iterdir()) == [out]
 
+    @pytest.mark.parametrize(
+        ("rows", "message", "printed"),
+        [
+            ([[1.0, 2.0], [3.0]], "row 1 has 2 fields under a header of 1", "a\n"),
+            ([[1.0], [2.0], []], "row 3 has 0 fields under a header of 1", "a\n1\n2\n"),
+        ],
+        ids=["wide-first-row", "empty-third-row"],
+    )
+    def test_row_of_another_width_is_a_value_error(self, tmp_path, capsys, rows, message, printed):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_csv(None, ["a"], rows)
+        assert capsys.readouterr().out == printed  # rows before the bad one stay printed
+        out = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_csv(out, ["a"], rows)
+        assert list(tmp_path.iterdir()) == []
+        out.write_text("old\n")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_csv(out, ["a"], rows)
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "old\n"
+
     def test_symlink_is_written_through(self, tmp_path):
         target = tmp_path / "target.csv"
         target.write_text("old\n")

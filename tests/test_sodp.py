@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import reference_radius_counts
 
 from tvmhrv import (
     EmptyInputError,
@@ -10,6 +13,7 @@ from tvmhrv import (
     Quadrant,
     RRSeries,
     mean_distance_d,
+    radius_census,
     radius_counts,
     second_order_diff,
 )
@@ -211,3 +215,63 @@ def test_cctm_bounded_by_ctm(values, r):
     total = radius_counts(points, r).ctm
     for component in radius_counts(points, r).cctm:
         assert 0.0 <= component <= total <= 1.0
+
+
+# Coordinates with exact zeros (on-axis points and the origin) and repeats.
+coordinate = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1.0, -1.0, 3.0, -4.0]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+
+
+@st.composite
+def points_and_radii(draw):
+    """A point set and radii in any order, with repeats, radii below the
+    smallest and above the largest distance, and radii equal to a distance."""
+    base = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=40))
+    # Scaled copies take some sets past 128 points, where numpy's pairwise sum splits.
+    scales = draw(st.lists(st.sampled_from([1.0, 0.5, 3.0, -7.0]), min_size=1, max_size=8))
+    x = [a * c for c in scales for a, _ in base]
+    y = [b * c for c in scales for _, b in base]
+    distances = [math.sqrt(a * a + b * b) for a, b in zip(x, y)]
+    exact = [d for d in distances if d > 0]
+    radius = st.one_of(
+        st.floats(min_value=1e-9, max_value=1e9),
+        st.sampled_from([1e-9, 1e9, min(distances) / 2 or 1e-9, max(distances) * 2 or 1e9]),
+        *([st.sampled_from(exact)] if exact else []),
+    )
+    radii = draw(st.lists(radius, max_size=25))
+    radii += draw(st.lists(st.sampled_from(radii), max_size=5)) if radii else []
+    return x, y, draw(st.permutations(radii))
+
+
+@settings(max_examples=200)
+@given(points_and_radii())
+def test_census_matches_one_full_mask_per_radius(case):
+    xs, ys, radii = case
+    points = PlotPoints(x=xs, y=ys)
+    x, y = np.array(xs), np.array(ys)
+    d = np.sqrt(x * x + y * y)
+    census = radius_census(points, radii)
+    assert len(census) == len(radii)
+    for r, counts in zip(radii, census):
+        within, quad, axis = reference_radius_counts(xs, ys, r)
+        assert (counts.within, list(counts.quadrant), counts.on_axis) == (within, quad, axis)
+        assert counts.total == len(xs)
+        inside = d[d < r]
+        if inside.size:
+            assert float.hex(counts.d) == float.hex(float(np.mean(inside)))
+        else:
+            assert counts.d is None
+
+
+@pytest.mark.parametrize(
+    ("radii", "bad"),
+    [([3.0, -1.0], "-1.0"), ([float("nan")], "nan"), ([float("nan"), -1.0], "nan")],
+    ids=["negative-after-good", "nan", "nan-before-negative"],
+)
+def test_census_names_the_first_bad_radius(radii, bad):
+    with pytest.raises(ValueError) as info:
+        radius_census(five_points(), radii)
+    assert str(info.value) == f"radius must be > 0, got {bad}"
