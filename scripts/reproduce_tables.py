@@ -6,9 +6,10 @@ For every dataset: per-indicator mean/std and five-number summaries
 k-means + RI. Outputs land in --out as CSV and JSON.
 
 Intended for user-downloaded PhysioNet RR exports (one directory per
-database, plain-text RR files). Results are sensitive to the units the
-RR values are expressed in and to the subspace divisions; sweep those
-knobs if group means do not land where expected.
+database, plain-text RR files). Intervals are used as written, in
+whatever unit the files hold, and the radii are in that unit, so every
+dataset must use the same one. Results are sensitive to --r-ctm, --r-d
+and --divisions; vary them if group means do not land where expected.
 
 Usage:
     python scripts/reproduce_tables.py nsr2db/ cudb/ --out out/tables \
@@ -34,7 +35,7 @@ from tvmhrv import (
     summarize_reports,
 )
 from tvmhrv.analysis import write_csv, write_json
-from tvmhrv.cli import parse_divisions
+from tvmhrv.cli import parse_divisions, parse_segment_len
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -43,7 +44,7 @@ def main() -> int:
     parser.add_argument("--r-ctm", type=float, default=3.0)
     parser.add_argument("--r-d", type=float, default=6.0)
     parser.add_argument("--divisions", type=parse_divisions, default=(10, 10, 10))
-    parser.add_argument("--segment-len", type=int, default=None)
+    parser.add_argument("--segment-len", type=parse_segment_len, default=None)
     parser.add_argument(
         "--indicators",
         nargs="+",
@@ -59,22 +60,22 @@ def main() -> int:
 
     # One report per recording feeds both the summaries and the RI matrix.
     reports = [[report(rec, params) for rec in group.recordings] for group in groups]
-    summaries = [summarize_reports(g.name, reps) for g, reps in zip(groups, reports)]
+    summaries = [(g.name, summarize_reports(g.name, reps)) for g, reps in zip(groups, reports)]
     write_csv(
         args.out / "summary.csv",
         ["dataset", "indicator", "n", "mean", "std", "min", "q1", "median", "q3", "max"],
         (
-            [summary.name, indicator, s.n, s.mean, s.std]
+            [name, indicator, s.n, s.mean, s.std]
             + [s.minimum, s.q1, s.median, s.q3, s.maximum]
-            for summary in summaries
-            for indicator, s in summary.stats.items()
+            for name, stats in summaries
+            for indicator, s in stats.items()
         ),
     )
     write_json(
         args.out / "summary.json",
         [
             {
-                "dataset": summary.name,
+                "dataset": name,
                 "indicators": {
                     indicator: {
                         "n": s.n,
@@ -87,19 +88,19 @@ def main() -> int:
                         "max": s.maximum,
                         "values": s.values,
                     }
-                    for indicator, s in summary.stats.items()
+                    for indicator, s in stats.items()
                 },
             }
-            for summary in summaries
+            for name, stats in summaries
         ],
     )
-    for summary in summaries:
+    for name, stats in summaries:
         line = ", ".join(
-            f"{ind}={summary.stats[ind].mean:.4g}±{summary.stats[ind].std:.4g}"
+            f"{ind}={stats[ind].mean:.4g}±{stats[ind].std:.4g}"
             for ind in ("ctm", "d", "etv1")
-            if ind in summary.stats
+            if ind in stats
         )
-        print(f"{summary.name}: {line}")
+        print(f"{name}: {line}")
 
     ri_rows = []
     for (ga, ra), (gb, rb) in itertools.combinations(zip(groups, reports), 2):
@@ -108,7 +109,7 @@ def main() -> int:
             fb = [indicator_value(r, indicator) for r in rb]
             ri = None
             if None not in fa + fb:
-                ri = pairwise_classify(fa, fb, label_a=ga.name, label_b=gb.name).ri
+                _, ri = pairwise_classify(fa, fb, label_a=ga.name, label_b=gb.name)
                 if indicator in ("ctm", "etv1"):
                     print(f"RI[{ga.name} vs {gb.name}, {indicator}] = {ri:.3f}")
             ri_rows.append((f"{ga.name}|{gb.name}", indicator, ri))

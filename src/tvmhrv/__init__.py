@@ -10,11 +10,9 @@ import logging
 from .analysis import (
     ALL_INDICATORS,
     RADIUS_INDICATORS,
-    GroupSummary,
     IndicatorParams,
     IndicatorReport,
     SummaryStats,
-    SweepTable,
     indicator_of,
     indicator_value,
     report,
@@ -23,7 +21,6 @@ from .analysis import (
     sweep_r,
 )
 from .cluster import (
-    ClusteringOutcome,
     KMeansResult,
     kmeans_1d,
     pairwise_classify,

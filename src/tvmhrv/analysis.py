@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -398,40 +398,28 @@ def indicator_value(rep: IndicatorReport | RadiusCounts, indicator: str) -> floa
     return rep.etv_quadrant[int(indicator[3:]) - 1]
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    """Group-mean indicator values over an ascending radius grid.
-
-    A row entry is None where no recording of that group produced a value at
-    that radius (e.g. D with no point inside r).
-    """
-
-    indicator: str
-    r_values: tuple[float, ...]
-    rows: Mapping[str, tuple[float | None, ...]]
-
-    def __post_init__(self):
-        if not self.r_values:
-            raise ValueError("r_values must be non-empty")
-        if any(b <= a for a, b in zip(self.r_values, self.r_values[1:])):
-            raise ValueError(f"r_values must be strictly ascending, got {self.r_values}")
-        if any(r <= 0 for r in self.r_values):
-            raise ValueError("r_values must be positive")
-
-
 def sweep_r(
     groups: Sequence[DatasetGroup],
     indicator: str,
     r_values: Sequence[float],
-) -> SweepTable:
-    """Mean indicator value per group at each radius; rows keyed by group name."""
+) -> dict[str, tuple[float | None, ...]]:
+    """Mean indicator value per group at each radius of an ascending grid.
+
+    The rows are keyed by group name, in name order, one entry per radius. An
+    entry is None where no recording of that group produced a value at that
+    radius (e.g. D with no point inside r).
+    """
+    r_values = tuple(float(r) for r in r_values)
+    if not r_values:
+        raise ValueError("r_values must be non-empty")
+    if any(b <= a for a, b in zip(r_values, r_values[1:])):
+        raise ValueError(f"r_values must be strictly ascending, got {r_values}")
     if indicator not in RADIUS_INDICATORS:
         raise ValueError(
             f"unknown radius indicator {indicator!r}; expected one of {RADIUS_INDICATORS}"
         )
     if not groups:
         raise EmptyInputError("need at least one dataset group")
-    r_values = tuple(float(r) for r in r_values)
 
     rows: dict[str, tuple[float | None, ...]] = {}
     for group in sorted(groups, key=lambda g: g.name):
@@ -446,7 +434,7 @@ def sweep_r(
             values = [v for v in at_r if v is not None]
             row.append(float(np.mean(values)) if values else None)
         rows[group.name] = tuple(row)
-    return SweepTable(indicator=indicator, r_values=r_values, rows=rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -462,12 +450,6 @@ class SummaryStats:
     q3: float
     maximum: float
     values: tuple[float, ...] = field(repr=False)
-
-
-@dataclass(frozen=True)
-class GroupSummary:
-    name: str
-    stats: Mapping[str, SummaryStats]
 
 
 def summarize(values: Sequence[float]) -> SummaryStats:
@@ -491,8 +473,8 @@ def summarize(values: Sequence[float]) -> SummaryStats:
     )
 
 
-def summarize_reports(name: str, reports: Sequence[IndicatorReport]) -> GroupSummary:
-    """Summarize every indicator across the reports of one group.
+def summarize_reports(name: str, reports: Sequence[IndicatorReport]) -> dict[str, SummaryStats]:
+    """Summarize every indicator across the reports of the group called name.
 
     The reports should share one IndicatorParams. They are taken in
     source_id order, so the result does not depend on the order they come
@@ -507,4 +489,4 @@ def summarize_reports(name: str, reports: Sequence[IndicatorReport]) -> GroupSum
         values = [v for rep in reports if (v := indicator_value(rep, indicator)) is not None]
         if values:
             stats[indicator] = summarize(values)
-    return GroupSummary(name=name, stats=stats)
+    return stats

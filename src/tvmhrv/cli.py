@@ -81,15 +81,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="ms",
         help="unit of the input intervals; a tag only, nothing converts it (default: ms)",
     )
-    parser.add_argument("--r-ctm", type=float, default=3.0, help="radius for CTM/CCTM (default: 3)")
-    parser.add_argument("--r-d", type=float, default=6.0, help="radius for D (default: 6)")
-    parser.add_argument(
-        "--divisions",
-        type=parse_divisions,
-        default=(10, 10, 10),
-        metavar="NX,NY,NZ",
-        help="subspace divisions per axis (default: 10,10,10)",
-    )
     parser.add_argument(
         "--segment-len",
         type=parse_segment_len,
@@ -136,6 +127,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--indicator", choices=ALL_INDICATORS, default="ctm")
     _add_common(p_cls)
 
+    # sweep takes its radii from --r-grid and computes no E_TV.
+    for p in (p_ind, p_pts, p_cls):
+        p.add_argument("--r-ctm", type=float, default=3.0, help="radius for CTM/CCTM (default: 3)")
+        p.add_argument("--r-d", type=float, default=6.0, help="radius for D (default: 6)")
+        p.add_argument(
+            "--divisions",
+            type=parse_divisions,
+            default=(10, 10, 10),
+            metavar="NX,NY,NZ",
+            help="subspace divisions per axis (default: 10,10,10)",
+        )
     return parser
 
 
@@ -285,21 +287,21 @@ def cmd_points(args) -> int:
 
 def cmd_sweep(args) -> int:
     groups = load_groups(args.inputs, args.segment_len)
-    table = sweep_r(groups, args.indicator, args.r_grid)
+    rows = sweep_r(groups, args.indicator, args.r_grid)
     if args.format == "csv":
         write_csv(
             args.out,
             ["dataset", "r", "mean"],
             (
                 (name, r, value)
-                for name, row in table.rows.items()
-                for r, value in zip(table.r_values, row)
+                for name, row in rows.items()
+                for r, value in zip(args.r_grid, row)
             ),
         )
     else:
         write_json(
             args.out,
-            {"indicator": table.indicator, "r_values": table.r_values, "rows": dict(table.rows)},
+            {"indicator": args.indicator, "r_values": args.r_grid, "rows": rows},
         )
     return 0
 
@@ -314,23 +316,23 @@ def cmd_classify(args) -> int:
             "an empty quadrant's %s is clustered as 0 in %d recordings (%s)",
             args.indicator, len(empty), _some(empty),
         )
-    outcome = pairwise_classify(features_a, features_b, label_a=name_a, label_b=name_b)
-    if not outcome.converged:
+    result, ri = pairwise_classify(features_a, features_b, label_a=name_a, label_b=name_b)
+    if not result.converged:
         log.warning(
             "k-means stopped after %d iterations with the assignments still changing",
-            outcome.iterations,
+            result.iterations,
         )
     if args.format == "csv":
         pair = f"{name_a}|{name_b}"
-        write_csv(args.out, ["pair", "indicator", "ri"], [(pair, args.indicator, outcome.ri)])
+        write_csv(args.out, ["pair", "indicator", "ri"], [(pair, args.indicator, ri)])
     else:
         payload = {
             "pair": [name_a, name_b],
             "indicator": args.indicator,
-            "ri": outcome.ri,
-            "centroids": outcome.centroids,
-            "iterations": outcome.iterations,
-            "assignments": outcome.assignments,
+            "ri": ri,
+            "centroids": result.centroids,
+            "iterations": result.iterations,
+            "assignments": result.assignments,
         }
         write_json(args.out, payload)
     return 0

@@ -10,8 +10,8 @@ lower centroid, and there is no randomness anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from statistics import fmean
 from typing import Sequence
 
 from .errors import DistinctValuesError, EmptyInputError
@@ -25,15 +25,6 @@ class KMeansResult:
     centroids: tuple[float, ...]
     iterations: int
     converged: bool  # False if the assignments still changed at MAX_ITERATIONS
-
-
-@dataclass(frozen=True)
-class ClusteringOutcome:
-    assignments: tuple[int, ...]
-    centroids: tuple[float, float]
-    ri: float
-    iterations: int
-    converged: bool
 
 
 def _assign(values: Sequence[float], centroids: Sequence[float]) -> tuple[int, ...]:
@@ -64,7 +55,7 @@ def kmeans_1d(values: Sequence[float]) -> KMeansResult:
         for j in range(2):
             members = [v for v, a in zip(values, assignments) if a == j]
             # An empty cluster keeps its previous centroid.
-            new_centroids.append(fmean(members) if members else centroids[j])
+            new_centroids.append(math.fsum(members) / len(members) if members else centroids[j])
         new_centroids.sort()
         new_assignments = _assign(values, new_centroids)
         centroids = new_centroids
@@ -100,18 +91,12 @@ def pairwise_classify(
     features_b: Sequence[float],
     label_a: str = "a",
     label_b: str = "b",
-) -> ClusteringOutcome:
-    """Concatenate two groups' features, cluster, and score against the truth."""
+) -> tuple[KMeansResult, float]:
+    """Cluster features_a followed by features_b; the k-means result and its RI."""
     if not features_a or not features_b:
         raise EmptyInputError("both groups must contribute at least one feature")
     if label_a == label_b:
         raise ValueError(f"group labels must differ, both are {label_a!r}")
     result = kmeans_1d([*features_a, *features_b])
     truth = [label_a] * len(features_a) + [label_b] * len(features_b)
-    return ClusteringOutcome(
-        assignments=result.assignments,
-        centroids=(result.centroids[0], result.centroids[1]),
-        ri=rand_accuracy(result.assignments, truth),
-        iterations=result.iterations,
-        converged=result.converged,
-    )
+    return result, rand_accuracy(result.assignments, truth)

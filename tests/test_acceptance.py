@@ -196,12 +196,12 @@ def test_criterion_4_classification_harness():
         # Group means 0 and 15, within-group std 1: separation >= 10 stds.
         group_a = [rng.gauss(0.0, 1.0) for _ in range(40)]
         group_b = [rng.gauss(15.0, 1.0) for _ in range(40)]
-        assert pairwise_classify(group_a, group_b).ri == 1.0
+        assert pairwise_classify(group_a, group_b)[1] == 1.0
 
         # Hand-run Lloyd: centroids start (0, 10), split (0,1,0,1) is stable,
         # and both label bijections score 2/4.
-        adversarial = pairwise_classify([0.0, 10.0], [0.0, 10.0])
-        assert adversarial.ri == 0.5
+        _, adversarial_ri = pairwise_classify([0.0, 10.0], [0.0, 10.0])
+        assert adversarial_ri == 0.5
         assert time.perf_counter() - started < 1.0
 
 
@@ -258,6 +258,28 @@ NSR2DB_DIR = os.environ.get("TVMHRV_NSR2DB_DIR")
 CUDB_DIR = os.environ.get("TVMHRV_CUDB_DIR")
 
 
+def _reproduction(dir_a, dir_b, segment_len=None):
+    """The CTM means of two dataset directories and the RI of quadrant-I E_TV between them."""
+    params = IndicatorParams(r_ctm=3.0, r_d=6.0)
+    group_a, group_b = load_groups([dir_a, dir_b], segment_len=segment_len)
+    reports_a = [report(rec, params) for rec in group_a.recordings]
+    reports_b = [report(rec, params) for rec in group_b.recordings]
+    ctm_a = summarize_reports(group_a.name, reports_a)["ctm"].mean
+    ctm_b = summarize_reports(group_b.name, reports_b)["ctm"].mean
+    _, ri = pairwise_classify(
+        [indicator_value(rep, "etv1") for rep in reports_a],
+        [indicator_value(rep, "etv1") for rep in reports_b],
+    )
+    return ctm_a, ctm_b, ri
+
+
+def test_criterion_6_protocol_runs_on_the_fixture_corpus(corpus_dir):
+    """The data criterion's protocol, on data that is always present."""
+    ctm_steady, ctm_erratic, ri = _reproduction(corpus_dir / "steady", corpus_dir / "erratic")
+    assert math.isfinite(ctm_steady) and math.isfinite(ctm_erratic)
+    assert 0.5 <= ri <= 1.0
+
+
 @pytest.mark.skipif(
     not (NSR2DB_DIR and CUDB_DIR),
     reason="best-effort data criterion; set TVMHRV_NSR2DB_DIR and TVMHRV_CUDB_DIR "
@@ -271,19 +293,9 @@ def test_criterion_6_physionet_reproduction():
     """
     with criterion(6, "data reproduction"):
         segment_len = os.environ.get("TVMHRV_SEGMENT_LEN")
-        params = IndicatorParams(r_ctm=3.0, r_d=6.0)
-
-        nsr, cu = load_groups(
-            [NSR2DB_DIR, CUDB_DIR], segment_len=int(segment_len) if segment_len else None
+        nsr_ctm, cu_ctm, ri = _reproduction(
+            NSR2DB_DIR, CUDB_DIR, segment_len=int(segment_len) if segment_len else None
         )
-        nsr_reports = [report(rec, params) for rec in nsr.recordings]
-        cu_reports = [report(rec, params) for rec in cu.recordings]
-        nsr_ctm = summarize_reports(nsr.name, nsr_reports).stats["ctm"].mean
-        cu_ctm = summarize_reports(cu.name, cu_reports).stats["ctm"].mean
         assert abs(nsr_ctm - 0.93) <= 0.10, f"nsr2db CTM mean {nsr_ctm}"
         assert abs(cu_ctm - 0.39) <= 0.10, f"cudb CTM mean {cu_ctm}"
-
-        nsr_etv1 = [indicator_value(rep, "etv1") for rep in nsr_reports]
-        cu_etv1 = [indicator_value(rep, "etv1") for rep in cu_reports]
-        outcome = pairwise_classify(nsr_etv1, cu_etv1, label_a="nsr2db", label_b="cudb")
-        assert outcome.ri >= 0.9, f"quadrant-I E_TV RI {outcome.ri}"
+        assert ri >= 0.9, f"quadrant-I E_TV RI {ri}"

@@ -18,7 +18,6 @@ from tvmhrv import (
     EmptyInputError,
     IndicatorParams,
     RRSeries,
-    SweepTable,
     indicator_of,
     indicator_value,
     report,
@@ -138,8 +137,8 @@ class TestParams:
 class TestSweep:
     def test_single_recording_equals_report(self):
         group = DatasetGroup(name="solo", recordings=(FIVE,))
-        table = sweep_r([group], "ctm", [3.0])
-        assert table.rows["solo"] == (report(FIVE, IndicatorParams(r_ctm=3.0)).ctm,)
+        rows = sweep_r([group], "ctm", [3.0])
+        assert rows["solo"] == (report(FIVE, IndicatorParams(r_ctm=3.0)).ctm,)
 
     @given(
         st.lists(st.floats(min_value=300.0, max_value=1500.0), min_size=3, max_size=40),
@@ -151,7 +150,7 @@ class TestSweep:
         rep = report(series, IndicatorParams(r_ctm=r, r_d=r))
         group = DatasetGroup(name="solo", recordings=(series,))
         for indicator in RADIUS_INDICATORS:
-            (swept,) = sweep_r([group], indicator, [r]).rows["solo"]
+            (swept,) = sweep_r([group], indicator, [r])["solo"]
             assert swept == indicator_value(rep, indicator), indicator
 
     def test_ctm_rows_non_decreasing(self):
@@ -159,28 +158,28 @@ class TestSweep:
             DatasetGroup(name="a", recordings=(RRSeries(jittery(1)),)),
             DatasetGroup(name="b", recordings=(RRSeries(jittery(2, spread=5.0)),)),
         ]
-        table = sweep_r(groups, "ctm", [0.5, 1.0, 2.0, 5.0, 20.0, 100.0])
-        for row in table.rows.values():
+        rows = sweep_r(groups, "ctm", [0.5, 1.0, 2.0, 5.0, 20.0, 100.0])
+        for row in rows.values():
             assert list(row) == sorted(row)
 
     def test_constant_dataset_is_all_ones(self):
         group = DatasetGroup(name="flat", recordings=(CONSTANT, CONSTANT))
-        table = sweep_r([group], "ctm", [0.5, 1.0, 3.0])
-        assert table.rows["flat"] == (1.0, 1.0, 1.0)
+        rows = sweep_r([group], "ctm", [0.5, 1.0, 3.0])
+        assert rows["flat"] == (1.0, 1.0, 1.0)
 
     def test_d_absent_entries_do_not_abort(self):
         group = DatasetGroup(name="far", recordings=(FIVE,))
-        table = sweep_r([group], "d", [1.0, 30.0])
-        assert table.rows["far"][0] is None
-        assert table.rows["far"][1] == pytest.approx(21.796145384105944, abs=1e-9)
+        rows = sweep_r([group], "d", [1.0, 30.0])
+        assert rows["far"][0] is None
+        assert rows["far"][1] == pytest.approx(21.796145384105944, abs=1e-9)
 
     def test_rows_ordered_by_dataset_name(self):
         groups = [
             DatasetGroup(name="zeta", recordings=(CONSTANT,)),
             DatasetGroup(name="alpha", recordings=(CONSTANT,)),
         ]
-        table = sweep_r(groups, "ctm", [1.0])
-        assert list(table.rows) == ["alpha", "zeta"]
+        rows = sweep_r(groups, "ctm", [1.0])
+        assert list(rows) == ["alpha", "zeta"]
 
     def test_unknown_indicator_rejected(self):
         with pytest.raises(ValueError):
@@ -191,10 +190,23 @@ class TestSweep:
             sweep_r([], "ctm", [1.0])
 
     def test_table_validates_ascending_radii(self):
-        with pytest.raises(ValueError):
-            SweepTable(indicator="ctm", r_values=(2.0, 1.0), rows={})
-        with pytest.raises(ValueError):
-            SweepTable(indicator="ctm", r_values=(), rows={})
+        group = DatasetGroup(name="a", recordings=(FIVE,))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            sweep_r([group], "ctm", [2.0, 1.0])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            sweep_r([group], "ctm", [1.0, 1.0])
+        with pytest.raises(ValueError, match="non-empty"):
+            sweep_r([group], "ctm", [])
+
+    @pytest.mark.parametrize("grid", [[2.0, 1.0], []])
+    def test_bad_grid_rejected_before_any_census(self, grid, monkeypatch):
+        def census(*args):
+            raise AssertionError("radius_census ran before the grid was checked")
+
+        monkeypatch.setattr(analysis, "radius_census", census)
+        group = DatasetGroup(name="a", recordings=(FIVE,))
+        with pytest.raises(ValueError, match="r_values must be"):
+            sweep_r([group], "ctm", grid)
 
 
 class TestSummarize:
@@ -238,7 +250,7 @@ class TestAggregate:
     def test_identical_recordings_zero_std(self):
         group = DatasetGroup(name="same", recordings=(CONSTANT, CONSTANT, CONSTANT))
         summary = summarize_group(group)
-        for stats in summary.stats.values():
+        for stats in summary.values():
             assert stats.std == 0.0
             assert stats.n == 3
 
@@ -250,21 +262,21 @@ class TestAggregate:
         params = IndicatorParams(r_ctm=30.0, r_d=60.0)
         summary = summarize_group(DatasetGroup(name="pair", recordings=recs), params)
         values = [report(rec, params).ctm for rec in recs]
-        assert summary.stats["ctm"].mean == pytest.approx(sum(values) / 2, abs=1e-15)
-        assert summary.stats["ctm"].values == tuple(values)
+        assert summary["ctm"].mean == pytest.approx(sum(values) / 2, abs=1e-15)
+        assert summary["ctm"].values == tuple(values)
 
     def test_d_omitted_when_never_defined(self):
         group = DatasetGroup(name="far", recordings=(FIVE,))
         summary = summarize_group(group, IndicatorParams(r_ctm=3.0, r_d=1.0))
-        assert "d" not in summary.stats
-        assert "ctm" in summary.stats
+        assert "d" not in summary
+        assert "ctm" in summary
 
     def test_order_independence(self):
         r1 = RRSeries(jittery(5), source_id="a")
         r2 = RRSeries(jittery(6), source_id="b")
         s1 = summarize_group(DatasetGroup(name="g", recordings=(r1, r2)))
         s2 = summarize_group(DatasetGroup(name="g", recordings=(r2, r1)))
-        assert s1.stats == s2.stats
+        assert s1 == s2
 
     def test_empty_group_rejected(self):
         with pytest.raises(EmptyInputError):

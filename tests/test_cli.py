@@ -413,6 +413,15 @@ class TestSweep:
         assert info.value.code == 2
         assert f"start, stop and step must be finite: {grid!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--r-ctm", "3"], ["--r-d", "6"], ["--divisions", "2,2,2"]])
+    def test_indicator_parameters_are_a_usage_error(self, two_groups, flag, capsys):
+        # The radii come from --r-grid and no E_TV is computed, so these would do nothing.
+        a, b = two_groups
+        with pytest.raises(SystemExit) as info:
+            run(["sweep", a, b, *flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_file_argument_rejected(self, two_groups, capsys):
         a, _ = two_groups
         assert run(["sweep", a / "r0.txt"]) == 1

@@ -58,7 +58,7 @@ class TestKMeans:
         monkeypatch.setattr(cluster, "MAX_ITERATIONS", 1)
         result = kmeans_1d(values)
         assert (result.iterations, result.converged) == (1, False)
-        assert pairwise_classify(values[:2], values[2:]).converged is False
+        assert pairwise_classify(values[:2], values[2:])[0].converged is False
 
     def test_tie_breaks_to_lower_centroid(self):
         # 5 is equidistant from both centroids; it must join cluster 0.
@@ -102,11 +102,11 @@ class TestRandAccuracy:
 
 class TestPairwiseClassify:
     def test_clear_separation(self):
-        outcome = pairwise_classify(
+        result, ri = pairwise_classify(
             [99.0, 100.0, 101.0], [0.9, 1.0, 1.1], label_a="big", label_b="small"
         )
-        assert outcome.ri == 1.0
-        assert outcome.centroids[0] < outcome.centroids[1]
+        assert ri == 1.0
+        assert result.centroids[0] < result.centroids[1]
 
     def test_identical_single_values_rejected(self):
         with pytest.raises(DistinctValuesError):
@@ -115,23 +115,23 @@ class TestPairwiseClassify:
     def test_adversarial_interleaving_scores_half(self):
         # Both groups contribute the same two extremes, so the Lloyd split
         # cuts across the truth and both bijections get exactly half right.
-        outcome = pairwise_classify([0.0, 10.0], [0.0, 10.0])
-        assert outcome.ri == 0.5
+        _, ri = pairwise_classify([0.0, 10.0], [0.0, 10.0])
+        assert ri == 0.5
 
     def test_overlapping_features_score_at_least_half(self):
-        outcome = pairwise_classify([1.0, 3.0, 5.0], [2.0, 4.0, 6.0])
-        assert outcome.ri >= 0.5
+        _, ri = pairwise_classify([1.0, 3.0, 5.0], [2.0, 4.0, 6.0])
+        assert ri >= 0.5
 
     def test_empty_group_rejected(self):
         with pytest.raises(EmptyInputError):
             pairwise_classify([], [1.0, 2.0])
 
     def test_assignments_follow_the_concatenated_features(self):
-        outcome = pairwise_classify([1.0, 2.0], [8.0, 9.0], label_a="A", label_b="B")
-        assert outcome.ri == 1.0
-        assert outcome.assignments == (0, 0, 1, 1)
-        assert outcome.centroids == (1.5, 8.5)
-        assert outcome.iterations == 1
+        result, ri = pairwise_classify([1.0, 2.0], [8.0, 9.0], label_a="A", label_b="B")
+        assert ri == 1.0
+        assert result.assignments == (0, 0, 1, 1)
+        assert result.centroids == (1.5, 8.5)
+        assert result.iterations == 1
 
     def test_equal_labels_rejected(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tvmhrv import ALL_INDICATORS, load_dataset_group, report, summarize_reports
 from tvmhrv.analysis import format_value
 
@@ -57,12 +59,25 @@ def test_reproduce_tables_outputs(corpus_dir, tmp_path):
     for directory in (steady, erratic):
         group = load_dataset_group(directory)
         summary = summarize_reports(group.name, [report(rec) for rec in group.recordings])
-        for indicator, s in summary.stats.items():
+        for indicator, s in summary.items():
             stats = (s.mean, s.std, s.minimum, s.q1, s.median, s.q3, s.maximum)
-            expected.append([summary.name, indicator, str(s.n)] + [format_value(v) for v in stats])
+            expected.append([group.name, indicator, str(s.n)] + [format_value(v) for v in stats])
     assert read_csv(out / "summary.csv") == expected
 
     ri_rows = read_csv(out / "ri_matrix.csv")
     assert ri_rows[0] == ["pair", "indicator", "ri"]
     assert [row[1] for row in ri_rows[1:]] == list(ALL_INDICATORS)
     assert {row[0] for row in ri_rows[1:]} == {"steady|erratic"}
+
+
+@pytest.mark.parametrize("length", ["2", "0"])
+def test_reproduce_tables_segment_len_below_three_is_a_usage_error(corpus_dir, tmp_path, length):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reproduce_tables.py"), corpus_dir / "steady",
+         "--out", tmp_path / "tables", "--segment-len", length],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2, done.stderr
+    assert f"segment length must be >= 3, got {length}" in done.stderr
+    assert "Traceback" not in done.stderr
