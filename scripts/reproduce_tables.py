@@ -28,6 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from tvmhrv import (
     ALL_INDICATORS,
     IndicatorParams,
+    TvmhrvError,
     indicator_value,
     load_groups,
     pairwise_classify,
@@ -35,14 +36,15 @@ from tvmhrv import (
     summarize_reports,
 )
 from tvmhrv.analysis import write_csv, write_json
-from tvmhrv.cli import parse_divisions, parse_segment_len
+from tvmhrv.cli import parse_divisions, parse_radius, parse_segment_len
+from tvmhrv.series import check_group_names
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("datasets", nargs="+", type=Path, help="dataset directories")
     parser.add_argument("--out", type=Path, default=Path("out/tables"))
-    parser.add_argument("--r-ctm", type=float, default=3.0)
-    parser.add_argument("--r-d", type=float, default=6.0)
+    parser.add_argument("--r-ctm", type=parse_radius, default=3.0)
+    parser.add_argument("--r-d", type=parse_radius, default=6.0)
     parser.add_argument("--divisions", type=parse_divisions, default=(10, 10, 10))
     parser.add_argument("--segment-len", type=parse_segment_len, default=None)
     parser.add_argument(
@@ -53,6 +55,10 @@ def main() -> int:
         help="indicators to cluster on (default: all)",
     )
     args = parser.parse_args()
+    try:
+        check_group_names(args.datasets)
+    except TvmhrvError as exc:
+        parser.error(str(exc))
 
     params = IndicatorParams(r_ctm=args.r_ctm, r_d=args.r_d, divisions=args.divisions)
     groups = load_groups(args.datasets, args.segment_len)

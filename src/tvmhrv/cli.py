@@ -28,7 +28,7 @@ from .analysis import (
 )
 from .cluster import pairwise_classify
 from .errors import TvmhrvError
-from .series import RRSeries, input_files, load_groups
+from .series import RRSeries, check_group_names, input_files, load_groups
 from .sodp import Quadrant, second_order_diff
 from .tvm import build_tvm_points
 
@@ -47,7 +47,19 @@ def parse_divisions(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(f"divisions must be integers: {text!r}") from None
     if min(nx, ny, nz) < 1:
         raise argparse.ArgumentTypeError("divisions must be >= 1")
+    if nx * ny * nz >= 2**63:
+        raise argparse.ArgumentTypeError(f"divisions must give fewer than 2**63 cells: {text!r}")
     return (nx, ny, nz)
+
+
+def parse_radius(text: str) -> float:
+    try:
+        r = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(r):
+        raise argparse.ArgumentTypeError(f"radius must be finite, got {text!r}")
+    return r
 
 
 def parse_r_grid(text: str) -> tuple[float, ...]:
@@ -129,8 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     # sweep takes its radii from --r-grid and computes no E_TV.
     for p in (p_ind, p_pts, p_cls):
-        p.add_argument("--r-ctm", type=float, default=3.0, help="radius for CTM/CCTM (default: 3)")
-        p.add_argument("--r-d", type=float, default=6.0, help="radius for D (default: 6)")
+        p.add_argument(
+            "--r-ctm", type=parse_radius, default=3.0, help="radius for CTM/CCTM (default: 3)"
+        )
+        p.add_argument("--r-d", type=parse_radius, default=6.0, help="radius for D (default: 6)")
         p.add_argument(
             "--divisions",
             type=parse_divisions,
@@ -286,6 +300,7 @@ def cmd_points(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    check_group_names(args.inputs)
     groups = load_groups(args.inputs, args.segment_len)
     rows = sweep_r(groups, args.indicator, args.r_grid)
     if args.format == "csv":
@@ -308,6 +323,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_classify(args) -> int:
     params = _params(args)
+    check_group_names([args.group_a, args.group_b])
     empty = []
     name_a, features_a = _group_features(args.group_a, args, params, empty)
     name_b, features_b = _group_features(args.group_b, args, params, empty)

@@ -3,24 +3,24 @@
 Accepted on-disk format is UTF-8 text (a leading byte-order mark is
 skipped) holding numbers separated by commas and/or ASCII whitespace: one
 interval per line, or a CSV row/column. A number is ASCII decimal text, as
-float() reads it but with no '_'. Blank lines and lines starting with '#'
-are skipped; only those comments may hold non-ASCII text. Values are
-taken in whatever unit the file holds them; nothing converts them.
+float() reads it but with no '_'. Blank lines and comment lines (whose
+first non-blank character is '#') are skipped; only comments may hold
+non-ASCII text. Values are taken in whatever unit the file holds them;
+nothing converts them.
 
-A file is parsed in blocks of BLOCK_CHARS characters straight into one
-float64 array. The line scanner `_read_rr_file` is the specification: it
-reads a file that holds a comment, and names the line of the first bad
-value when the block parser finds one.
+A file is read once, in blocks of BLOCK_CHARS characters each carried on to
+the next line end. A block's comment lines are blanked, and its numbers are
+parsed straight into float64 values. Only a block that fails a check is
+walked line by line, to name the line of its first bad value.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import re
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
     RRParseError,
     RRValidationError,
     TooShortSeriesError,
+    TvmhrvError,
 )
 
 RR_EXTENSIONS = (".txt", ".csv")
@@ -43,6 +44,8 @@ MAX_INTERVAL = 1e150
 BLOCK_CHARS = 1 << 16
 
 _ASCII_SEPARATORS = re.compile(r"[\s,]+", re.ASCII)
+# A line whose first non-blank character is '#', up to its line end.
+_COMMENT_LINE = re.compile(r"^[^\S\n]*#.*", re.MULTILINE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,93 +101,63 @@ class DatasetGroup:
         return len(self.recordings)
 
 
-def _tokens(line: str) -> list[str]:
-    """A line's tokens. Only commas and ASCII whitespace separate them, so a
-    non-ASCII space stays in its token and makes that token a bad one."""
-    if line.isascii():
-        return line.replace(",", " ").split()
-    return [token for token in _ASCII_SEPARATORS.split(line) if token]
-
-
-def _read_rr_file(path: Path) -> list[float]:
-    """The values of an RR file, scanned line by line; slow, but it names lines."""
-    values: list[float] = []
-    with path.open(encoding="utf-8-sig") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if line.lstrip().startswith("#"):
+def _bad_value(path: Path, block: str, first_line: int) -> RRParseError | RRValidationError:
+    """The error for the first bad token of a block that failed its checks,
+    naming its line; first_line is the number of the block's first line."""
+    for lineno, line in enumerate(block.split("\n"), start=first_line):
+        # Only commas and ASCII whitespace separate tokens, so a non-ASCII
+        # space stays in its token and makes that token a bad one.
+        if line.isascii():
+            tokens = line.replace(",", " ").split()
+        else:
+            tokens = filter(None, _ASCII_SEPARATORS.split(line))
+        for token in tokens:
+            try:
+                if "_" in token or not token.isascii():
+                    raise ValueError  # float() would take them
+                if 0.0 < float(token) <= MAX_INTERVAL:
                     continue
-                for token in _tokens(line):
-                    try:
-                        if "_" in token or not token.isascii():
-                            raise ValueError  # float() would take them
-                        value = float(token)
-                    except ValueError:
-                        raise RRParseError(
-                            f"{path}: line {lineno}: cannot parse {token!r} as a number",
-                            path=path,
-                            line=lineno,
-                        ) from None
-                    if not 0.0 < value <= MAX_INTERVAL:
-                        raise RRValidationError(
-                            f"{path}: line {lineno}: interval {token!r} must be > 0 "
-                            f"and <= {MAX_INTERVAL:g}",
-                            path=path,
-                            line=lineno,
-                        )
-                    values.append(value)
-        except UnicodeDecodeError as exc:
-            raise RRParseError(f"{path}: not UTF-8 text ({exc.reason})", path=path) from None
-    return values
-
-
-def _token_blocks(fh: TextIO) -> Iterator[list[str]]:
-    """The tokens of fh's text, one list per block of BLOCK_CHARS characters.
-
-    A token cut by the end of a block is carried into the next list. A token
-    longer than a block raises ValueError, as carrying it on would make the
-    parse quadratic, and so does a block holding '_' or a non-ASCII
-    character, which float() would take in a number.
-    """
-    head = ""  # the start of a token cut by the end of the last block
-    while block := fh.read(BLOCK_CHARS):
-        if not block.isascii() or "_" in block:
-            raise ValueError("text outside the number grammar")
-        if len(head) > BLOCK_CHARS:
-            raise ValueError("a token longer than a block")
-        text = head + block
-        tokens = text.replace(",", " ").split()
-        head = tokens.pop() if tokens and not (text[-1].isspace() or text[-1] == ",") else ""
-        yield tokens
-    if head:
-        yield [head]
+                error = RRValidationError
+                problem = f"interval {token!r} must be > 0 and <= {MAX_INTERVAL:g}"
+            except ValueError:
+                error, problem = RRParseError, f"cannot parse {token!r} as a number"
+            return error(f"{path}: line {lineno}: {problem}", path=path, line=lineno)
 
 
 def load_rr_series(path) -> RRSeries:
     """Load one RR recording from a text file; source_id is the file stem."""
     path = Path(path)
+    arrays = []  # one per block
+    lineno = 1  # the number of the current block's first line
     with path.open(encoding="utf-8-sig") as fh:
-        tokens = itertools.chain.from_iterable(_token_blocks(fh))
         try:
-            values = np.fromiter(map(float, tokens), np.float64)
-        except ValueError:
-            # A token float rejects (a comment's '#' is one), text that is not
-            # UTF-8 (UnicodeDecodeError is a ValueError) or a token too long.
-            values = None
-    if values is None or not ((values > 0.0) & (values <= MAX_INTERVAL)).all():
-        # The line scanner skips comments, and names the file and line of a bad value.
-        values = _read_rr_file(path)
-    if len(values) < 3:
-        raise TooShortSeriesError(
-            f"{path}: found {len(values)} intervals; need at least 3"
-        )
-    return RRSeries(intervals=values, source_id=path.stem, _owned=True)
+            # A block ends on a line end, so no token or comment is cut.
+            while block := fh.read(BLOCK_CHARS) + fh.readline():
+                if "#" in block:
+                    block = _COMMENT_LINE.sub("", block)
+                try:
+                    if not block.isascii() or "_" in block:
+                        raise ValueError  # float() would take them in a number
+                    values = np.fromiter(map(float, block.replace(",", " ").split()), np.float64)
+                    if not ((values > 0.0) & (values <= MAX_INTERVAL)).all():
+                        raise ValueError
+                except ValueError:
+                    raise _bad_value(path, block, lineno) from None
+                arrays.append(values)
+                lineno += block.count("\n")
+        except UnicodeDecodeError as exc:
+            raise RRParseError(f"{path}: not UTF-8 text ({exc.reason})", path=path) from None
+    n = sum(map(len, arrays))
+    if n < 3:
+        raise TooShortSeriesError(f"{path}: found {n} intervals; need at least 3")
+    return RRSeries(intervals=np.concatenate(arrays), source_id=path.stem, _owned=True)
 
 
 def input_files(path: Path, allow_files: bool = False) -> list[Path]:
     """The recording files one input names, sorted by name.
 
-    A directory names its .txt/.csv files. A file names itself when
+    A directory names the regular .txt/.csv files in it (a subdirectory is
+    not one, whatever its name). A file names itself when
     allow_files is set and is rejected as not a directory otherwise.
     """
     if not path.is_dir():
@@ -192,12 +165,30 @@ def input_files(path: Path, allow_files: bool = False) -> list[Path]:
             return [path]
         raise NotADirectoryError(f"{path} is not a directory")
     files = sorted(
-        (p for p in path.iterdir() if p.suffix.lower() in RR_EXTENSIONS),
+        (p for p in path.iterdir() if p.suffix.lower() in RR_EXTENSIONS and p.is_file()),
         key=lambda p: p.name,
     )
     if not files:
         raise EmptyDirectoryError(f"{path}: no .txt or .csv recordings found")
     return files
+
+
+def _group_name(path: Path) -> str:
+    return path.name if path.is_dir() else path.stem
+
+
+def check_group_names(paths: Iterable) -> None:
+    """Raise TvmhrvError, naming both paths, if two paths give one group name.
+
+    Group names key the output of sweep and classify. Only the kind of each
+    path is looked at; no file is read.
+    """
+    seen: dict[str, Path] = {}
+    for path in map(Path, paths):
+        name = _group_name(path)
+        if name in seen:
+            raise TvmhrvError(f"inputs {seen[name]} and {path} are both named {name!r}")
+        seen[name] = path
 
 
 def load_dataset_group(directory) -> DatasetGroup:
@@ -239,8 +230,7 @@ def load_groups(
                         file, tail, len(rec), segment_len,
                     )
         recordings.sort(key=lambda s: s.source_id)
-        name = path.name if path.is_dir() else path.stem
-        groups.append(DatasetGroup(name=name, recordings=tuple(recordings)))
+        groups.append(DatasetGroup(name=_group_name(path), recordings=tuple(recordings)))
     return groups
 
 

@@ -6,6 +6,48 @@ sides cannot share a bug. Pure Python + math only; plain loops everywhere.
 """
 
 import math
+import re
+
+# The largest interval a recording may hold.
+MAX_INTERVAL = 1e150
+
+ASCII_SEPARATORS = re.compile(r"[\s,]+", re.ASCII)
+
+
+def reference_rr_file(path):
+    """Scan an RR text file line by line, as the input format specifies.
+
+    Returns (values, None), or (None, fault) for the first fault met:
+    ("utf8", None, the decoder's reason) for text that is not UTF-8, or
+    ("parse", line, token) / ("range", line, token) for a token that is not a
+    number / a number outside (0, MAX_INTERVAL]. Lines starting with '#' after
+    any whitespace are comments.
+    """
+    values = []
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.lstrip().startswith("#"):
+                    continue
+                # Only commas and ASCII whitespace separate tokens.
+                if line.isascii():
+                    tokens = line.replace(",", " ").split()
+                else:
+                    tokens = [t for t in ASCII_SEPARATORS.split(line) if t]
+                for token in tokens:
+                    # float() takes '_' and non-ASCII digits; a number may hold neither.
+                    if "_" in token or not token.isascii():
+                        return None, ("parse", lineno, token)
+                    try:
+                        value = float(token)
+                    except ValueError:
+                        return None, ("parse", lineno, token)
+                    if not 0.0 < value <= MAX_INTERVAL:
+                        return None, ("range", lineno, token)
+                    values.append(value)
+        except UnicodeDecodeError as exc:
+            return None, ("utf8", None, exc.reason)
+    return values, None
 
 
 def reference_sodp(intervals):

@@ -27,6 +27,25 @@ def read_csv(path: Path):
 
 
 @pytest.fixture
+def same_named_groups(tmp_path):
+    """a/data and b/data; a/data holds a file that does not parse, so an error
+    that does not name it was raised before any file was read."""
+    paths = []
+    for parent, base in (("a", 800), ("b", 600)):
+        ddir = tmp_path / parent / "data"
+        ddir.mkdir(parents=True)
+        for k in range(3):
+            write_series(ddir / f"{parent}{k}.txt", [base + (i % 3) * (k + 1) for i in range(9)])
+        paths.append(ddir)
+    (paths[0] / "bad.txt").write_text("800\noops\n790\n")
+    return paths
+
+
+def assert_repeated_name_error(capsys, a, b):
+    assert capsys.readouterr().err == f"tvmhrv: error: inputs {a} and {b} are both named 'data'\n"
+
+
+@pytest.fixture
 def rr_file(tmp_path):
     return write_series(tmp_path / "rec.txt", [800, 810, 790, 805, 795])
 
@@ -39,6 +58,31 @@ class TestParsers:
     def test_divisions_rejects(self, bad):
         with pytest.raises(Exception):
             parse_divisions(bad)
+
+    def test_divisions_below_a_64_bit_cell_count(self, rr_file, tmp_path, capsys):
+        # 2097152**3 == 2**63: one cell more than a signed 64-bit index counts.
+        assert run(["indicators", rr_file, "--divisions", "2097151,2097151,2097151",
+                    "--out", tmp_path / "r.csv"]) == 0
+        for text in ("2097152,2097152,2097152", "10000000,10000000,10000000", f"1,1,{2**63}"):
+            with pytest.raises(SystemExit) as info:
+                run(["indicators", rr_file, "--divisions", text])
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"divisions must give fewer than 2**63 cells: {text!r}" in err
+
+    @pytest.mark.parametrize("flag", ["--r-ctm", "--r-d"])
+    @pytest.mark.parametrize("text", ["inf", "nan", "1e400", "-Infinity"])
+    def test_non_finite_radius_is_a_usage_error(self, rr_file, flag, text, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["indicators", rr_file, f"{flag}={text}"])
+        assert info.value.code == 2
+        assert f"argument {flag}: radius must be finite, got {text!r}" in capsys.readouterr().err
+
+    def test_radius_must_be_a_number(self, rr_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["indicators", rr_file, "--r-d", "six"])
+        assert info.value.code == 2
+        assert "argument --r-d: expected a number, got 'six'" in capsys.readouterr().err
 
     def test_r_grid_includes_endpoint(self):
         grid = parse_r_grid("0.5:10:0.5")
@@ -125,6 +169,23 @@ class TestIndicators:
             ) + empty.format("4 recordings (long#000, long#001, long#002, ...)")
         assert run(["indicators", path, "--segment-len", "11", "--out", tmp_path / "r.csv"]) == 0
         assert capsys.readouterr().err == empty.format("2 recordings (long#000, long#001)")
+
+    def test_groups_of_one_name_are_flattened(self, same_named_groups, tmp_path):
+        a, b = same_named_groups
+        (a / "bad.txt").unlink()
+        out = tmp_path / "report.csv"
+        assert run(["indicators", a, b, "--out", out]) == 0
+        assert [row[0] for row in read_csv(out)[1:]] == ["a0", "a1", "a2", "b0", "b1", "b2"]
+        assert run(["points", a, b, "--out", tmp_path / "points"]) == 0
+        assert len(list((tmp_path / "points").iterdir())) == 12
+
+    def test_directory_with_a_recording_suffix_is_skipped(self, tmp_path):
+        ddir = tmp_path / "grp"
+        (ddir / "x.txt").mkdir(parents=True)
+        write_series(ddir / "rec.txt", [800, 810, 790, 805, 795])
+        out = tmp_path / "report.csv"
+        assert run(["indicators", ddir, "--out", out]) == 0
+        assert [row[0] for row in read_csv(out)[1:]] == ["rec"]
 
     def test_shared_source_ids_warned_once_each(self, tmp_path, capsys):
         for name in ("one", "two"):
@@ -422,6 +483,12 @@ class TestSweep:
         assert info.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
+    def test_repeated_group_name_is_an_error(self, same_named_groups, tmp_path, capsys):
+        a, b = same_named_groups
+        assert run(["sweep", a, b, "--r-grid", "1:3:1", "--out", tmp_path / "s.csv"]) == 1
+        assert_repeated_name_error(capsys, a, b)
+        assert not (tmp_path / "s.csv").exists()
+
     def test_file_argument_rejected(self, two_groups, capsys):
         a, _ = two_groups
         assert run(["sweep", a / "r0.txt"]) == 1
@@ -463,6 +530,12 @@ class TestClassify:
         assert payload["pair"] == ["steady", "wild"]
         assert payload["ri"] == 1.0
         assert len(payload["assignments"]) == 6
+
+    def test_repeated_group_name_is_an_error(self, same_named_groups, tmp_path, capsys):
+        a, b = same_named_groups
+        assert run(["classify", a, b, "--out", tmp_path / "ri.csv"]) == 1
+        assert_repeated_name_error(capsys, a, b)
+        assert not (tmp_path / "ri.csv").exists()
 
     def test_undefined_indicator_reported(self, separated_groups, tmp_path, capsys):
         steady, wild = separated_groups

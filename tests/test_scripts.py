@@ -81,3 +81,35 @@ def test_reproduce_tables_segment_len_below_three_is_a_usage_error(corpus_dir, t
     assert done.returncode == 2, done.stderr
     assert f"segment length must be >= 3, got {length}" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_reproduce_tables_repeated_group_name_is_a_usage_error(corpus_dir, tmp_path):
+    a, b = tmp_path / "a" / "data", tmp_path / "b" / "data"
+    a.mkdir(parents=True)
+    b.mkdir(parents=True)
+    for group, target in (("steady", a), ("erratic", b)):
+        for path in (corpus_dir / group).iterdir():
+            (target / path.name).write_bytes(path.read_bytes())
+    (a / "bad.txt").write_text("800\noops\n790\n")  # an error naming it would mean a read
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reproduce_tables.py"), a, b, "--out", tmp_path / "tables"],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2, done.stderr
+    assert f"error: inputs {a} and {b} are both named 'data'" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "tables").exists()
+
+
+@pytest.mark.parametrize("flag, text", [("--r-ctm", "inf"), ("--r-d", "nan"), ("--r-ctm", "1e400")])
+def test_reproduce_tables_non_finite_radius_is_a_usage_error(corpus_dir, tmp_path, flag, text):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reproduce_tables.py"), corpus_dir / "steady",
+         "--out", tmp_path / "tables", flag, text],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2, done.stderr
+    assert f"argument {flag}: radius must be finite, got {text!r}" in done.stderr
+    assert not (tmp_path / "tables").exists()

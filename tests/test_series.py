@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import reference_rr_file
 
 from tvmhrv import (
     DatasetGroup,
@@ -16,13 +17,14 @@ from tvmhrv import (
     RRSeries,
     RRValidationError,
     TooShortSeriesError,
+    TvmhrvError,
     load_dataset_group,
     load_groups,
     load_rr_series,
     split_segments,
 )
 from tvmhrv import series as series_module
-from tvmhrv.series import MAX_INTERVAL, _read_rr_file
+from tvmhrv.series import MAX_INTERVAL, check_group_names, input_files
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -107,11 +109,11 @@ class TestLoadRRSeries:
         monkeypatch.setattr(series_module, "BLOCK_CHARS", block)
         path = tmp_path / "rec.txt"
         path.write_text(text, encoding="utf-8")
-        for load in (load_rr_series, _read_rr_file):
-            with pytest.raises(RRParseError) as err:
-                load(path)
-            assert str(err.value) == f"{path}: line {line}: cannot parse {token!r} as a number"
-            assert (err.value.path, err.value.line) == (path, line)
+        with pytest.raises(RRParseError) as err:
+            load_rr_series(path)
+        assert str(err.value) == f"{path}: line {line}: cannot parse {token!r} as a number"
+        assert (err.value.path, err.value.line) == (path, line)
+        assert reference_rr_file(path) == (None, ("parse", line, token))
 
     def test_comment_may_hold_non_ascii_text(self, tmp_path):
         path = tmp_path / "rec.txt"
@@ -228,6 +230,16 @@ class TestDatasetGroup:
         with pytest.raises(EmptyDirectoryError):
             load_dataset_group(ddir)
 
+    def test_only_regular_files_are_recordings(self, tmp_path):
+        ddir = tmp_path / "grp"
+        (ddir / "x.txt").mkdir(parents=True)
+        (ddir / "y.CSV").mkdir()
+        with pytest.raises(EmptyDirectoryError):
+            load_dataset_group(ddir)
+        write(ddir, "rec.txt", "800\n810\n790\n")
+        assert [p.name for p in input_files(ddir)] == ["rec.txt"]
+        assert [rec.source_id for rec in load_dataset_group(ddir).recordings] == ["rec"]
+
     def test_not_a_directory(self, tmp_path):
         with pytest.raises(NotADirectoryError):
             load_dataset_group(tmp_path / "missing")
@@ -268,6 +280,23 @@ class TestSegments:
     def test_window_below_three_rejected(self):
         with pytest.raises(ValueError):
             split_segments(RRSeries([1, 2, 3]), 2)
+
+
+class TestGroupNames:
+    def test_repeated_name_names_both_paths(self, tmp_path):
+        a, b = tmp_path / "a" / "data", tmp_path / "b" / "data"
+        a.mkdir(parents=True)
+        b.mkdir(parents=True)
+        with pytest.raises(TvmhrvError) as err:
+            check_group_names([a, tmp_path / "a", b])
+        assert str(err.value) == f"inputs {a} and {b} are both named 'data'"
+
+    def test_a_file_is_named_after_its_stem(self, tmp_path):
+        write(tmp_path, "rec.txt", "800\n810\n790\n")
+        (tmp_path / "rec").mkdir()
+        with pytest.raises(TvmhrvError, match="both named 'rec'"):
+            check_group_names([tmp_path / "rec.txt", tmp_path / "rec"])
+        check_group_names([tmp_path / "rec.txt", tmp_path])
 
 
 class TestLoadGroups:
@@ -353,11 +382,22 @@ def _outcome(load, path):
         return (type(exc), str(exc), getattr(exc, "path", None), getattr(exc, "line", None))
 
 
-def _reference(path):
-    values = _read_rr_file(path)
-    if len(values) < 3:
-        raise TooShortSeriesError(f"{path}: found {len(values)} intervals; need at least 3")
-    return values
+def _expected(path):
+    """_outcome's tuple for the line scanner's reading of path."""
+    values, fault = reference_rr_file(path)
+    if fault is None:
+        if len(values) < 3:
+            return (TooShortSeriesError, f"{path}: found {len(values)} intervals; need at least 3",
+                    None, None)
+        return ("ok", np.asarray(values, dtype=np.float64).tobytes())
+    kind, line, detail = fault
+    if kind == "utf8":
+        return (RRParseError, f"{path}: not UTF-8 text ({detail})", path, None)
+    if kind == "parse":
+        return (RRParseError, f"{path}: line {line}: cannot parse {detail!r} as a number",
+                path, line)
+    return (RRValidationError,
+            f"{path}: line {line}: interval {detail!r} must be > 0 and <= 1e+150", path, line)
 
 
 GOOD_TOKENS = st.one_of(
@@ -370,6 +410,21 @@ SEPARATORS = st.sampled_from(
     [",", ", ", " ", "  ", "\t", " ,\t", "\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\n \n"]
 )
 RARELY = st.sampled_from([False, False, False, True])
+# Put before a token. A comment line may hold any text and may be indented
+# with any whitespace; a '#' after a value on its line is a bad token.
+COMMENTS = st.sampled_from(
+    [
+        "\n# a comment, 800\n",
+        "\n  # indented with spaces, 1_000\n",
+        "\n\t#\tindented with a tab\n",
+        "\r\n\u00a0# indented with a no-break space\r\n",
+        "\n\x0b\u3000# indented with other whitespace\n",
+        "\n# \u00e9t\u00e9 \u2603 \u0668\u0662\u0660 8_10\n",
+        "\n#\n",
+        "\n# " + "longer than a block, " * 3 + "\n",
+        "\n800 # after a value\n",
+    ]
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -377,63 +432,106 @@ RARELY = st.sampled_from([False, False, False, True])
     tokens=st.lists(st.one_of(*[GOOD_TOKENS] * 5, BAD_TOKENS), max_size=30),
     separators=st.lists(SEPARATORS, min_size=30, max_size=30),
     bom=st.booleans(),
-    lead=st.sampled_from(["", "\n", " ", "\r\n"]),
+    lead=st.sampled_from(["", "\n", " ", "\r\n", "# header\n"]),
     end=st.sampled_from(["", "\n", "\r\n", "\r", ",", " \n\n"]),
-    comment_at=RARELY.flatmap(lambda yes: st.integers(0, 30) if yes else st.none()),
+    comments=st.lists(st.tuples(st.integers(0, 31), COMMENTS), max_size=4),
+    last_comment=st.sampled_from(["", "", "", "\n# end", "\n  # the end \u2603"]),
     bad_byte_at=RARELY.flatmap(lambda yes: st.integers(0, 400) if yes else st.none()),
     block=st.integers(1, 40),
 )
 @example(
     tokens=["800", "1e151", "700"], separators=["\n"] * 30, bom=False, lead="", end="\n",
-    comment_at=None, bad_byte_at=None, block=3,
+    comments=[], last_comment="", bad_byte_at=None, block=3,
 )
 def test_block_parser_matches_the_line_scanner(
-    tmp_path_factory, tokens, separators, bom, lead, end, comment_at, bad_byte_at, block
+    tmp_path_factory, tokens, separators, bom, lead, end, comments, last_comment, bad_byte_at,
+    block,
 ):
     """The block parser gives the line scanner's values bit for bit, or its error."""
     parts = [lead]
     for k, token in enumerate(tokens):
-        if k == comment_at:
-            parts.append("\n# a comment, 800\n")
+        parts += [comment for at, comment in comments if at == k]
         parts += [token, separators[k]] if k < len(tokens) - 1 else [token]
-    data = ("\ufeff" if bom else "").encode() + ("".join(parts) + end).encode()
+    parts += [comment for at, comment in comments if at >= len(tokens)]
+    # A comment may end the file with no line end after it.
+    text = "".join(parts) + end + last_comment
+    data = ("\ufeff" if bom else "").encode() + text.encode()
     if bad_byte_at is not None:
         at = min(bad_byte_at, len(data))
         data = data[:at] + b"\xff" + data[at:]
     path = tmp_path_factory.mktemp("blocks") / "rec.txt"
     path.write_bytes(data)
-    expected = _outcome(_reference, path)
+    expected = _expected(path)
     with pytest.MonkeyPatch.context() as mp:
-        # Tiny blocks: tokens, CRLF pairs and bad values straddle block ends.
+        # Tiny blocks: reads end inside tokens, comments and CRLF pairs.
         mp.setattr(series_module, "BLOCK_CHARS", block)
         assert _outcome(lambda p: load_rr_series(p).intervals, path) == expected
 
 
 class TestBlockParser:
     @pytest.fixture
-    def no_line_scan(self, monkeypatch):
-        def fail(path):
-            raise AssertionError(f"{path} went to the line scanner")
+    def one_pass(self, monkeypatch):
+        """The paths opened for reading; a test using it fails if its file
+        goes to the per-line walk that names the line of a bad value."""
+        opened = []
+        path_open = Path.open
 
-        monkeypatch.setattr(series_module, "_read_rr_file", fail)
+        def recording_open(path, mode="r", *args, **kwargs):
+            if mode == "r":
+                opened.append(path)
+            return path_open(path, mode, *args, **kwargs)
 
-    def test_tokens_carried_across_block_ends(self, tmp_path, monkeypatch, no_line_scan):
-        # No token is longer than a block, so none is carried over two block ends.
+        def fail(path, block, first_line):
+            raise AssertionError(f"{path} went to the per-line walk")
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        monkeypatch.setattr(series_module, "_bad_value", fail)
+        return opened
+
+    def test_tokens_carried_across_block_ends(self, tmp_path, monkeypatch, one_pass):
+        # Each read of 8 characters ends inside a token or a CRLF pair, and
+        # the rest of that line joins its block.
         monkeypatch.setattr(series_module, "BLOCK_CHARS", 8)
         path = tmp_path / "rec.txt"
         path.write_bytes(b"\xef\xbb\xbf800.5\r\n810.25,790\t805.125\r\n\r\n795")
         assert load_rr_series(path).intervals.tolist() == [800.5, 810.25, 790.0, 805.125, 795.0]
+        assert one_pass == [path]
 
-    def test_one_row_csv_over_many_blocks(self, tmp_path, monkeypatch, no_line_scan):
+    def test_one_row_csv_over_many_blocks(self, tmp_path, monkeypatch, one_pass):
         monkeypatch.setattr(series_module, "BLOCK_CHARS", 64)
         values = [round(600 + (k * 37) % 500 + k / 1000, 3) for k in range(5000)]
         path = write(tmp_path, "rec.csv", ",".join(map(repr, values)))
         assert load_rr_series(path).intervals.tolist() == values
+        assert one_pass == [path]
 
-    def test_comment_after_the_first_block(self, tmp_path, monkeypatch):
+    def test_comment_after_the_first_block(self, tmp_path, monkeypatch, one_pass):
         monkeypatch.setattr(series_module, "BLOCK_CHARS", 16)
         path = write(tmp_path, "rec.txt", "800\n" * 10 + "# a note\n" + "810\n" * 10)
         assert load_rr_series(path).intervals.tolist() == [800.0] * 10 + [810.0] * 10
+        assert one_pass == [path]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# header\n" + "800\n" * 10 + "810\n" * 10,
+            "800\n" * 10 + "\t # \u00e9t\u00e9 1_000\n" + "810\n" * 10,
+            "800\n" * 10 + "810\n" * 10 + "# end",
+        ],
+    )
+    def test_comment_lines_read_in_one_pass(self, tmp_path, monkeypatch, one_pass, text):
+        monkeypatch.setattr(series_module, "BLOCK_CHARS", 16)
+        path = tmp_path / "rec.txt"
+        path.write_text(text, encoding="utf-8")
+        assert load_rr_series(path).intervals.tolist() == [800.0] * 10 + [810.0] * 10
+        assert one_pass == [path]
+
+    @pytest.mark.parametrize("block", [4, series_module.BLOCK_CHARS])
+    def test_hash_after_a_value_is_a_bad_token(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(series_module, "BLOCK_CHARS", block)
+        path = write(tmp_path, "rec.txt", "800\n810 # a note\n790\n")
+        with pytest.raises(RRParseError) as err:
+            load_rr_series(path)
+        assert str(err.value) == f"{path}: line 2: cannot parse '#' as a number"
 
     @pytest.mark.parametrize(
         "last, error, message",
@@ -450,12 +548,8 @@ class TestBlockParser:
         assert str(err.value) == f"{path}: {message}"
         assert (err.value.path, err.value.line) == (path, 21)
 
-    def test_token_longer_than_a_block_goes_to_the_line_scanner(self, tmp_path, monkeypatch):
+    def test_token_longer_than_a_block_parses_in_one_pass(self, tmp_path, monkeypatch, one_pass):
         monkeypatch.setattr(series_module, "BLOCK_CHARS", 4)
-        scanned = []
-        monkeypatch.setattr(
-            series_module, "_read_rr_file", lambda path: scanned.append(path) or _read_rr_file(path)
-        )
         path = write(tmp_path, "rec.txt", "800\n" + "0" * 20 + "810\n790\n")
         assert load_rr_series(path).intervals.tolist() == [800.0, 810.0, 790.0]
-        assert scanned == [path]
+        assert one_pass == [path]
