@@ -57,7 +57,7 @@ def main() -> int:
     args = parser.parse_args()
     try:
         check_group_names(args.datasets)
-    except TvmhrvError as exc:
+    except (TvmhrvError, NotADirectoryError) as exc:
         parser.error(str(exc))
 
     params = IndicatorParams(r_ctm=args.r_ctm, r_d=args.r_d, divisions=args.divisions)
@@ -65,8 +65,8 @@ def main() -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     # One report per recording feeds both the summaries and the RI matrix.
-    reports = [[report(rec, params) for rec in group.recordings] for group in groups]
-    summaries = [(g.name, summarize_reports(g.name, reps)) for g, reps in zip(groups, reports)]
+    reports = {name: [report(rec, params) for rec in recs] for name, recs in groups.items()}
+    summaries = [(name, summarize_reports(name, reps)) for name, reps in reports.items()]
     write_csv(
         args.out / "summary.csv",
         ["dataset", "indicator", "n", "mean", "std", "min", "q1", "median", "q3", "max"],
@@ -109,16 +109,16 @@ def main() -> int:
         print(f"{name}: {line}")
 
     ri_rows = []
-    for (ga, ra), (gb, rb) in itertools.combinations(zip(groups, reports), 2):
+    for (name_a, ra), (name_b, rb) in itertools.combinations(reports.items(), 2):
         for indicator in args.indicators:
             fa = [indicator_value(r, indicator) for r in ra]
             fb = [indicator_value(r, indicator) for r in rb]
             ri = None
             if None not in fa + fb:
-                _, ri = pairwise_classify(fa, fb, label_a=ga.name, label_b=gb.name)
+                _, ri = pairwise_classify(fa, fb, label_a=name_a, label_b=name_b)
                 if indicator in ("ctm", "etv1"):
-                    print(f"RI[{ga.name} vs {gb.name}, {indicator}] = {ri:.3f}")
-            ri_rows.append((f"{ga.name}|{gb.name}", indicator, ri))
+                    print(f"RI[{name_a} vs {name_b}, {indicator}] = {ri:.3f}")
+            ri_rows.append((f"{name_a}|{name_b}", indicator, ri))
     write_csv(args.out / "ri_matrix.csv", ["pair", "indicator", "ri"], ri_rows)
 
     print(f"outputs in {args.out}")

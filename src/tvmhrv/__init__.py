@@ -37,10 +37,10 @@ from .errors import (
     TvmhrvError,
 )
 from .series import (
-    DatasetGroup,
     RRSeries,
     load_dataset_group,
     load_groups,
+    load_recordings,
     load_rr_series,
     split_segments,
 )

@@ -14,12 +14,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EmptyInputError
-from .series import DatasetGroup, RRSeries
+from .series import RRSeries
 from .sodp import RadiusCounts, radius_census, second_order_diff
 from .tvm import (
     DEFAULT_DIVISIONS,
@@ -399,12 +399,13 @@ def indicator_value(rep: IndicatorReport | RadiusCounts, indicator: str) -> floa
 
 
 def sweep_r(
-    groups: Sequence[DatasetGroup],
+    groups: Mapping[str, Sequence[RRSeries]],
     indicator: str,
     r_values: Sequence[float],
 ) -> dict[str, tuple[float | None, ...]]:
     """Mean indicator value per group at each radius of an ascending grid.
 
+    groups maps each group name to its recordings, as load_groups gives it.
     The rows are keyed by group name, in name order, one entry per radius. An
     entry is None where no recording of that group produced a value at that
     radius (e.g. D with no point inside r).
@@ -422,18 +423,18 @@ def sweep_r(
         raise EmptyInputError("need at least one dataset group")
 
     rows: dict[str, tuple[float | None, ...]] = {}
-    for group in sorted(groups, key=lambda g: g.name):
-        if not group.recordings:
-            raise EmptyInputError(f"dataset group {group.name!r} has no recordings")
+    for name in sorted(groups):
+        if not groups[name]:
+            raise EmptyInputError(f"dataset group {name!r} has no recordings")
         per_recording = []  # one value per radius, one list per recording
-        for rec in sorted(group.recordings, key=lambda s: s.source_id):
+        for rec in sorted(groups[name], key=lambda s: s.source_id):
             census = radius_census(second_order_diff(rec), r_values)
             per_recording.append([indicator_value(counts, indicator) for counts in census])
         row = []
         for at_r in zip(*per_recording):
             values = [v for v in at_r if v is not None]
             row.append(float(np.mean(values)) if values else None)
-        rows[group.name] = tuple(row)
+        rows[name] = tuple(row)
     return rows
 
 

@@ -28,7 +28,7 @@ from .analysis import (
 )
 from .cluster import pairwise_classify
 from .errors import TvmhrvError
-from .series import RRSeries, check_group_names, input_files, load_groups
+from .series import RRSeries, check_group_names, input_files, load_groups, load_recordings
 from .sodp import Quadrant, second_order_diff
 from .tvm import build_tvm_points
 
@@ -166,37 +166,34 @@ def _recordings(args) -> tuple[list[RRSeries], dict[str, list[str]]]:
     one file has, with those files. Segment ids carry their file's stem, so
     one source id covers all the segments of its files.
     """
-    groups = load_groups(args.inputs, args.segment_len, allow_files=True)
-    files: dict[str, list[str]] = {}
-    for path in args.inputs:
-        for file in input_files(path, allow_files=True):
-            files.setdefault(file.stem, []).append(str(file))
-    shared = {stem: names for stem, names in sorted(files.items()) if len(names) > 1}
-    recordings = sorted((rec for g in groups for rec in g.recordings), key=lambda s: s.source_id)
-    return recordings, shared
+    files = [file for path in args.inputs for file in input_files(path)]
+    by_stem: dict[str, list[str]] = {}
+    for file in files:
+        by_stem.setdefault(file.stem, []).append(str(file))
+    shared = {stem: names for stem, names in sorted(by_stem.items()) if len(names) > 1}
+    return load_recordings(files, args.segment_len), shared
 
 
-def _group_features(directory, args, params, empty_ids: list[str]):
-    """The group's name and the indicator of each of its recordings.
+def _group_features(name, directory, args, params, empty_ids: list[str]):
+    """The indicator of each recording of the group `name` in directory.
 
     Under etvN, the ids of the recordings whose quadrant N is empty are
     appended to empty_ids.
     """
     # One group at a time, so only one group's recordings are held at once.
-    (group,) = load_groups([directory], args.segment_len)
     features = []
-    for rec in group.recordings:
+    for rec in load_recordings(input_files(directory), args.segment_len):
         empty = []
         value = indicator_of(rec, args.indicator, params, empty)
         if value is None:
             raise TvmhrvError(
-                f"{group.name}/{rec.source_id}: indicator {args.indicator!r} is undefined "
+                f"{name}/{rec.source_id}: indicator {args.indicator!r} is undefined "
                 f"(no point inside r_d={params.r_d}); cannot classify"
             )
         if empty:
-            empty_ids.append(f"{group.name}/{rec.source_id}")
+            empty_ids.append(f"{name}/{rec.source_id}")
         features.append(value)
-    return group.name, features
+    return features
 
 
 def _some(ids: list[str], shown: int = 3) -> str:
@@ -300,7 +297,6 @@ def cmd_points(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    check_group_names(args.inputs)
     groups = load_groups(args.inputs, args.segment_len)
     rows = sweep_r(groups, args.indicator, args.r_grid)
     if args.format == "csv":
@@ -323,10 +319,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_classify(args) -> int:
     params = _params(args)
-    check_group_names([args.group_a, args.group_b])
+    (name_a, dir_a), (name_b, dir_b) = check_group_names([args.group_a, args.group_b]).items()
     empty = []
-    name_a, features_a = _group_features(args.group_a, args, params, empty)
-    name_b, features_b = _group_features(args.group_b, args, params, empty)
+    features_a = _group_features(name_a, dir_a, args, params, empty)
+    features_b = _group_features(name_b, dir_b, args, params, empty)
     if empty:
         log.warning(
             "an empty quadrant's %s is clustered as 0 in %d recordings (%s)",

@@ -17,8 +17,9 @@ walked line by line, to name the line of its first bad value.
 from __future__ import annotations
 
 import logging
+import os
 import re
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -85,22 +86,6 @@ class RRSeries:
         return self.intervals.size
 
 
-@dataclass(frozen=True, eq=False)
-class DatasetGroup:
-    """A named collection of recordings, e.g. one directory of RR files."""
-
-    name: str
-    recordings: tuple[RRSeries, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("dataset group name must be non-empty")
-        object.__setattr__(self, "recordings", tuple(self.recordings))
-
-    def __len__(self) -> int:
-        return len(self.recordings)
-
-
 def _bad_value(path: Path, block: str, first_line: int) -> RRParseError | RRValidationError:
     """The error for the first bad token of a block that failed its checks,
     naming its line; first_line is the number of the block's first line."""
@@ -153,17 +138,14 @@ def load_rr_series(path) -> RRSeries:
     return RRSeries(intervals=np.concatenate(arrays), source_id=path.stem, _owned=True)
 
 
-def input_files(path: Path, allow_files: bool = False) -> list[Path]:
+def input_files(path: Path) -> list[Path]:
     """The recording files one input names, sorted by name.
 
     A directory names the regular .txt/.csv files in it (a subdirectory is
-    not one, whatever its name). A file names itself when
-    allow_files is set and is rejected as not a directory otherwise.
+    not one, whatever its name); any other path names itself.
     """
     if not path.is_dir():
-        if allow_files:
-            return [path]
-        raise NotADirectoryError(f"{path} is not a directory")
+        return [path]
     files = sorted(
         (p for p in path.iterdir() if p.suffix.lower() in RR_EXTENSIONS and p.is_file()),
         key=lambda p: p.name,
@@ -173,65 +155,79 @@ def input_files(path: Path, allow_files: bool = False) -> list[Path]:
     return files
 
 
-def _group_name(path: Path) -> str:
-    return path.name if path.is_dir() else path.stem
+def check_group_names(paths: Iterable) -> dict[str, Path]:
+    """Each path's group name, in the order given, mapped to its path.
 
-
-def check_group_names(paths: Iterable) -> None:
-    """Raise TvmhrvError, naming both paths, if two paths give one group name.
-
-    Group names key the output of sweep and classify. Only the kind of each
-    path is looked at; no file is read.
+    A group is a directory, named after the last component of its absolute
+    path: `.` and `..` name their directory, and a symlink in the path keeps
+    its own name. Raises NotADirectoryError for a path that is not a directory,
+    and TvmhrvError for one with no last component (such as `/`) or,
+    naming both paths, for two paths that give one name. Group names key
+    the output of sweep and classify. No file is read.
     """
     seen: dict[str, Path] = {}
     for path in map(Path, paths):
-        name = _group_name(path)
+        if not path.is_dir():
+            raise NotADirectoryError(f"{path} is not a directory")
+        name = os.path.basename(os.path.abspath(path))
+        if not name:
+            raise TvmhrvError(f"{path} has no last component to name its group")
         if name in seen:
             raise TvmhrvError(f"inputs {seen[name]} and {path} are both named {name!r}")
         seen[name] = path
+    return seen
 
 
-def load_dataset_group(directory) -> DatasetGroup:
-    """Load every .txt/.csv file in a directory, sorted by source_id."""
-    return load_groups([directory])[0]
+def load_dataset_group(directory) -> tuple[RRSeries, ...]:
+    """The recordings of one directory, as load_groups gives them.
+
+    Kept only because perfbench/spans.py traces it by name, until the stage
+    hook of ROADMAP item 1 replaces that tracer's function patching.
+    """
+    return next(iter(load_groups([directory]).values()))
+
+
+def load_recordings(files: Iterable, segment_len: int | None = None) -> list[RRSeries]:
+    """Load each file as a recording, and return them sorted by source_id.
+
+    With segment_len, every recording is cut by split_segments; a partial
+    tail is dropped with a warning on the `tvmhrv` logger naming the file,
+    and a recording shorter than one segment raises TooShortSeriesError
+    naming its file.
+    """
+    recordings = []
+    for file in files:
+        rec = load_rr_series(file)
+        if segment_len is None:
+            recordings.append(rec)
+        elif len(rec) < segment_len:
+            raise TooShortSeriesError(
+                f"{file}: found {len(rec)} intervals, fewer than one "
+                f"segment of {segment_len}"
+            )
+        else:
+            recordings.extend(split_segments(rec, segment_len))
+            if tail := len(rec) % segment_len:
+                log.warning(
+                    "%s: dropped the last %d of %d intervals, fewer than one segment of %d",
+                    file, tail, len(rec), segment_len,
+                )
+    recordings.sort(key=lambda s: s.source_id)
+    return recordings
 
 
 def load_groups(
-    paths: Iterable,
-    segment_len: int | None = None,
-    allow_files: bool = False,
-) -> list[DatasetGroup]:
-    """Load one dataset group per path, with recordings sorted by source_id.
+    paths: Iterable, segment_len: int | None = None
+) -> dict[str, tuple[RRSeries, ...]]:
+    """Each directory's group name, in the order given, mapped to its recordings.
 
-    A directory gives the group of its .txt/.csv files, named after it. A
-    file gives a one-recording group named after its stem when allow_files
-    is set, and is rejected as not a directory otherwise. With segment_len,
-    every recording is cut by split_segments; a partial tail is dropped with
-    a warning on the `tvmhrv` logger naming the file, and a recording
-    shorter than one segment raises TooShortSeriesError naming its file.
+    Every path is named by check_group_names before any file is read. A
+    group's recordings are its .txt/.csv files, loaded by load_recordings.
     """
-    groups = []
-    for path in map(Path, paths):
-        recordings = []
-        for file in input_files(path, allow_files):
-            rec = load_rr_series(file)
-            if segment_len is None:
-                recordings.append(rec)
-            elif len(rec) < segment_len:
-                raise TooShortSeriesError(
-                    f"{file}: found {len(rec)} intervals, fewer than one "
-                    f"segment of {segment_len}"
-                )
-            else:
-                recordings.extend(split_segments(rec, segment_len))
-                if tail := len(rec) % segment_len:
-                    log.warning(
-                        "%s: dropped the last %d of %d intervals, fewer than one segment of %d",
-                        file, tail, len(rec), segment_len,
-                    )
-        recordings.sort(key=lambda s: s.source_id)
-        groups.append(DatasetGroup(name=_group_name(path), recordings=tuple(recordings)))
-    return groups
+    return {
+        name: tuple(load_recordings(input_files(path), segment_len))
+        for name, path in check_group_names(paths).items()
+    }
 
 
 def split_segments(series: RRSeries, length: int) -> list[RRSeries]:

@@ -261,11 +261,11 @@ CUDB_DIR = os.environ.get("TVMHRV_CUDB_DIR")
 def _reproduction(dir_a, dir_b, segment_len=None):
     """The CTM means of two dataset directories and the RI of quadrant-I E_TV between them."""
     params = IndicatorParams(r_ctm=3.0, r_d=6.0)
-    group_a, group_b = load_groups([dir_a, dir_b], segment_len=segment_len)
-    reports_a = [report(rec, params) for rec in group_a.recordings]
-    reports_b = [report(rec, params) for rec in group_b.recordings]
-    ctm_a = summarize_reports(group_a.name, reports_a)["ctm"].mean
-    ctm_b = summarize_reports(group_b.name, reports_b)["ctm"].mean
+    (name_a, recs_a), (name_b, recs_b) = load_groups([dir_a, dir_b], segment_len).items()
+    reports_a = [report(rec, params) for rec in recs_a]
+    reports_b = [report(rec, params) for rec in recs_b]
+    ctm_a = summarize_reports(name_a, reports_a)["ctm"].mean
+    ctm_b = summarize_reports(name_b, reports_b)["ctm"].mean
     _, ri = pairwise_classify(
         [indicator_value(rep, "etv1") for rep in reports_a],
         [indicator_value(rep, "etv1") for rep in reports_b],

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from tvmhrv import (
     ALL_INDICATORS,
     RADIUS_INDICATORS,
-    DatasetGroup,
     EmptyInputError,
     IndicatorParams,
     RRSeries,
@@ -136,8 +135,8 @@ class TestParams:
 
 class TestSweep:
     def test_single_recording_equals_report(self):
-        group = DatasetGroup(name="solo", recordings=(FIVE,))
-        rows = sweep_r([group], "ctm", [3.0])
+        group = {"solo": (FIVE,)}
+        rows = sweep_r(group, "ctm", [3.0])
         assert rows["solo"] == (report(FIVE, IndicatorParams(r_ctm=3.0)).ctm,)
 
     @given(
@@ -148,55 +147,57 @@ class TestSweep:
     def test_single_recording_equals_report_for_every_radius_indicator(self, values, r):
         series = RRSeries(values, source_id="solo")
         rep = report(series, IndicatorParams(r_ctm=r, r_d=r))
-        group = DatasetGroup(name="solo", recordings=(series,))
+        group = {"solo": (series,)}
         for indicator in RADIUS_INDICATORS:
-            (swept,) = sweep_r([group], indicator, [r])["solo"]
+            (swept,) = sweep_r(group, indicator, [r])["solo"]
             assert swept == indicator_value(rep, indicator), indicator
 
     def test_ctm_rows_non_decreasing(self):
-        groups = [
-            DatasetGroup(name="a", recordings=(RRSeries(jittery(1)),)),
-            DatasetGroup(name="b", recordings=(RRSeries(jittery(2, spread=5.0)),)),
-        ]
+        groups = {
+            "a": (RRSeries(jittery(1)),),
+            "b": (RRSeries(jittery(2, spread=5.0)),),
+        }
         rows = sweep_r(groups, "ctm", [0.5, 1.0, 2.0, 5.0, 20.0, 100.0])
         for row in rows.values():
             assert list(row) == sorted(row)
 
     def test_constant_dataset_is_all_ones(self):
-        group = DatasetGroup(name="flat", recordings=(CONSTANT, CONSTANT))
-        rows = sweep_r([group], "ctm", [0.5, 1.0, 3.0])
+        group = {"flat": (CONSTANT, CONSTANT)}
+        rows = sweep_r(group, "ctm", [0.5, 1.0, 3.0])
         assert rows["flat"] == (1.0, 1.0, 1.0)
 
     def test_d_absent_entries_do_not_abort(self):
-        group = DatasetGroup(name="far", recordings=(FIVE,))
-        rows = sweep_r([group], "d", [1.0, 30.0])
+        group = {"far": (FIVE,)}
+        rows = sweep_r(group, "d", [1.0, 30.0])
         assert rows["far"][0] is None
         assert rows["far"][1] == pytest.approx(21.796145384105944, abs=1e-9)
 
     def test_rows_ordered_by_dataset_name(self):
-        groups = [
-            DatasetGroup(name="zeta", recordings=(CONSTANT,)),
-            DatasetGroup(name="alpha", recordings=(CONSTANT,)),
-        ]
+        groups = {
+            "zeta": (CONSTANT,),
+            "alpha": (CONSTANT,),
+        }
         rows = sweep_r(groups, "ctm", [1.0])
         assert list(rows) == ["alpha", "zeta"]
 
     def test_unknown_indicator_rejected(self):
         with pytest.raises(ValueError):
-            sweep_r([DatasetGroup(name="a", recordings=(FIVE,))], "etv_global", [1.0])
+            sweep_r({"a": (FIVE,)}, "etv_global", [1.0])
 
     def test_requires_groups(self):
         with pytest.raises(EmptyInputError):
-            sweep_r([], "ctm", [1.0])
+            sweep_r({}, "ctm", [1.0])
+        with pytest.raises(EmptyInputError, match="dataset group 'a' has no recordings"):
+            sweep_r({"a": ()}, "ctm", [1.0])
 
     def test_table_validates_ascending_radii(self):
-        group = DatasetGroup(name="a", recordings=(FIVE,))
+        group = {"a": (FIVE,)}
         with pytest.raises(ValueError, match="strictly ascending"):
-            sweep_r([group], "ctm", [2.0, 1.0])
+            sweep_r(group, "ctm", [2.0, 1.0])
         with pytest.raises(ValueError, match="strictly ascending"):
-            sweep_r([group], "ctm", [1.0, 1.0])
+            sweep_r(group, "ctm", [1.0, 1.0])
         with pytest.raises(ValueError, match="non-empty"):
-            sweep_r([group], "ctm", [])
+            sweep_r(group, "ctm", [])
 
     @pytest.mark.parametrize("grid", [[2.0, 1.0], []])
     def test_bad_grid_rejected_before_any_census(self, grid, monkeypatch):
@@ -204,9 +205,9 @@ class TestSweep:
             raise AssertionError("radius_census ran before the grid was checked")
 
         monkeypatch.setattr(analysis, "radius_census", census)
-        group = DatasetGroup(name="a", recordings=(FIVE,))
+        group = {"a": (FIVE,)}
         with pytest.raises(ValueError, match="r_values must be"):
-            sweep_r([group], "ctm", grid)
+            sweep_r(group, "ctm", grid)
 
 
 class TestSummarize:
@@ -243,12 +244,13 @@ class TestSummarize:
 
 
 def summarize_group(group, params=IndicatorParams()):
-    return summarize_reports(group.name, [report(rec, params) for rec in group.recordings])
+    ((name, recordings),) = group.items()
+    return summarize_reports(name, [report(rec, params) for rec in recordings])
 
 
 class TestAggregate:
     def test_identical_recordings_zero_std(self):
-        group = DatasetGroup(name="same", recordings=(CONSTANT, CONSTANT, CONSTANT))
+        group = {"same": (CONSTANT, CONSTANT, CONSTANT)}
         summary = summarize_group(group)
         for stats in summary.values():
             assert stats.std == 0.0
@@ -260,13 +262,13 @@ class TestAggregate:
             RRSeries(jittery(4), source_id="r2"),
         )
         params = IndicatorParams(r_ctm=30.0, r_d=60.0)
-        summary = summarize_group(DatasetGroup(name="pair", recordings=recs), params)
+        summary = summarize_group({"pair": recs}, params)
         values = [report(rec, params).ctm for rec in recs]
         assert summary["ctm"].mean == pytest.approx(sum(values) / 2, abs=1e-15)
         assert summary["ctm"].values == tuple(values)
 
     def test_d_omitted_when_never_defined(self):
-        group = DatasetGroup(name="far", recordings=(FIVE,))
+        group = {"far": (FIVE,)}
         summary = summarize_group(group, IndicatorParams(r_ctm=3.0, r_d=1.0))
         assert "d" not in summary
         assert "ctm" in summary
@@ -274,13 +276,13 @@ class TestAggregate:
     def test_order_independence(self):
         r1 = RRSeries(jittery(5), source_id="a")
         r2 = RRSeries(jittery(6), source_id="b")
-        s1 = summarize_group(DatasetGroup(name="g", recordings=(r1, r2)))
-        s2 = summarize_group(DatasetGroup(name="g", recordings=(r2, r1)))
+        s1 = summarize_group({"g": (r1, r2)})
+        s2 = summarize_group({"g": (r2, r1)})
         assert s1 == s2
 
     def test_empty_group_rejected(self):
         with pytest.raises(EmptyInputError):
-            summarize_group(DatasetGroup(name="g", recordings=()))
+            summarize_group({"g": ()})
 
 
 def rows_then_failure():

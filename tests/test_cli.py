@@ -489,6 +489,19 @@ class TestSweep:
         assert_repeated_name_error(capsys, a, b)
         assert not (tmp_path / "s.csv").exists()
 
+    def test_dot_names_the_current_directory(self, corpus_dir, golden_dir, tmp_path, monkeypatch):
+        monkeypatch.chdir(corpus_dir / "steady")
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", ".", "../erratic", "--indicator", "ctm", "--out", out]) == 0
+        assert out.read_bytes() == (golden_dir / "sweep_ctm.csv").read_bytes()
+
+    def test_bad_group_input_fails_before_any_file_is_read(self, same_named_groups, tmp_path, capsys):
+        a, b = same_named_groups
+        for other in (tmp_path / "missing", b / "b0.txt"):
+            assert run(["sweep", a, other, "--out", tmp_path / "s.csv"]) == 1
+            assert capsys.readouterr().err == f"tvmhrv: error: {other} is not a directory\n"
+        assert not (tmp_path / "s.csv").exists()
+
     def test_file_argument_rejected(self, two_groups, capsys):
         a, _ = two_groups
         assert run(["sweep", a / "r0.txt"]) == 1
@@ -535,6 +548,19 @@ class TestClassify:
         a, b = same_named_groups
         assert run(["classify", a, b, "--out", tmp_path / "ri.csv"]) == 1
         assert_repeated_name_error(capsys, a, b)
+        assert not (tmp_path / "ri.csv").exists()
+
+    def test_dot_names_the_current_directory(self, corpus_dir, golden_dir, tmp_path, monkeypatch):
+        monkeypatch.chdir(corpus_dir / "steady")
+        out = tmp_path / "ri.csv"
+        assert run(["classify", ".", "../erratic", "--indicator", "etv1", "--out", out]) == 0
+        assert out.read_bytes() == (golden_dir / "classify_etv1.csv").read_bytes()
+
+    def test_bad_group_input_fails_before_any_file_is_read(self, same_named_groups, tmp_path, capsys):
+        a, b = same_named_groups
+        for other in (tmp_path / "missing", b / "b0.txt"):
+            assert run(["classify", a, other, "--out", tmp_path / "ri.csv"]) == 1
+            assert capsys.readouterr().err == f"tvmhrv: error: {other} is not a directory\n"
         assert not (tmp_path / "ri.csv").exists()
 
     def test_undefined_indicator_reported(self, separated_groups, tmp_path, capsys):

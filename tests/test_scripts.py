@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tvmhrv import ALL_INDICATORS, load_dataset_group, report, summarize_reports
+from tvmhrv import ALL_INDICATORS, load_groups, report, summarize_reports
 from tvmhrv.analysis import format_value
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -56,12 +56,11 @@ def test_reproduce_tables_outputs(corpus_dir, tmp_path):
     run_script("reproduce_tables.py", steady, erratic, "--out", out)
 
     expected = [["dataset", "indicator", "n", "mean", "std", "min", "q1", "median", "q3", "max"]]
-    for directory in (steady, erratic):
-        group = load_dataset_group(directory)
-        summary = summarize_reports(group.name, [report(rec) for rec in group.recordings])
+    for name, recordings in load_groups([steady, erratic]).items():
+        summary = summarize_reports(name, [report(rec) for rec in recordings])
         for indicator, s in summary.items():
             stats = (s.mean, s.std, s.minimum, s.q1, s.median, s.q3, s.maximum)
-            expected.append([group.name, indicator, str(s.n)] + [format_value(v) for v in stats])
+            expected.append([name, indicator, str(s.n)] + [format_value(v) for v in stats])
     assert read_csv(out / "summary.csv") == expected
 
     ri_rows = read_csv(out / "ri_matrix.csv")
@@ -112,4 +111,18 @@ def test_reproduce_tables_non_finite_radius_is_a_usage_error(corpus_dir, tmp_pat
     )
     assert done.returncode == 2, done.stderr
     assert f"argument {flag}: radius must be finite, got {text!r}" in done.stderr
+    assert not (tmp_path / "tables").exists()
+
+
+def test_reproduce_tables_missing_directory_is_a_usage_error(corpus_dir, tmp_path):
+    missing = tmp_path / "missing"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reproduce_tables.py"), corpus_dir / "steady", missing,
+         "--out", tmp_path / "tables"],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2, done.stderr
+    assert f"error: {missing} is not a directory" in done.stderr
+    assert "Traceback" not in done.stderr
     assert not (tmp_path / "tables").exists()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from oracle import reference_rr_file
 
 from tvmhrv import (
-    DatasetGroup,
     EmptyDirectoryError,
     RRParseError,
     RRSeries,
@@ -20,6 +19,7 @@ from tvmhrv import (
     TvmhrvError,
     load_dataset_group,
     load_groups,
+    load_recordings,
     load_rr_series,
     split_segments,
 )
@@ -198,21 +198,22 @@ class TestIntervalsArray:
 
 
 class TestDatasetGroup:
+    """A dataset group: one directory's recordings, under the directory's name."""
+
     def test_loads_all_files_in_name_order(self, tmp_path):
         ddir = tmp_path / "nsr2db"
         ddir.mkdir()
         for name in ("b.txt", "a.txt", "c.csv", "a-b.txt"):
             write(ddir, name, "800\n810\n790\n")
         write(ddir, "ignored.dat", "not rr data")
-        group = load_dataset_group(ddir)
-        assert group.name == "nsr2db"
+        recordings = load_dataset_group(ddir)
         # Sorted by source id, as load_groups sorts: "a-b.txt" comes before
         # "a.txt" by file name, but "a" before "a-b" by id.
-        assert [rec.source_id for rec in group.recordings] == ["a", "a-b", "b", "c"]
-        (same,) = load_groups([ddir])
-        assert same.name == group.name
-        assert [(r.source_id, r.intervals.tolist()) for r in same.recordings] == [
-            (r.source_id, r.intervals.tolist()) for r in group.recordings
+        assert [rec.source_id for rec in recordings] == ["a", "a-b", "b", "c"]
+        groups = load_groups([ddir])
+        assert list(groups) == ["nsr2db"]
+        assert [(r.source_id, r.intervals.tolist()) for r in groups["nsr2db"]] == [
+            (r.source_id, r.intervals.tolist()) for r in recordings
         ]
 
     def test_malformed_file_named_in_error(self, tmp_path):
@@ -238,15 +239,25 @@ class TestDatasetGroup:
             load_dataset_group(ddir)
         write(ddir, "rec.txt", "800\n810\n790\n")
         assert [p.name for p in input_files(ddir)] == ["rec.txt"]
-        assert [rec.source_id for rec in load_dataset_group(ddir).recordings] == ["rec"]
+        assert [rec.source_id for rec in load_dataset_group(ddir)] == ["rec"]
 
     def test_not_a_directory(self, tmp_path):
         with pytest.raises(NotADirectoryError):
             load_dataset_group(tmp_path / "missing")
+        # Checked before any file is read: an error naming bad.txt would mean a read.
+        write(tmp_path, "bad.txt", "800\noops\n790\n")
+        for other in (tmp_path / "missing", tmp_path / "bad.txt"):
+            for check in (check_group_names, load_groups):
+                with pytest.raises(NotADirectoryError) as err:
+                    check([tmp_path, other])
+                assert str(err.value) == f"{other} is not a directory"
 
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            DatasetGroup(name="", recordings=())
+    def test_empty_name_rejected(self, tmp_path):
+        write(tmp_path, "bad.txt", "800\noops\n790\n")  # an error naming it would mean a read
+        for paths in (["/"], [tmp_path, "/"]):
+            with pytest.raises(TvmhrvError) as err:
+                load_groups(paths)
+            assert str(err.value) == "/ has no last component to name its group"
 
 
 class TestSegments:
@@ -291,12 +302,20 @@ class TestGroupNames:
             check_group_names([a, tmp_path / "a", b])
         assert str(err.value) == f"inputs {a} and {b} are both named 'data'"
 
-    def test_a_file_is_named_after_its_stem(self, tmp_path):
-        write(tmp_path, "rec.txt", "800\n810\n790\n")
-        (tmp_path / "rec").mkdir()
-        with pytest.raises(TvmhrvError, match="both named 'rec'"):
-            check_group_names([tmp_path / "rec.txt", tmp_path / "rec"])
-        check_group_names([tmp_path / "rec.txt", tmp_path])
+    def test_dot_and_dotdot_name_their_directory(self, tmp_path, monkeypatch):
+        inner = tmp_path / "outer" / "inner"
+        inner.mkdir(parents=True)
+        monkeypatch.chdir(inner)
+        assert list(check_group_names([".", Path("..")])) == ["inner", "outer"]
+        with pytest.raises(TvmhrvError, match="both named 'inner'"):
+            check_group_names([".", "../inner/."])
+
+    def test_a_symlinked_group_keeps_its_own_name(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "alias").symlink_to(tmp_path / "data")
+        names = check_group_names([tmp_path / "alias", tmp_path / "data", tmp_path / "alias/.."])
+        assert list(names) == ["alias", "data", tmp_path.name]
+        assert names["alias"] == tmp_path / "alias"
 
 
 class TestLoadGroups:
@@ -309,13 +328,15 @@ class TestLoadGroups:
         return ddir
 
     def test_directory_group_sorted_by_source_id(self, grp):
-        (group,) = load_groups([grp])
-        assert group.name == "grp"
-        assert [rec.source_id for rec in group.recordings] == ["a", "b"]
+        groups = load_groups([grp])
+        assert list(groups) == ["grp"]
+        assert [rec.source_id for rec in groups["grp"]] == ["a", "b"]
 
     def test_segments_with_partial_tail_dropped(self, grp):
-        (group,) = load_groups([grp], segment_len=5)
-        assert [rec.source_id for rec in group.recordings] == ["a#000", "b#000", "b#001"]
+        (recordings,) = load_groups([grp], segment_len=5).values()
+        assert [rec.source_id for rec in recordings] == ["a#000", "b#000", "b#001"]
+        files = [grp / "b.txt", grp / "a.csv"]
+        assert [rec.source_id for rec in load_recordings(files, 5)] == ["a#000", "b#000", "b#001"]
 
     def test_partial_tails_logged_not_printed(self, grp, caplog, capsys):
         with caplog.at_level(logging.WARNING, logger="tvmhrv"):
@@ -346,10 +367,9 @@ class TestLoadGroups:
             load_groups([grp], segment_len=7)
         assert "a.csv" in str(err.value)
 
-    def test_file_is_a_group_only_when_allowed(self, grp):
-        (group,) = load_groups([grp / "b.txt"], allow_files=True)
-        assert group.name == "b"
-        assert [rec.source_id for rec in group.recordings] == ["b"]
+    def test_a_file_is_a_recording_not_a_group(self, grp):
+        assert input_files(grp / "b.txt") == [grp / "b.txt"]
+        assert [rec.source_id for rec in load_recordings(input_files(grp / "b.txt"))] == ["b"]
         with pytest.raises(NotADirectoryError):
             load_groups([grp / "b.txt"])
 
@@ -357,7 +377,7 @@ class TestLoadGroups:
         other = tmp_path / "other"
         other.mkdir()
         write(other, "z.txt", "800\n810\n790\n")
-        assert [g.name for g in load_groups([other, grp])] == ["other", "grp"]
+        assert list(load_groups([other, grp])) == ["other", "grp"]
 
 
 @given(
