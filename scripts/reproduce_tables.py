@@ -27,7 +27,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tvmhrv import (
     ALL_INDICATORS,
-    IndicatorParams,
     TvmhrvError,
     indicator_value,
     load_groups,
@@ -36,16 +35,14 @@ from tvmhrv import (
     summarize_reports,
 )
 from tvmhrv.analysis import write_csv, write_json
-from tvmhrv.cli import parse_divisions, parse_radius, parse_segment_len
+from tvmhrv.cli import add_indicator_args, indicator_params, parse_segment_len
 from tvmhrv.series import check_group_names
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("datasets", nargs="+", type=Path, help="dataset directories")
     parser.add_argument("--out", type=Path, default=Path("out/tables"))
-    parser.add_argument("--r-ctm", type=parse_radius, default=3.0)
-    parser.add_argument("--r-d", type=parse_radius, default=6.0)
-    parser.add_argument("--divisions", type=parse_divisions, default=(10, 10, 10))
+    add_indicator_args(parser)
     parser.add_argument("--segment-len", type=parse_segment_len, default=None)
     parser.add_argument(
         "--indicators",
@@ -60,7 +57,7 @@ def main() -> int:
     except (TvmhrvError, NotADirectoryError) as exc:
         parser.error(str(exc))
 
-    params = IndicatorParams(r_ctm=args.r_ctm, r_d=args.r_d, divisions=args.divisions)
+    params = indicator_params(args)
     groups = load_groups(args.datasets, args.segment_len)
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -115,7 +112,7 @@ def main() -> int:
             fb = [indicator_value(r, indicator) for r in rb]
             ri = None
             if None not in fa + fb:
-                _, ri = pairwise_classify(fa, fb, label_a=name_a, label_b=name_b)
+                _, ri = pairwise_classify(fa, fb)
                 if indicator in ("ctm", "etv1"):
                     print(f"RI[{name_a} vs {name_b}, {indicator}] = {ri:.3f}")
             ri_rows.append((f"{name_a}|{name_b}", indicator, ri))

@@ -12,6 +12,7 @@ import argparse
 import logging
 import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,12 @@ from .cluster import pairwise_classify
 from .errors import TvmhrvError
 from .series import RRSeries, check_group_names, input_files, load_groups, load_recordings
 from .sodp import Quadrant, second_order_diff
-from .tvm import build_tvm_points
+from .tvm import MAX_AXIS_DIVISIONS, build_tvm_points
 
 DEFAULT_R_GRID = "0.5:10:0.5"
+# The most radii one --r-grid may give: far above a fine sweep's 200, and a
+# grid of 10**12 would not fit in memory.
+MAX_RADII = 10**6
 
 log = logging.getLogger("tvmhrv")
 
@@ -49,6 +53,8 @@ def parse_divisions(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError("divisions must be >= 1")
     if nx * ny * nz >= 2**63:
         raise argparse.ArgumentTypeError(f"divisions must give fewer than 2**63 cells: {text!r}")
+    if max(nx, ny, nz) > MAX_AXIS_DIVISIONS:
+        raise argparse.ArgumentTypeError(f"divisions must be at most 2**53 per axis: {text!r}")
     return (nx, ny, nz)
 
 
@@ -72,8 +78,10 @@ def parse_r_grid(text: str) -> tuple[float, ...]:
     if start <= 0 or step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"need 0 < start <= stop and step > 0: {text!r}")
     # Count bins up front so accumulated float error cannot drop the endpoint.
-    count = int((stop - start) / step + 1e-9) + 1
-    return tuple(start + i * step for i in range(count))
+    bins = (stop - start) / step + 1e-9
+    if not bins < MAX_RADII:  # also an infinite count
+        raise argparse.ArgumentTypeError(f"grid gives more than {MAX_RADII} radii: {text!r}")
+    return tuple(start + i * step for i in range(int(bins) + 1))
 
 
 def parse_segment_len(text: str) -> int:
@@ -129,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=parse_r_grid,
         default=parse_r_grid(DEFAULT_R_GRID),
         metavar="START:STOP:STEP",
-        help=f"radius grid (default: {DEFAULT_R_GRID})",
+        help=f"radius grid of at most {MAX_RADII} radii (default: {DEFAULT_R_GRID})",
     )
     _add_common(p_swp)
 
@@ -141,22 +149,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     # sweep takes its radii from --r-grid and computes no E_TV.
     for p in (p_ind, p_pts, p_cls):
-        p.add_argument(
-            "--r-ctm", type=parse_radius, default=3.0, help="radius for CTM/CCTM (default: 3)"
-        )
-        p.add_argument("--r-d", type=parse_radius, default=6.0, help="radius for D (default: 6)")
-        p.add_argument(
-            "--divisions",
-            type=parse_divisions,
-            default=(10, 10, 10),
-            metavar="NX,NY,NZ",
-            help="subspace divisions per axis (default: 10,10,10)",
-        )
+        add_indicator_args(p)
     return parser
 
 
-def _params(args) -> IndicatorParams:
-    return IndicatorParams(r_ctm=args.r_ctm, r_d=args.r_d, divisions=args.divisions)
+def add_indicator_args(parser: argparse.ArgumentParser) -> None:
+    """Declare --r-ctm, --r-d and --divisions, defaulting to IndicatorParams()'s values."""
+    defaults = IndicatorParams()
+    for flag, r, what in (("--r-ctm", defaults.r_ctm, "CTM/CCTM"), ("--r-d", defaults.r_d, "D")):
+        parser.add_argument(
+            flag, type=parse_radius, default=r, help=f"radius for {what} (default: {r:g})"
+        )
+    parser.add_argument(
+        "--divisions",
+        type=parse_divisions,
+        default=defaults.divisions,
+        metavar="NX,NY,NZ",
+        help=f"subspace divisions per axis (default: {','.join(map(str, defaults.divisions))})",
+    )
+
+
+def indicator_params(args) -> IndicatorParams:
+    """The IndicatorParams of the flags add_indicator_args declared."""
+    return IndicatorParams(**{f.name: getattr(args, f.name) for f in fields(IndicatorParams)})
 
 
 def _recordings(args) -> tuple[list[RRSeries], dict[str, list[str]]]:
@@ -217,7 +232,7 @@ def _warn_degenerate(reports, params: IndicatorParams) -> None:
 
 
 def cmd_indicators(args) -> int:
-    params = _params(args)
+    params = indicator_params(args)
     recordings, shared = _recordings(args)
     for sid, files in shared.items():
         log.warning(
@@ -238,7 +253,7 @@ def cmd_indicators(args) -> int:
         )
     else:
         payload = {
-            "params": {"r_ctm": params.r_ctm, "r_d": params.r_d, "divisions": params.divisions},
+            "params": asdict(params),
             "reports": [
                 {
                     "source_id": rep.source_id,
@@ -318,7 +333,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    params = _params(args)
+    params = indicator_params(args)
     (name_a, dir_a), (name_b, dir_b) = check_group_names([args.group_a, args.group_b]).items()
     empty = []
     features_a = _group_features(name_a, dir_a, args, params, empty)
@@ -328,7 +343,7 @@ def cmd_classify(args) -> int:
             "an empty quadrant's %s is clustered as 0 in %d recordings (%s)",
             args.indicator, len(empty), _some(empty),
         )
-    result, ri = pairwise_classify(features_a, features_b, label_a=name_a, label_b=name_b)
+    result, ri = pairwise_classify(features_a, features_b)
     if not result.converged:
         log.warning(
             "k-means stopped after %d iterations with the assignments still changing",

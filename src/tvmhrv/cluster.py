@@ -72,7 +72,7 @@ def kmeans_1d(values: Sequence[float]) -> KMeansResult:
     )
 
 
-def rand_accuracy(assignments: Sequence[int], truth: Sequence[str]) -> float:
+def rand_accuracy(assignments: Sequence[int], truth: Sequence) -> float:
     """CD/TD under the better of the two cluster-to-label bijections."""
     if len(assignments) != len(truth):
         raise ValueError(f"{len(assignments)} assignments vs {len(truth)} labels")
@@ -87,16 +87,11 @@ def rand_accuracy(assignments: Sequence[int], truth: Sequence[str]) -> float:
 
 
 def pairwise_classify(
-    features_a: Sequence[float],
-    features_b: Sequence[float],
-    label_a: str = "a",
-    label_b: str = "b",
+    features_a: Sequence[float], features_b: Sequence[float]
 ) -> tuple[KMeansResult, float]:
     """Cluster features_a followed by features_b; the k-means result and its RI."""
     if not features_a or not features_b:
         raise EmptyInputError("both groups must contribute at least one feature")
-    if label_a == label_b:
-        raise ValueError(f"group labels must differ, both are {label_a!r}")
     result = kmeans_1d([*features_a, *features_b])
-    truth = [label_a] * len(features_a) + [label_b] * len(features_b)
+    truth = [0] * len(features_a) + [1] * len(features_b)
     return result, rand_accuracy(result.assignments, truth)

@@ -7,22 +7,21 @@ class TvmhrvError(Exception):
     """Base class for all package-specific errors."""
 
 
-class RRParseError(TvmhrvError):
+class _FileLineError(TvmhrvError):
+    """An error that may name the file and line at fault (None where unknown)."""
+
+    def __init__(self, message: str, path=None, line: int | None = None):
+        super().__init__(message)
+        self.path = path
+        self.line = line
+
+
+class RRParseError(_FileLineError):
     """An RR text file is not UTF-8, or a token in it is not a number."""
 
-    def __init__(self, message: str, path=None, line: int | None = None):
-        super().__init__(message)
-        self.path = path
-        self.line = line
 
-
-class RRValidationError(TvmhrvError):
+class RRValidationError(_FileLineError):
     """An interval value violates the RR-series invariants (> 0, <= MAX_INTERVAL)."""
-
-    def __init__(self, message: str, path=None, line: int | None = None):
-        super().__init__(message)
-        self.path = path
-        self.line = line
 
 
 class TooShortSeriesError(TvmhrvError):

@@ -160,10 +160,12 @@ def check_group_names(paths: Iterable) -> dict[str, Path]:
 
     A group is a directory, named after the last component of its absolute
     path: `.` and `..` name their directory, and a symlink in the path keeps
-    its own name. Raises NotADirectoryError for a path that is not a directory,
-    and TvmhrvError for one with no last component (such as `/`) or,
-    naming both paths, for two paths that give one name. Group names key
-    the output of sweep and classify. No file is read.
+    its own name. Inside a symlinked directory, `.` and `..` are resolved by
+    the kernel, so there `.` names the link's target. Raises
+    NotADirectoryError for a path that is not a directory, and TvmhrvError
+    for one with no last component (such as `/`) or, naming both paths, for
+    two paths that give one name. Group names key the output of sweep and
+    classify. No file is read.
     """
     seen: dict[str, Path] = {}
     for path in map(Path, paths):

@@ -31,6 +31,8 @@ from .errors import EmptyInputError
 from .sodp import PlotPoints, point_distances
 
 DEFAULT_DIVISIONS = (10, 10, 10)
+# The most divisions per axis: float64 holds every integer up to 2**53.
+MAX_AXIS_DIVISIONS = 2**53
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +126,12 @@ def build_grid(
     for d in divisions:
         if int(d) != d or d < 1:
             raise ValueError(f"divisions must be integers >= 1, got {divisions}")
+    # Each bin index is computed in float64 and the flat cell index is an int64.
+    if max(divisions) > MAX_AXIS_DIVISIONS or math.prod(map(int, divisions)) >= 2**63:
+        raise ValueError(
+            f"divisions must be at most 2**53 per axis and give fewer than 2**63 cells, "
+            f"got {divisions}"
+        )
 
     bounds, k, index = zip(*(_axis_index(v, int(d)) for v, d in zip((x, y, z), divisions)))
     keys = np.ravel_multi_index(index, k)

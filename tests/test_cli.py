@@ -1,11 +1,26 @@
 import csv
+import itertools
 import json
 import random
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
-from tvmhrv import ALL_INDICATORS, RRSeries, cli, cluster, indicator_value, report
+from tvmhrv import (
+    ALL_INDICATORS,
+    IndicatorParams,
+    RRSeries,
+    TvmhrvError,
+    cli,
+    cluster,
+    indicator_value,
+    load_rr_series,
+    report,
+)
 from tvmhrv.analysis import round_sig
 from tvmhrv.cli import main, parse_divisions, parse_r_grid
 from tvmhrv.sodp import Quadrant, second_order_diff
@@ -70,6 +85,18 @@ class TestParsers:
             err = capsys.readouterr().err
             assert f"divisions must give fewer than 2**63 cells: {text!r}" in err
 
+    def test_divisions_within_a_float_exact_axis(self, rr_file, tmp_path, capsys):
+        # float64, in which a bin index is computed, holds every integer up to 2**53.
+        assert run(["indicators", rr_file, "--divisions", f"1,1,{2**53}",
+                    "--out", tmp_path / "r.csv"]) == 0
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        for text in ("1,1,9223372036854775807", f"{2**53 + 1},1,1"):
+            with pytest.raises(SystemExit) as info:
+                run(["indicators", rr_file, "--divisions", text])
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --divisions: divisions must be at most 2**53 per axis: {text!r}" in err
+
     @pytest.mark.parametrize("flag", ["--r-ctm", "--r-d"])
     @pytest.mark.parametrize("text", ["inf", "nan", "1e400", "-Infinity"])
     def test_non_finite_radius_is_a_usage_error(self, rr_file, flag, text, capsys):
@@ -83,6 +110,20 @@ class TestParsers:
             run(["indicators", rr_file, "--r-d", "six"])
         assert info.value.code == 2
         assert "argument --r-d: expected a number, got 'six'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["indicators", "a"], ["points", "a"], ["classify", "a", "b"]])
+    def test_indicator_flags_default_to_indicator_params(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert cli.indicator_params(args) == IndicatorParams()
+        args = cli.build_parser().parse_args([*argv, "--r-d=7", "--divisions=1,2,3"])
+        assert cli.indicator_params(args) == IndicatorParams(r_d=7.0, divisions=(1, 2, 3))
+
+    def test_r_grid_radius_cap(self):
+        grid = parse_r_grid(f"1:{cli.MAX_RADII}:1")
+        assert len(grid) == cli.MAX_RADII == 10**6
+        assert grid[-1] == cli.MAX_RADII
+        with pytest.raises(Exception, match="more than 1000000 radii"):
+            parse_r_grid(f"1:{cli.MAX_RADII + 1}:1")
 
     def test_r_grid_includes_endpoint(self):
         grid = parse_r_grid("0.5:10:0.5")
@@ -474,6 +515,16 @@ class TestSweep:
         assert info.value.code == 2
         assert f"start, stop and step must be finite: {grid!r}" in capsys.readouterr().err
 
+    # Infinitely many radii, and 10**12 of them.
+    @pytest.mark.parametrize("grid", ["1:1e300:1e-300", "5e-324:1:5e-324", "1:1e9:1e-3"])
+    def test_r_grid_past_the_radius_cap_is_a_usage_error(self, two_groups, grid, capsys):
+        a, b = two_groups
+        with pytest.raises(SystemExit) as info:
+            run(["sweep", a, b, "--r-grid", grid])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --r-grid: grid gives more than 1000000 radii: {grid!r}" in err
+
     @pytest.mark.parametrize("flag", [["--r-ctm", "3"], ["--r-d", "6"], ["--divisions", "2,2,2"]])
     def test_indicator_parameters_are_a_usage_error(self, two_groups, flag, capsys):
         # The radii come from --r-grid and no E_TV is computed, so these would do nothing.
@@ -654,3 +705,142 @@ class TestDeterminism:
             assert run(["indicators", corpus_dir / "steady", corpus_dir / "erratic", "--out", out]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# The CLI contract, driven in process over small input trees and flag values.
+TREE_DIRS = ("g1", "g2", "g3", "g1/sub", "g1/dir.txt")  # g3 holds no recording
+TREE_FILES = (
+    "g1/a.txt", "g1/b.csv", "g1/notes.dat", "g1/sub/a.txt", "g1/dir.txt/c.txt", "g2/a.txt",
+    "g2/C.TXT",
+)
+GOOD = ("800\n801\n800\n802\n800.5\n801\n", "700,720,690,710\n730,705\n", "800\n" * 6)
+VALUES = ("800", "812.5", "790", "1e3", "750", "# note", "")
+BAD_VALUES = ("0", "-5", "1e200", "1e400", "nan", "oops", "8_00")
+# Each flag's values: (accepted, rejected).
+RADII = (("3", "0.5", "40", "5e-324", "1e-300", "1e300"), ("inf", "-inf", "nan", "1e400", "x"))
+DIVISIONS = (
+    ("10,10,10", "1,1,1", "3,2,5", "2097151,2097151,2097151", f"1,1,{2**53}"),
+    ("2097152,2097152,2097152", "1,1,9223372036854775807", "0,1,1", "1,1", "a,b,c"),
+)
+GRIDS = (
+    ("0.5:10:0.5", "1:1:1", "5e-324:1e-323:5e-324", "1:1e300:1e299"),
+    ("1:1e300:1e-300", "5e-324:1:5e-324", "1:1000001:1", "2:1:1", "0:1:1", "nan:1:1", "1:2"),
+)
+SEGMENT_LENS = (("3", "4", "100"), ("2", "-1", "x"))
+
+
+def _file_text(lines, bom, crlf, final_newline):
+    text = "\n".join(lines) + "\n" * final_newline
+    return "\ufeff" * bom + (text.replace("\n", "\r\n") if crlf else text)
+
+
+file_texts = st.builds(
+    _file_text,
+    st.one_of(
+        st.sampled_from(GOOD).map(str.splitlines),
+        st.lists(st.sampled_from(VALUES), min_size=3, max_size=8),
+        st.lists(st.sampled_from(VALUES + BAD_VALUES), max_size=8),
+    ),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv whose paths start with {root}, the tree's directory."""
+    command = draw(st.sampled_from(["indicators", "points", "sweep", "classify"]))
+    if command in ("sweep", "classify"):
+        # Distinct group names, so any exit 1 before a file is read is a file's.
+        size = 2 if command == "classify" else draw(st.integers(1, 3))
+        groups = st.sampled_from(["g1", "g2", "g1/sub", "g1", "g2", "g3", "missing"])
+        inputs = draw(st.lists(groups, min_size=size, max_size=size, unique=True))
+    else:
+        paths = st.sampled_from(["g1", "g2", "g1/a.txt", "g2/b.csv", "g3", "missing.txt"])
+        inputs = draw(st.lists(paths, min_size=1, max_size=3))
+    argv = [command, *(f"{{root}}/{path}" for path in inputs)]
+    flags = {"--format": (("csv", "json"), ()), "--segment-len": SEGMENT_LENS}
+    if command == "sweep":
+        flags["--indicator"] = (("ctm", "d", "cctm3"), ())
+        flags["--r-grid"] = GRIDS
+    else:
+        flags["--r-ctm"] = flags["--r-d"] = RADII
+        flags["--divisions"] = DIVISIONS
+    if command == "classify":
+        # Not d: an undefined D in the first group would stop the run before
+        # the second group is read, with an error that names no file.
+        flags["--indicator"] = (("ctm", "cctm2", "etv_global", "etv1"), ())
+    # At most one flag takes a value its parser rejects.
+    bad = draw(st.sampled_from([None, None, *(flag for flag, (_, no) in flags.items() if no)]))
+    for flag, (accepted, rejected) in flags.items():
+        value = draw(st.none() | st.sampled_from(rejected if flag == bad else accepted))
+        if value is not None:
+            argv.append(f"{flag}={value}")  # `=` keeps a value such as -inf a value
+    if command == "points":
+        argv += ["--out", "{root}/out"]
+    return argv
+
+
+def _outcome(argv, out_dir, capsys):
+    """Exit code, stdout, stderr and written files of one in-process run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning is an internal fault too
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))} if out_dir.is_dir() else {}
+    return code, out, err, files
+
+
+def _files_at_fault(inputs, segment_len):
+    """The inputs and the files they name that a run must not accept."""
+    for path in inputs:
+        if path.is_dir():
+            files = [p for p in path.iterdir() if p.suffix.lower() in (".txt", ".csv")]
+            files = [p for p in files if p.is_file()]
+            if not files:
+                yield path
+        else:
+            files = [path]
+        for file in files:
+            try:
+                if len(load_rr_series(file)) < segment_len:
+                    yield file
+            except (TvmhrvError, OSError):
+                yield file
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.dictionaries(st.sampled_from(TREE_FILES), file_texts, max_size=3), cli_argvs())
+@example({"g1/a.txt": GOOD[0]}, ["sweep", "{root}/g1", "--r-grid=1:1e300:1e-300"])
+@example({"g1/a.txt": GOOD[0]}, ["indicators", "{root}/g1", "--divisions=1,1,9223372036854775807"])
+def test_cli_contract(tmp_path, capsys, tree, argv):
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    for name in TREE_DIRS:
+        (root / name).mkdir()
+    for name, text in {"g1/a.txt": GOOD[0], "g2/e.txt": GOOD[1], **tree}.items():
+        (root / name).write_bytes(text.encode())
+    argv = [token.replace("{root}", str(root)) for token in argv]
+
+    code, out, err, files = _outcome(argv, root / "out", capsys)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code != 2:
+        lines = err.splitlines()
+        assert [line for line in lines if not line.startswith("tvmhrv: warning: ")] == (
+            lines[-1:] if code == 1 else []
+        ), err
+    if code == 1:
+        assert lines[-1].startswith("tvmhrv: error: ")
+        inputs = map(Path, itertools.takewhile(lambda token: token[:2] != "--", argv[1:]))
+        segment = next((t.split("=")[1] for t in argv if t.startswith("--segment-len=")), "3")
+        at_fault = [str(path) for path in _files_at_fault(inputs, int(segment))]
+        if at_fault:
+            assert any(path in lines[-1] for path in at_fault), (lines[-1], at_fault)
+    assert _outcome(argv, root / "out", capsys) == (code, out, err, files)

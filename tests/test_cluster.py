@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tvmhrv import (
@@ -102,9 +102,7 @@ class TestRandAccuracy:
 
 class TestPairwiseClassify:
     def test_clear_separation(self):
-        result, ri = pairwise_classify(
-            [99.0, 100.0, 101.0], [0.9, 1.0, 1.1], label_a="big", label_b="small"
-        )
+        result, ri = pairwise_classify([99.0, 100.0, 101.0], [0.9, 1.0, 1.1])
         assert ri == 1.0
         assert result.centroids[0] < result.centroids[1]
 
@@ -127,15 +125,20 @@ class TestPairwiseClassify:
             pairwise_classify([], [1.0, 2.0])
 
     def test_assignments_follow_the_concatenated_features(self):
-        result, ri = pairwise_classify([1.0, 2.0], [8.0, 9.0], label_a="A", label_b="B")
+        result, ri = pairwise_classify([1.0, 2.0], [8.0, 9.0])
         assert ri == 1.0
         assert result.assignments == (0, 0, 1, 1)
         assert result.centroids == (1.5, 8.5)
         assert result.iterations == 1
 
-    def test_equal_labels_rejected(self):
-        with pytest.raises(ValueError):
-            pairwise_classify([1.0], [2.0], label_a="x", label_b="x")
+    @given(features, st.integers(min_value=1), st.sampled_from([("a", "b"), ("b", "a"), (7, -7)]))
+    def test_ri_is_scored_against_group_membership(self, values, split, labels):
+        # RI takes the better bijection, so any two names of the groups give it.
+        assume(len(set(values)) >= 2)
+        split = 1 + split % (len(values) - 1)
+        result, ri = pairwise_classify(values[:split], values[split:])
+        truth = [labels[0]] * split + [labels[1]] * (len(values) - split)
+        assert ri == rand_accuracy(result.assignments, truth)
 
 
 class TestLabeledFeatures:

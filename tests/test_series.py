@@ -293,6 +293,14 @@ class TestSegments:
             split_segments(RRSeries([1, 2, 3]), 2)
 
 
+def test_parse_and_validation_errors_name_file_and_line_and_are_siblings():
+    for cls, other in ((RRParseError, RRValidationError), (RRValidationError, RRParseError)):
+        err = cls("bad value", path="rec.txt", line=3)
+        assert (str(err), err.path, err.line) == ("bad value", "rec.txt", 3)
+        assert isinstance(err, TvmhrvError) and not isinstance(err, other)
+        assert (cls("bad value").path, cls("bad value").line) == (None, None)
+
+
 class TestGroupNames:
     def test_repeated_name_names_both_paths(self, tmp_path):
         a, b = tmp_path / "a" / "data", tmp_path / "b" / "data"
@@ -316,6 +324,15 @@ class TestGroupNames:
         names = check_group_names([tmp_path / "alias", tmp_path / "data", tmp_path / "alias/.."])
         assert list(names) == ["alias", "data", tmp_path.name]
         assert names["alias"] == tmp_path / "alias"
+
+    def test_dot_inside_a_symlinked_directory_names_the_target(self, tmp_path, monkeypatch):
+        # The working directory is kept with links resolved, so `.` and `..`
+        # name the link's target and its parent, not the link.
+        target = tmp_path / "real" / "data"
+        target.mkdir(parents=True)
+        (tmp_path / "alias").symlink_to(target)
+        monkeypatch.chdir(tmp_path / "alias")
+        assert list(check_group_names([".", ".."])) == ["data", "real"]
 
 
 class TestLoadGroups:

@@ -189,6 +189,23 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(*xyz(points), bad)
 
+    @pytest.mark.parametrize("bad", [(2**21,) * 3, (1, 1, 2**63 - 1), (1, 1, 2**53 + 1)])
+    def test_divisions_the_cell_index_cannot_hold(self, bad):
+        # 2**21 per axis gives 2**63 cells, one more than an int64 index counts;
+        # above 2**53 per axis, float64 no longer holds every bin index.
+        points = build_tvm_points(plot((1, 2), (-1, 3), (2, -2)))
+        with pytest.raises(ValueError, match=rf"got \({bad[0]}, {bad[1]}, {bad[2]}\)"):
+            build_grid(*xyz(points), bad)
+
+    def test_divisions_at_the_float_exact_bound(self):
+        points = build_tvm_points(plot((0, 5), (1, 5), (2, 5)))
+        grid = build_grid(*xyz(points), (2**53, 1, 1))
+        assert grid.cells.tolist() == [0, 2**52, 2**53 - 1]
+
+    def test_report_rejects_divisions_past_the_cell_index(self):
+        with pytest.raises(ValueError, match=r"got \(2097152, 2097152, 2097152\)"):
+            report(RRSeries([800, 810, 790, 805, 795]), IndicatorParams(divisions=(2**21,) * 3))
+
 
 class TestEntropy:
     def test_single_cell_grid_is_zero(self):
