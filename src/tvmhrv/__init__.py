@@ -60,6 +60,7 @@ from .tvm import (
     SubspaceGrid,
     build_grid,
     build_tvm_points,
+    etv_of_sets,
     quadrant_etv,
     temporal_variation_entropy,
 )

@@ -23,9 +23,10 @@ from .series import RRSeries
 from .sodp import RadiusCounts, radius_census, second_order_diff
 from .tvm import (
     DEFAULT_DIVISIONS,
-    LiftedPoints,
+    batches,
     build_grid,
     build_tvm_points,
+    etv_of_sets,
     quadrant_etv,
     temporal_variation_entropy,
 )
@@ -341,42 +342,48 @@ def report(series: RRSeries, params: IndicatorParams = IndicatorParams()) -> Ind
         ctm=near.ctm,
         cctm=near.cctm,
         d=far.d,
-        etv_global=_global_etv(lifted, params.divisions),
+        etv_global=temporal_variation_entropy(
+            build_grid(points.x, points.y, lifted.z, params.divisions)
+        )[0],
         etv_quadrant=quadrant_etv(lifted, params.divisions),
         quadrant_points=tuple(np.bincount(points.code, minlength=5)[:4].tolist()),
     )
 
 
-def _global_etv(lifted: LiftedPoints, divisions: tuple[int, int, int]) -> float:
-    return temporal_variation_entropy(
-        build_grid(lifted.base.x, lifted.base.y, lifted.z, divisions)
-    )
-
-
 def indicator_of(
-    series: RRSeries,
+    recordings: Sequence[RRSeries],
     indicator: str,
     params: IndicatorParams = IndicatorParams(),
-    empty: list[int] | None = None,
-) -> float | None:
-    """One named indicator of a recording, computing only what it needs.
+    empty: list[RRSeries] | None = None,
+) -> list[float | None]:
+    """One named indicator of each recording, computing only what it needs.
 
-    The value is indicator_value(report(series, params), indicator), bit for
+    Each value is indicator_value(report(rec, params), indicator), bit for
     bit: a radius indicator takes the census at its one radius, etv_global
-    the global grid and etvN the grid of quadrant N alone. For etvN, the
-    quadrant's code (N - 1) is appended to empty if given and the quadrant
-    has no point, its E_TV then being 0.
+    the global grid and etvN the grid of quadrant N alone, whose points
+    alone are lifted. The E_TVs of consecutive recordings are computed
+    together, up to tvm.BATCH_POINTS points at a time (tvm.batches). Under
+    etvN, each recording whose quadrant N has no point is appended to empty
+    if given, its E_TV then being 0.
     """
     _check_indicator(indicator)
-    points = second_order_diff(series)
     if indicator in RADIUS_INDICATORS:
         r = params.r_d if indicator == "d" else params.r_ctm
-        return indicator_value(radius_census(points, (r,))[0], indicator)
-    lifted = build_tvm_points(points)
-    if indicator == "etv_global":
-        return _global_etv(lifted, params.divisions)
-    code = int(indicator[3:]) - 1
-    return quadrant_etv(lifted, params.divisions, (code,), empty)[0]
+        return [
+            indicator_value(radius_census(second_order_diff(rec), (r,))[0], indicator)
+            for rec in recordings
+        ]
+    quadrant = None if indicator == "etv_global" else int(indicator[3:]) - 1
+    sizes = [len(rec) - 2 for rec in recordings]
+    values = []
+    for first, stop in batches(sizes):
+        batch = recordings[first:stop]
+        lifted = build_tvm_points(second_order_diff(*batch), sizes[first:stop], quadrant)
+        base = lifted.base
+        values += etv_of_sets(base.x, base.y, lifted.z, lifted.sizes, params.divisions)
+        if empty is not None:
+            empty += [rec for rec, n in zip(batch, lifted.sizes.tolist()) if n == 0]
+    return values
 
 
 def _check_indicator(indicator: str) -> None:

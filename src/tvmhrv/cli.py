@@ -65,6 +65,8 @@ def parse_radius(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not math.isfinite(r):
         raise argparse.ArgumentTypeError(f"radius must be finite, got {text!r}")
+    if r <= 0:
+        raise argparse.ArgumentTypeError(f"radius must be > 0, got {text!r}")
     return r
 
 
@@ -196,18 +198,16 @@ def _group_features(name, directory, args, params, empty_ids: list[str]):
     appended to empty_ids.
     """
     # One group at a time, so only one group's recordings are held at once.
-    features = []
-    for rec in load_recordings(input_files(directory), args.segment_len):
-        empty = []
-        value = indicator_of(rec, args.indicator, params, empty)
+    recordings = load_recordings(input_files(directory), args.segment_len)
+    empty = []
+    features = indicator_of(recordings, args.indicator, params, empty)
+    for rec, value in zip(recordings, features):
         if value is None:
             raise TvmhrvError(
                 f"{name}/{rec.source_id}: indicator {args.indicator!r} is undefined "
                 f"(no point inside r_d={params.r_d}); cannot classify"
             )
-        if empty:
-            empty_ids.append(f"{name}/{rec.source_id}")
-        features.append(value)
+    empty_ids += [f"{name}/{rec.source_id}" for rec in empty]
     return features
 
 

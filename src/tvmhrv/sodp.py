@@ -90,10 +90,20 @@ class RadiusCounts:
         return (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
 
 
-def second_order_diff(series: RRSeries) -> PlotPoints:
-    """Build the n-2 plot points of a series, in index order."""
-    diff = np.diff(series.intervals)
-    return PlotPoints(x=diff[:-1], y=diff[1:])
+def second_order_diff(*recordings: RRSeries) -> PlotPoints:
+    """Build the n-2 plot points of a series of n intervals, in index order.
+
+    Given several series, their points follow one another, each series'
+    in index order; no point spans two series.
+    """
+    if len(recordings) == 1:
+        diff = np.diff(recordings[0].intervals)
+        return PlotPoints(x=diff[:-1], y=diff[1:])
+    diff = np.diff(np.concatenate([rec.intervals for rec in recordings]))
+    # The points that start in the last two intervals of a series span the next one.
+    ends = np.cumsum([len(rec) for rec in recordings[:-1]])
+    cut = np.concatenate((ends - 2, ends - 1))
+    return PlotPoints(x=np.delete(diff[:-1], cut), y=np.delete(diff[1:], cut))
 
 
 def point_distances(points: PlotPoints) -> np.ndarray:

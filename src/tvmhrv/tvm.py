@@ -17,13 +17,18 @@ variation entropy sums, over subspaces,
 
 with m = M / N the average occupancy over all N cells (empty ones included)
 and the usual 0*log(0) = 0 convention.
+
+Every step takes consecutive point sets (the segments or recordings of a
+batch, or the quadrants of one recording), each with its own mean_le,
+cuboid and sums, so that many small sets share one vectorised pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +38,53 @@ from .sodp import PlotPoints, point_distances
 DEFAULT_DIVISIONS = (10, 10, 10)
 # The most divisions per axis: float64 holds every integer up to 2**53.
 MAX_AXIS_DIVISIONS = 2**53
+# The most points that several point sets are binned and scored together in
+# (a larger set takes a batch of its own). Batches save the per-set call
+# overhead; a batch of a whole group of recordings would raise peak memory.
+BATCH_POINTS = 2048
+
+
+def batches(sizes: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(first, stop) of each run of consecutive whole sets, in order.
+
+    A run holds at most BATCH_POINTS points in all, or is one set that holds
+    more on its own.
+    """
+    first = total = 0
+    for i, n in enumerate(sizes):
+        if total + n > BATCH_POINTS and i > first:
+            yield first, i
+            first, total = i, 0
+        total += n
+    if first < len(sizes):
+        yield first, len(sizes)
+
+
+def _set_sizes(sizes: Sequence[int] | None, n: int) -> np.ndarray:
+    """sizes as an int64 array, checked to split n points into sets of one point or more.
+
+    None is one set of all n points.
+    """
+    if sizes is None:
+        return np.array([n])
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != n:
+        raise ValueError(f"set sizes must be >= 1 and add up to the {n} points")
+    return sizes
+
+
+def _per_point(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per-set values, one per point of each set; one set's broadcast as they are."""
+    return values if sizes.size == 1 else np.repeat(values, sizes)
+
+
+def _fsums(values: np.ndarray, sizes: np.ndarray) -> list[float]:
+    """math.fsum of each consecutive run of sizes[k] values.
+
+    fsum is correctly rounded, so a sum does not depend on the order of its values.
+    """
+    values = iter(values.tolist())
+    return [math.fsum(islice(values, n)) for n in sizes.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +92,8 @@ class LiftedPoints:
     """Plot points lifted to three dimensions, as float64 columns.
 
     `base` holds x, y and the quadrant codes; d_co, le, l and z are aligned
-    with it point by point.
+    with it point by point. `sizes` counts the points of each consecutive
+    set they were lifted in; the default, None, is one set of them all.
     """
 
     base: PlotPoints
@@ -48,6 +101,11 @@ class LiftedPoints:
     le: np.ndarray
     l: np.ndarray
     z: np.ndarray
+    sizes: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.sizes is None:
+            object.__setattr__(self, "sizes", np.array([len(self.base)]))
 
     def __len__(self) -> int:
         return len(self.base)
@@ -55,71 +113,85 @@ class LiftedPoints:
 
 @dataclass(frozen=True, eq=False)
 class SubspaceGrid:
-    """Bounding cuboid of a point set, cut into equal-width subspaces.
+    """Bounding cuboids of consecutive point sets, each cut into equal-width subspaces.
 
-    `divisions` are the effective per-axis bin counts: an axis whose extent
-    is zero collapses to a single bin whatever was requested. The occupied
-    cells are three aligned columns in ascending cell order: `cells` holds
-    the C-order flat index of each cell's (ix, iy, iz) over `divisions`,
-    `counts` its point count and `abs_z_sums` the sum of its points' |z|.
-    Empty cells are not stored; they still count toward `n_cells`.
+    Per set s: `sizes[s]` points, the (lo, hi) extremes `bounds[s, axis]`
+    and the effective per-axis bin counts `divisions[s]` (an axis whose
+    extent is zero collapses to a single bin whatever was requested). The
+    occupied cells are three aligned columns, set by set (`occupied[s]`
+    cells each) and in ascending cell order within a set: `cells` holds the
+    C-order flat index of each cell's (ix, iy, iz) over its set's
+    divisions, `counts` its point count and `abs_z_sums` the sum of its
+    points' |z|. Empty cells are not stored; they still count toward
+    `n_cells`.
     """
 
-    bounds: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
-    divisions: tuple[int, int, int]
+    sizes: np.ndarray
+    bounds: np.ndarray
+    divisions: np.ndarray
+    occupied: np.ndarray
     cells: np.ndarray
     counts: np.ndarray
     abs_z_sums: np.ndarray
-    total_points: int
 
     @property
     def n_cells(self) -> int:
-        nx, ny, nz = self.divisions
-        return nx * ny * nz
+        """The cells of every set, empty ones included."""
+        return sum(math.prod(k) for k in self.divisions.tolist())
 
 
-def build_tvm_points(points: PlotPoints) -> LiftedPoints:
-    """Lift plot points to 3-D; mean_le is computed once over all inputs.
+def build_tvm_points(
+    points: PlotPoints, sizes: Sequence[int] | None = None, quadrant: int | None = None
+) -> LiftedPoints:
+    """Lift plot points to 3-D; mean_le is computed once over each point set.
 
-    If every distance is 0 (all points at the origin, or distances that
-    underflow), mean_le is 0: l is then 0.5 and z is 0 for all points.
+    sizes counts the points of consecutive sets (each >= 1); by default all
+    points are one set. Given a quadrant code (0-3 for I-IV), only that
+    quadrant's points are lifted, still with their whole set's mean_le, and
+    the result holds them alone: its sizes count each set's points in the
+    quadrant, 0 included.
+
+    If every distance of a set is 0 (all points at the origin, or distances
+    that underflow), its mean_le is 0: l is then 0.5 and z is 0 for all its
+    points.
     """
     if len(points) == 0:
         raise EmptyInputError("need at least one plot point")
-    d_co = np.abs(points.y) - np.abs(points.x)
+    sizes = _set_sizes(sizes, len(points))
     le = point_distances(points)
-    # fsum is correctly rounded, so mean_le does not depend on point order.
-    mean_le = math.fsum(le.tolist()) / le.size
-    if mean_le == 0.0:
-        l = np.full(le.size, 0.5)
-        z = np.zeros(le.size)
-    else:
-        # Scalar math.exp, not np.exp: numpy's exp differs from libm by an ulp
-        # on some inputs, and the exported l and z would change with it.
-        e = np.fromiter(map(math.exp, (-le / mean_le).tolist()), np.float64, le.size)
-        l = 1.0 / (1.0 + e)
-        z = d_co * l
-    return LiftedPoints(base=points, d_co=d_co, le=le, l=l, z=z)
-
-
-def _axis_index(
-    values: np.ndarray, requested: int
-) -> tuple[tuple[float, float], int, np.ndarray]:
-    """(lo, hi) bounds, effective bin count and bin index of each value."""
-    lo, hi = float(values.min()), float(values.max())
-    if hi == lo:
-        return (lo, hi), 1, np.zeros(values.size, dtype=np.int64)
-    # Half-open equal-width bins; the clamp closes the last bin at the top.
-    index = ((values - lo) / (hi - lo) * requested).astype(np.int64)
-    return (lo, hi), requested, np.minimum(index, requested - 1)
+    mean_le = np.array([s / n for s, n in zip(_fsums(le, sizes), sizes.tolist())])
+    if quadrant is not None:
+        keep = points.code == quadrant
+        sizes = np.add.reduceat(keep, np.cumsum(sizes) - sizes, dtype=np.int64)
+        points = PlotPoints(x=points.x[keep], y=points.y[keep])
+        le = le[keep]
+    d_co = np.abs(points.y) - np.abs(points.x)
+    zero = mean_le == 0.0
+    # Scalar math.exp, not np.exp: numpy's exp differs from libm by an ulp on
+    # some inputs, and the exported l and z would change with it.
+    scale = _per_point(np.where(zero, 1.0, mean_le), sizes)
+    e = np.fromiter(map(math.exp, (-le / scale).tolist()), np.float64, le.size)
+    l = 1.0 / (1.0 + e)
+    z = d_co * l
+    if zero.any():
+        zero = _per_point(zero, sizes)
+        l = np.where(zero, 0.5, l)
+        z = np.where(zero, 0.0, z)
+    return LiftedPoints(base=points, d_co=d_co, le=le, l=l, z=z, sizes=sizes)
 
 
 def build_grid(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray, divisions: tuple[int, int, int] = DEFAULT_DIVISIONS
+    x: np.ndarray,
+    y: np.ndarray,
+    z: np.ndarray,
+    divisions: tuple[int, int, int] = DEFAULT_DIVISIONS,
+    sizes: Sequence[int] | None = None,
 ) -> SubspaceGrid:
-    """Bin the points (x[i], y[i], z[i]) into the cuboid spanned by their extremes.
+    """Bin consecutive point sets, each into the cuboid spanned by its own extremes.
 
-    x, y and z are aligned float64 arrays of one length.
+    x, y and z are aligned float64 arrays of one length; point i is
+    (x[i], y[i], z[i]). sizes counts the points of each set in turn (each
+    >= 1); by default all points are one set.
     """
     if z.size == 0:
         raise EmptyInputError("need at least one 3-D point")
@@ -132,42 +204,104 @@ def build_grid(
             f"divisions must be at most 2**53 per axis and give fewer than 2**63 cells, "
             f"got {divisions}"
         )
+    sizes = _set_sizes(sizes, z.size)
+    starts = np.cumsum(sizes) - sizes
 
-    bounds, k, index = zip(*(_axis_index(v, int(d)) for v, d in zip((x, y, z), divisions)))
-    keys = np.ravel_multi_index(index, k)
+    # keys becomes each point's C-order flat cell index, one axis at a time.
+    lo_hi, k, keys = [], [], np.zeros(z.size, dtype=np.int64)
+    for values, requested in zip((x, y, z), map(int, divisions)):
+        lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+        # A set of zero extent on this axis takes one bin: its values all
+        # equal lo, so a span of 1 puts them in bin 0.
+        flat = hi == lo
+        span = np.where(flat, 1.0, hi - lo)
+        # Half-open equal-width bins; the clamp closes the last bin at the top.
+        index = ((values - _per_point(lo, sizes)) / _per_point(span, sizes) * requested).astype(
+            np.int64
+        )
+        lo_hi.append((lo, hi))
+        k.append(np.where(flat, 1, requested))
+        keys *= _per_point(k[-1], sizes)
+        keys += np.minimum(index, requested - 1, out=index)
+    divisions = np.array(k).T
     # A stable sort's order is fully determined, so sorting the keys in the
     # narrowest type that holds them (uint16 for 1,000 cells, which numpy
     # radix-sorts) gives the same order as sorting them as int64.
-    order = np.argsort(keys.astype(np.min_scalar_type(math.prod(k) - 1)), kind="stable")
+    widest = max(math.prod(d) for d in divisions.tolist())
+    order = np.argsort(keys.astype(np.min_scalar_type(widest - 1)), kind="stable")
+    if sizes.size > 1:
+        # Then by set, stably: each set keeps its place, its points in cell order.
+        set_of = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size - 1)), sizes)
+        order = order[np.argsort(set_of[order], kind="stable")]
     keys = keys[order]
-    # Each run of equal keys is one occupied cell; edges bound the runs.
-    edges = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), keys.size]
-    abs_z = np.abs(z[order]).tolist()
+    # Each run of equal keys within a set is one occupied cell.
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    first[starts] = True
+    cell_starts = np.flatnonzero(first)
+    counts = np.diff(cell_starts, append=keys.size)
+    abs_z = np.abs(z[order])
+    # A one-point cell's sum is its point's |z|; the others' are fsums.
+    abs_z_sums = abs_z[cell_starts]
+    many = counts > 1
+    abs_z_sums[many] = _fsums(abs_z[np.repeat(many, counts)], counts[many])
     return SubspaceGrid(
-        bounds=bounds,
-        divisions=k,
-        cells=keys[edges[:-1]],
-        counts=np.diff(edges),
-        # fsum is correctly rounded, so cell sums do not depend on point order.
-        abs_z_sums=np.array([math.fsum(abs_z[i:j]) for i, j in zip(edges, edges[1:])]),
-        total_points=z.size,
+        sizes=sizes,
+        bounds=np.array(lo_hi).transpose(2, 0, 1),
+        divisions=divisions,
+        occupied=np.add.reduceat(first, starts, dtype=np.int64),
+        cells=keys[cell_starts],
+        counts=counts,
+        abs_z_sums=abs_z_sums,
     )
 
 
-def temporal_variation_entropy(grid: SubspaceGrid) -> float:
-    """E_TV of a grid; natural log, 0*log(0) terms contribute nothing."""
-    if grid.total_points < 1:
-        raise EmptyInputError("grid holds no points")
-    m_total = grid.total_points
-    m_bar = m_total / grid.n_cells
-    terms = []
-    for count, abs_z_sum in zip(grid.counts.tolist(), grid.abs_z_sums.tolist(), strict=True):
-        p = abs(count - m_bar) / m_total
-        if p == 0.0:
-            continue
-        terms.append(count * abs_z_sum * p * (-math.log(p)))
-    # fsum is correctly rounded, so the terms' order does not matter.
-    return math.fsum(terms)
+def temporal_variation_entropy(grid: SubspaceGrid) -> list[float]:
+    """E_TV of each point set of a grid; natural log, 0*log(0) terms contribute nothing."""
+    sizes = grid.sizes.tolist()
+    if min(sizes, default=0) < 1:
+        raise EmptyInputError("grid holds a set of no points")
+    # m_total / n_cells per set in Python ints: a cell count above 2**53 is
+    # not exact as a float.
+    m_bar = [m / math.prod(k) for m, k in zip(sizes, grid.divisions.tolist())]
+    cell_set = np.repeat(np.arange(len(sizes)), grid.occupied)
+    p = np.abs(grid.counts - np.array(m_bar)[cell_set]) / grid.sizes[cell_set]
+    live = p != 0.0
+    p = p[live]
+    log_p = np.fromiter(map(math.log, p.tolist()), np.float64, p.size)
+    terms = grid.counts[live] * grid.abs_z_sums[live] * p * -log_p
+    return _fsums(terms, np.bincount(cell_set[live], minlength=len(sizes)))
+
+
+def etv_of_sets(
+    x: np.ndarray,
+    y: np.ndarray,
+    z: np.ndarray,
+    sizes: Sequence[int],
+    divisions: tuple[int, int, int] = DEFAULT_DIVISIONS,
+    order: np.ndarray | None = None,
+) -> list[float]:
+    """E_TV of consecutive point sets, each over the grid of its own cuboid.
+
+    x, y and z are aligned float64 arrays whose points lie set by set, or
+    in the order of the index array order if given; sizes counts each
+    set's points. An empty set's E_TV is 0. The other sets go through
+    build_grid and temporal_variation_entropy together, a batch of them at
+    a time, as batches() groups them.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.sum() != (z.size if order is None else order.size):
+        raise ValueError("set sizes must add up to the points")
+    filled = sizes[sizes > 0]
+    ends = np.cumsum(filled).tolist()
+    values = []
+    for first, stop in batches(filled.tolist()):
+        i, j = ends[first] - int(filled[first]), ends[stop - 1]
+        rows = slice(i, j) if order is None else order[i:j]
+        grid = build_grid(x[rows], y[rows], z[rows], divisions, filled[first:stop])
+        values += temporal_variation_entropy(grid)
+    filled_values = iter(values)
+    return [next(filled_values) if n else 0.0 for n in sizes.tolist()]
 
 
 def quadrant_etv(
@@ -178,23 +312,28 @@ def quadrant_etv(
 ) -> tuple[float, ...]:
     """E_TV per quadrant, each over a fresh grid spanning only that quadrant.
 
-    The sigmoid scale l keeps its global mean_le; only the spatial filtering
-    and bounding box are quadrant-local. An empty quadrant reports 0.
+    points are the lifted points of one set. The sigmoid scale l keeps its
+    global mean_le; only the spatial filtering and bounding box are
+    quadrant-local. An empty quadrant reports 0.
 
     quadrants names the quadrants to compute by code (0-3 for I-IV), and the
     result holds theirs in that order; by default all four. The codes of the
-    empty ones among them are appended to empty if given.
+    empty ones among them are appended to empty if given. One stable sort
+    by code lines each quadrant's points up, and etv_of_sets scores them.
     """
     if len(points) == 0:
         raise EmptyInputError("need at least one 3-D point")
-    x, y, z = points.base.x, points.base.y, points.z
-    out = []
-    for code in quadrants:
-        m = points.base.code == code
-        if m.any():
-            out.append(temporal_variation_entropy(build_grid(x[m], y[m], z[m], divisions)))
-        else:
-            out.append(0.0)
-            if empty is not None:
-                empty.append(code)
-    return tuple(out)
+    if points.sizes.size != 1:
+        raise ValueError(f"quadrant_etv takes one point set, got {points.sizes.size}")
+    quadrants = list(quadrants)
+    by_code = np.argsort(points.base.code, kind="stable")
+    counts = np.bincount(points.base.code, minlength=5)
+    starts = np.cumsum(counts) - counts
+    # by_code[:0] gives the index type when no quadrant is asked for.
+    order = np.concatenate(
+        [by_code[:0], *(by_code[starts[q] : starts[q] + counts[q]] for q in quadrants)]
+    )
+    sizes = counts[quadrants].tolist()
+    if empty is not None:
+        empty += [q for q, n in zip(quadrants, sizes) if n == 0]
+    return tuple(etv_of_sets(points.base.x, points.base.y, points.z, sizes, divisions, order))

@@ -180,7 +180,7 @@ def test_criterion_3_degenerate_cases():
         varied_points = second_order_diff(varied)
         varied_z = build_tvm_points(varied_points).z
         single_cell = build_grid(varied_points.x, varied_points.y, varied_z, (1, 1, 1))
-        assert temporal_variation_entropy(single_cell) == 0.0
+        assert temporal_variation_entropy(single_cell) == [0.0]
 
         tiny = RRSeries([800, 810, 790], source_id="tiny")
         rep = report(tiny, IndicatorParams())

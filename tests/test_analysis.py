@@ -5,10 +5,11 @@ import math
 import stat
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvmhrv import (
@@ -24,7 +25,8 @@ from tvmhrv import (
     summarize_reports,
     sweep_r,
 )
-from tvmhrv import analysis
+from tvmhrv import analysis, tvm
+from tvmhrv.analysis import ENTROPY_INDICATORS
 from tvmhrv.analysis import format_value, write_csv, write_json
 
 FIVE = RRSeries([800, 810, 790, 805, 795], source_id="five")
@@ -75,7 +77,7 @@ class TestReport:
         with pytest.raises(ValueError, match="unknown indicator"):
             indicator_value(rep, name)
         with pytest.raises(ValueError, match="unknown indicator"):
-            indicator_of(FIVE, name)
+            indicator_of([FIVE], name)
 
 
 def bits(value):
@@ -95,7 +97,7 @@ class TestIndicatorOf:
         params = IndicatorParams(r_ctm=r_ctm, r_d=r_d, divisions=divisions)
         rep = report(series, params)
         for name in ALL_INDICATORS:
-            assert bits(indicator_of(series, name, params)) == bits(indicator_value(rep, name))
+            assert bits(indicator_of([series], name, params)[0]) == bits(indicator_value(rep, name))
 
     @pytest.mark.parametrize("name", ALL_INDICATORS)
     @pytest.mark.parametrize(
@@ -110,14 +112,57 @@ class TestIndicatorOf:
     )
     def test_degenerate_series(self, series, params, name):
         want = indicator_value(report(series, params), name)
-        assert bits(indicator_of(series, name, params)) == bits(want)
+        assert bits(indicator_of([series], name, params)[0]) == bits(want)
 
     def test_empty_quadrant_named(self):
         rise = RRSeries(list(range(700, 720)), source_id="rise")
-        empty = []
+        named = {}
         for name in ALL_INDICATORS:
-            indicator_of(rise, name, IndicatorParams(), empty)
-        assert empty == [1, 2, 3]  # etv2, etv3 and etv4; etv_global reports none
+            empty = []
+            indicator_of([rise], name, IndicatorParams(), empty)
+            if empty:
+                named[name] = empty
+        assert named == {"etv2": [rise], "etv3": [rise], "etv4": [rise]}  # etv_global none
+
+
+# Recordings of every shape the batched E_TV must get right.
+batch_recordings = st.lists(
+    st.one_of(
+        st.lists(st.floats(min_value=300.0, max_value=1500.0), min_size=3, max_size=40),
+        st.integers(3, 30).map(lambda n: [800.0] * n),  # every point at the origin: mean_le == 0
+        st.integers(3, 30).map(lambda n: [700.0 + i * (i + 1) / 2 for i in range(n)]),  # I only
+        st.lists(st.floats(min_value=300.0, max_value=1500.0), min_size=3, max_size=3),  # 1 point
+        st.lists(st.sampled_from([800.0, 810.0]), min_size=3, max_size=20),  # collapsed axes
+    ),
+    max_size=12,
+).map(lambda runs: [RRSeries(values, source_id=f"r{i}") for i, values in enumerate(runs)])
+batch_divisions = st.one_of(
+    st.tuples(*[st.integers(min_value=1, max_value=6)] * 3),
+    st.sampled_from([(2**53, 1, 1), (1, 2**53, 1), (1, 1, 2**53), (2097151,) * 3]),
+)
+
+
+@settings(deadline=None)
+@given(batch_recordings, batch_divisions, st.sampled_from([1, 5, 40, 2048]))
+@example(
+    [RRSeries([800.0 + 10 * math.sin(i + k) for i in range(12)], source_id=f"r{k}") for k in range(9)],
+    (10, 10, 10),
+    20,
+)
+def test_batched_entropies_equal_the_report_bit_for_bit(recordings, divisions, budget):
+    # A budget below a set's size puts each set in a batch of its own.
+    params = IndicatorParams(divisions=divisions)
+    reports = [report(rec, params) for rec in recordings]
+    with mock.patch.object(tvm, "BATCH_POINTS", budget):
+        for name in ENTROPY_INDICATORS:
+            empty = []
+            got = indicator_of(recordings, name, params, empty)
+            assert [bits(v) for v in got] == [bits(indicator_value(r, name)) for r in reports]
+            if name == "etv_global":
+                assert empty == []
+            else:
+                q = int(name[3:]) - 1
+                assert empty == [rec for rec, r in zip(recordings, reports) if not r.quadrant_points[q]]
 
 
 class TestParams:

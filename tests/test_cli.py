@@ -105,6 +105,16 @@ class TestParsers:
         assert info.value.code == 2
         assert f"argument {flag}: radius must be finite, got {text!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["indicators", "points", "classify"])
+    @pytest.mark.parametrize("flag, text", [("--r-ctm", "0"), ("--r-d", "-0.0"), ("--r-ctm", "-1")])
+    def test_non_positive_radius_is_a_usage_error(self, rr_file, command, flag, text, capsys):
+        # indicators used to exit 1 on a zero radius, and points took any radius.
+        inputs = [rr_file.parent] * 2 if command == "classify" else [rr_file]
+        with pytest.raises(SystemExit) as info:
+            run([command, *inputs, f"{flag}={text}"])
+        assert info.value.code == 2
+        assert f"argument {flag}: radius must be > 0, got {text!r}" in capsys.readouterr().err
+
     def test_radius_must_be_a_number(self, rr_file, capsys):
         with pytest.raises(SystemExit) as info:
             run(["indicators", rr_file, "--r-d", "six"])
@@ -690,7 +700,9 @@ class TestClassifyOneIndicator:
         monkeypatch.setattr(
             cli,
             "indicator_of",
-            lambda rec, name, params, empty: indicator_value(report(rec, params), name),
+            lambda recs, name, params, empty: [
+                indicator_value(report(rec, params), name) for rec in recs
+            ],
         )
         assert self.outcome(argv, tmp_path / "all", capsys) == got
         # D at r_d=6 is undefined in some fixture recording: an error, no file.
@@ -717,7 +729,10 @@ GOOD = ("800\n801\n800\n802\n800.5\n801\n", "700,720,690,710\n730,705\n", "800\n
 VALUES = ("800", "812.5", "790", "1e3", "750", "# note", "")
 BAD_VALUES = ("0", "-5", "1e200", "1e400", "nan", "oops", "8_00")
 # Each flag's values: (accepted, rejected).
-RADII = (("3", "0.5", "40", "5e-324", "1e-300", "1e300"), ("inf", "-inf", "nan", "1e400", "x"))
+RADII = (
+    ("3", "0.5", "40", "5e-324", "1e-300", "1e300"),
+    ("inf", "-inf", "nan", "1e400", "x", "0", "-3"),
+)
 DIVISIONS = (
     ("10,10,10", "1,1,1", "3,2,5", "2097151,2097151,2097151", f"1,1,{2**53}"),
     ("2097152,2097152,2097152", "1,1,9223372036854775807", "0,1,1", "1,1", "a,b,c"),

@@ -114,6 +114,21 @@ def test_reproduce_tables_non_finite_radius_is_a_usage_error(corpus_dir, tmp_pat
     assert not (tmp_path / "tables").exists()
 
 
+@pytest.mark.parametrize("flag, text", [("--r-d", "0"), ("--r-ctm", "-3")])
+def test_reproduce_tables_non_positive_radius_is_a_usage_error(corpus_dir, tmp_path, flag, text):
+    # A zero --r-d used to end in a ValueError traceback from IndicatorParams.
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reproduce_tables.py"), corpus_dir / "steady",
+         corpus_dir / "erratic", "--out", tmp_path / "tables", flag, text],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"argument {flag}: radius must be > 0, got {text!r}" in done.stderr
+    assert not (tmp_path / "tables").exists()
+
+
 def test_reproduce_tables_missing_directory_is_a_usage_error(corpus_dir, tmp_path):
     missing = tmp_path / "missing"
     done = subprocess.run(

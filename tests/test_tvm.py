@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from tvmhrv import (
     second_order_diff,
     temporal_variation_entropy,
 )
+from tvmhrv import tvm
 from tvmhrv.series import MAX_INTERVAL
 
 # Frozen with the straight-line reference in oracle.py.
@@ -137,8 +139,9 @@ class TestBuildGrid:
     def test_single_cell(self):
         points = build_tvm_points(plot((1, 2), (-1, 3), (2, -2)))
         grid = build_grid(*xyz(points), (1, 1, 1))
-        assert grid.divisions == (1, 1, 1)
-        assert grid.total_points == 3
+        assert grid.divisions.tolist() == [[1, 1, 1]]
+        assert grid.sizes.tolist() == [3]
+        assert grid.occupied.tolist() == [1]
         assert grid.cells.tolist() == [0]
         assert grid.counts.tolist() == [3]
         assert grid.abs_z_sums.tolist() == [math.fsum(np.abs(points.z).tolist())]
@@ -147,7 +150,7 @@ class TestBuildGrid:
         # x in {0, 1, 2}, two x-bins [0,1) and [1,2]; y and z collapse.
         points = build_tvm_points(plot((0, 5), (1, 5), (2, 5)))
         grid = build_grid(*xyz(points), (2, 1, 1))
-        assert grid.divisions == (2, 1, 1)
+        assert grid.divisions.tolist() == [[2, 1, 1]]
         assert grid.cells.tolist() == [0, 1]
         assert grid.counts.tolist() == [1, 2]
 
@@ -155,22 +158,20 @@ class TestBuildGrid:
         # |y| == |x| everywhere, so z is identically 0 while x and y vary.
         points = build_tvm_points(plot((1, 1), (2, 2), (-3, 3)))
         grid = build_grid(*xyz(points), (2, 2, 4))
-        assert grid.divisions == (2, 2, 1)
+        assert grid.divisions.tolist() == [[2, 2, 1]]
 
     def test_identical_points_collapse_every_axis(self):
         points = build_tvm_points(plot(*[(2, 3)] * 5))
         grid = build_grid(*xyz(points), (4, 4, 4))
-        assert grid.divisions == (1, 1, 1)
+        assert grid.divisions.tolist() == [[1, 1, 1]]
         assert grid.n_cells == 1
         assert grid.counts.tolist() == [5]
 
     def test_bounds_are_exact_extremes(self):
         points = build_tvm_points(plot((-3, 1), (5, -2), (2, 7)))
         grid = build_grid(*xyz(points), (3, 3, 3))
-        assert grid.bounds[0] == (-3.0, 5.0)
-        assert grid.bounds[1] == (-2.0, 7.0)
         zs = points.z.tolist()
-        assert grid.bounds[2] == (min(zs), max(zs))
+        assert grid.bounds.tolist() == [[[-3.0, 5.0], [-2.0, 7.0], [min(zs), max(zs)]]]
 
     def test_maximum_point_included(self):
         # The top of the last bin is closed, so the max lands inside.
@@ -210,7 +211,7 @@ class TestBuildGrid:
 class TestEntropy:
     def test_single_cell_grid_is_zero(self):
         points = build_tvm_points(plot((1, 2), (-1, 3), (2, -2)))
-        assert temporal_variation_entropy(build_grid(*xyz(points), (1, 1, 1))) == 0.0
+        assert temporal_variation_entropy(build_grid(*xyz(points), (1, 1, 1))) == [0.0]
 
     def test_constant_series_is_zero(self):
         assert etv([800] * 20, (3, 3, 3)) == (0.0, (0.0, 0.0, 0.0, 0.0))
@@ -218,14 +219,15 @@ class TestEntropy:
     def test_hand_built_grid(self):
         # Two occupied cells out of two: n = (1, 2), |z| mass (0.5, 0.375).
         grid = SubspaceGrid(
-            bounds=((0.0, 2.0), (5.0, 5.0), (0.125, 0.5)),
-            divisions=(2, 1, 1),
+            sizes=np.array([3]),
+            bounds=np.array([[[0.0, 2.0], [5.0, 5.0], [0.125, 0.5]]]),
+            divisions=np.array([[2, 1, 1]]),
+            occupied=np.array([2]),
             cells=np.array([0, 1]),
             counts=np.array([1, 2]),
             abs_z_sums=np.array([0.5, 0.375]),
-            total_points=3,
         )
-        assert temporal_variation_entropy(grid) == pytest.approx(MANUAL_GRID_ETV, rel=1e-12)
+        assert temporal_variation_entropy(grid) == [pytest.approx(MANUAL_GRID_ETV, rel=1e-12)]
 
     def test_seeded_series_matches_brute_force(self):
         rng = random.Random(424242)
@@ -378,8 +380,8 @@ def test_grid_statistics_ignore_point_order(values, divisions, rnd):
     rnd.shuffle(order)
     g1 = build_grid(*xyz(points), divisions)
     g2 = build_grid(*(column[np.array(order)] for column in xyz(points)), divisions)
-    assert g1.bounds == g2.bounds
-    assert g1.divisions == g2.divisions
+    assert g1.bounds.tolist() == g2.bounds.tolist()
+    assert g1.divisions.tolist() == g2.divisions.tolist()
     assert g1.cells.tolist() == g2.cells.tolist()
     assert g1.counts.tolist() == g2.counts.tolist()
     assert g1.abs_z_sums.tolist() == g2.abs_z_sums.tolist()
@@ -404,7 +406,7 @@ def test_grid_columns_match_per_point_binning(values, divisions):
             key = key * k + ix
         members.setdefault(key, []).append(abs(coords[2][i]))
     grid = build_grid(*xyz(points), divisions)
-    assert grid.divisions == tuple(k for _, _, k in axes)
+    assert grid.divisions.tolist() == [[k for _, _, k in axes]]
     assert grid.cells.tolist() == sorted(members)
     assert grid.counts.tolist() == [len(members[key]) for key in sorted(members)]
     assert grid.abs_z_sums.tolist() == [math.fsum(members[key]) for key in sorted(members)]
@@ -417,4 +419,36 @@ def test_grid_count_conservation(values, divisions):
     series = RRSeries(values)
     points = build_tvm_points(second_order_diff(series))
     grid = build_grid(*xyz(points), divisions)
-    assert grid.counts.sum() == grid.total_points == len(series) - 2
+    assert grid.counts.sum() == grid.sizes.sum() == len(series) - 2
+
+
+@pytest.mark.parametrize(
+    "sizes, want",
+    [
+        ([3, 3, 3, 3], [(0, 3), (3, 4)]),
+        ([12, 1, 1], [(0, 1), (1, 3)]),
+        ([1, 12, 1], [(0, 1), (1, 2), (2, 3)]),
+        ([0, 10, 0, 1], [(0, 3), (3, 4)]),
+        ([], []),
+    ],
+)
+def test_batches_hold_whole_sets_up_to_the_budget(sizes, want):
+    with mock.patch.object(tvm, "BATCH_POINTS", 10):
+        assert list(tvm.batches(sizes)) == want
+
+
+@settings(deadline=None)
+@given(st.lists(dyadic_intervals, min_size=1, max_size=5), divisions_st)
+def test_grid_of_several_sets_is_each_sets_own_grid(runs, divisions):
+    sets = [lift(values) for values in runs]
+    x, y, z = (np.concatenate(column) for column in zip(*map(xyz, sets)))
+    grid = build_grid(x, y, z, divisions, [len(s) for s in sets])
+    alone = [build_grid(*xyz(s), divisions) for s in sets]
+    assert grid.sizes.tolist() == [len(s) for s in sets]
+    assert grid.bounds.tolist() == [g.bounds[0].tolist() for g in alone]
+    assert grid.divisions.tolist() == [g.divisions[0].tolist() for g in alone]
+    assert grid.occupied.tolist() == [len(g.cells) for g in alone]
+    for name in ("cells", "counts", "abs_z_sums"):
+        assert getattr(grid, name).tolist() == [v for g in alone for v in getattr(g, name).tolist()]
+    assert grid.n_cells == sum(g.n_cells for g in alone)
+    assert temporal_variation_entropy(grid) == [temporal_variation_entropy(g)[0] for g in alone]
