@@ -75,26 +75,19 @@ def _output(path):
         raise
 
 
-# Rows of array columns that the writers format with one `%` at a time.
-BLOCK_ROWS = 8192
+# Rows of array columns that the writers format at a time.
+BLOCK_ROWS = 2048
 
 
-def _column_slots(header: Sequence[str], columns: Sequence[np.ndarray]) -> list[str]:
-    """Each column's % slot; the columns must be aligned 1-D int, float64 or str arrays.
+def _check_columns(header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Raise unless the columns are aligned 1-D int, float64 or str arrays, one per name.
 
     Raises TypeError for any other column, and ValueError unless there is one
     header name per column and every column has the same length.
     """
-    slots = []
     for j, col in enumerate(columns):
         kind = col.dtype.kind if isinstance(col, np.ndarray) and col.ndim == 1 else None
-        if kind in ("i", "u"):
-            slots.append("%d")
-        elif kind == "f" and col.dtype == np.float64:
-            slots.append("%.9g")
-        elif kind == "U":
-            slots.append("%s")
-        else:
+        if kind not in ("i", "u", "U") and not (kind == "f" and col.dtype == np.float64):
             what = type(col).__name__
             if isinstance(col, np.ndarray):
                 what = f"{col.ndim}-D {col.dtype} array"
@@ -106,7 +99,6 @@ def _column_slots(header: Sequence[str], columns: Sequence[np.ndarray]) -> list[
     lengths = sorted({len(col) for col in columns})
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal length: {lengths}")
-    return slots
 
 
 def _blocks(columns: Sequence[np.ndarray]) -> Iterator[tuple[int, int]]:
@@ -116,13 +108,11 @@ def _blocks(columns: Sequence[np.ndarray]) -> Iterator[tuple[int, int]]:
         yield start, min(start + BLOCK_ROWS, n)
 
 
-def _interleave(values: list[list]) -> list:
-    """The rows of aligned equal-length columns, flattened row by row."""
-    k = len(values)
-    flat = [None] * (k * len(values[0]))
-    for j, column in enumerate(values):
-        flat[j::k] = column
-    return flat
+def _rows(columns, before, after, encode, fallback, json):
+    """A coltext.Rows of the columns; the module is imported only here."""
+    from . import coltext
+
+    return coltext.Rows(columns, before, after, encode, fallback, json)
 
 
 def _csv_row(row: Sequence) -> list:
@@ -139,12 +129,12 @@ def _of_width(rows: Iterable[Sequence], width: int) -> Iterator[Sequence]:
         yield row
 
 
-def _csv_plain(strings: Iterable[str], width: int) -> bool:
-    """Whether csv.writer writes each string as it is, as a field of a row of width fields."""
-    rows = [[s] * width for s in strings]
+def _csv_field(s: str, width: int) -> bytes | None:
+    """s's bytes if csv.writer writes s as it is in a row of width fields, else None."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue() == "".join(",".join(row) + "\n" for row in rows)
+    csv.writer(buf, lineterminator="\n").writerow([s] * width)
+    plain = buf.getvalue() == ",".join([s] * width) + "\n"
+    return s.encode("utf-8", "surrogatepass") if plain else None
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), columns=None) -> None:
@@ -159,26 +149,35 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), column
     columns, if given in place of rows, are 1-D numpy arrays of ints, float64
     or str, one per header name and all of one length; anything else raises
     TypeError or ValueError before path is opened. Their rows go out
-    BLOCK_ROWS at a time, each block through one `%` of a repeated row
-    template: '%.9g' % v is format_value's conversion. A block holding a
-    string that CSV must quote is written row by row instead. Either way the
+    BLOCK_ROWS at a time, each block written by coltext.Rows: the floats it
+    declines go through format_value. A block holding a string that CSV must
+    quote, or that holds a NUL, is written row by row instead. Either way the
     text is what csv.writer writes.
     """
-    slots = None if columns is None else _column_slots(header, columns)
+    if columns is not None:
+        _check_columns(header, columns)
     with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        if slots is None:
+        if columns is None:
             writer.writerows(map(_csv_row, _of_width(rows, len(header))))
             return
-        template = ",".join(slots) + "\n"
-        str_columns = [j for j, slot in enumerate(slots) if slot == "%s"]
+        width = len(columns)
+        text_of = _rows(
+            columns,
+            [""] + [","] * (width - 1),
+            "\n",
+            lambda s: _csv_field(s, width),
+            format_value,
+            json=False,
+        )
         for start, stop in _blocks(columns):
-            values = [col[start:stop].tolist() for col in columns]
-            if _csv_plain(set().union(*(values[j] for j in str_columns)), len(slots)):
-                fh.write(template * (stop - start) % tuple(_interleave(values)))
-            else:
+            block = text_of(start, stop)
+            if block is None:
+                values = [col[start:stop].tolist() for col in columns]
                 writer.writerows(map(_csv_row, zip(*values)))
+            else:
+                fh.write(block)
 
 
 def _round_floats(node) -> None:
@@ -201,62 +200,44 @@ def _json_scalar(v: float) -> str:
     return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
 
 
-# A float's JSON slot by the kind _json_kinds gives it.
-_JSON_FLOAT_SLOTS = np.array(["%.9g", "%.1f", "%s"], dtype=object)
+def _json_value(v) -> str:
+    """The text json gives a value of a column's tolist()."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    return _json_scalar(v) if isinstance(v, float) else str(v)
 
 
-def _json_kinds(v: np.ndarray) -> np.ndarray:
-    """Per value: 0 where '%.9g' % v is v's JSON text, 1 where '%.1f' % v is, else 2.
-
-    1 is an integral |v| < 1e9. 2 is every other value whose 9-digit form
-    may lack a '.' or take an exponent: non-finite, |v| < 1e-3, |v| >= 1e8,
-    or within |v| * 1e-8 of an integer. Only _json_scalar writes those.
-    """
-    a = np.abs(v)
-    with np.errstate(invalid="ignore"):
-        whole = (v == np.rint(v)) & (a < 1e9)
-        plain = (a >= 1e-3) & (a < 1e8) & (np.abs(v - np.rint(v)) > a * 1e-8)
-    return whole + 2 * ~(plain | whole)
-
-
-def _json_block(pieces: list[str], columns: Sequence[np.ndarray], start: int, stop: int) -> str:
-    """The records of rows start to stop of array columns, through one `%`.
-
-    pieces is one record's template: literal text, then each column's slot
-    after its own literal. A float that '%.9g' would not write as json does
-    gets a '%.1f' or '%s' slot of its own, and for '%s' its _json_scalar text.
-    """
-    k = len(columns)
-    values, patched = [], {}
-    for j, col in enumerate(columns):
-        part = col[start:stop]
-        column = part.tolist()
-        if pieces[2 * j + 1] == "%s":
-            column = list(map(encode_basestring_ascii, column))
-        elif pieces[2 * j + 1] == "%.9g":
-            kinds = _json_kinds(part)
-            if kinds.any():
-                patched[j] = _JSON_FLOAT_SLOTS[kinds].tolist()
-                for i in np.flatnonzero(kinds == 2).tolist():
-                    column[i] = _json_scalar(column[i])
-        values.append(column)
-    block = pieces * (stop - start)
-    for j, slots in patched.items():
-        block[2 * j + 1 :: 2 * k + 1] = slots
-    return "".join(block) % tuple(_interleave(values))
-
-
-def _records_json(text: str, header: Sequence[str], columns, slots: list[str]) -> Iterator[str]:
+def _records_json(text: str, header: Sequence[str], columns) -> Iterator[str]:
     """text, a payload's JSON whose last value is [], with the columns' records in that list.
 
-    The records come BLOCK_ROWS to a chunk.
+    The records come BLOCK_ROWS to a chunk, each chunk written by
+    coltext.Rows, or value by value if it holds a string that coltext
+    declines.
     """
-    pieces = []  # one record's template: each slot after its own literal, then the close
-    for j, (name, slot) in enumerate(zip(header, slots)):
-        name = encode_basestring_ascii(name).replace("%", "%%")
-        pieces += [(",\n      " if j else ",\n    {\n      ") + name + ": ", slot]
-    pieces.append("\n    }")
-    blocks = (_json_block(pieces, columns, *rows) for rows in _blocks(columns))
+    before = [
+        (",\n      " if j else ",\n    {\n      ") + encode_basestring_ascii(name) + ": "
+        for j, name in enumerate(header)
+    ]
+    after = "\n    }"
+    records = _rows(
+        columns,
+        before,
+        after,
+        lambda s: encode_basestring_ascii(s).encode(),
+        _json_scalar,
+        json=True,
+    )
+
+    def block(start, stop):
+        written = records(start, stop)
+        if written is not None:
+            return written
+        return "".join(
+            "".join(name + _json_value(v) for name, v in zip(before, row)) + after
+            for row in zip(*(col[start:stop].tolist() for col in columns))
+        )
+
+    blocks = (block(start, stop) for start, stop in _blocks(columns))
     first = next(blocks, None)
     if first is None:
         yield text
@@ -280,10 +261,8 @@ def write_json(path, payload: dict | list, records=None) -> None:
     object per row of the columns, which maps each header name to the row's
     value. The columns follow write_csv's rule, checked before path is
     opened. The records are formatted BLOCK_ROWS at a time, straight from
-    the columns, each block through one `%`: ints take '%d', strings their
-    JSON text and floats '%.9g', except the few values whose JSON text that
-    is not (an integral float takes '%.1f', and a value near an integer,
-    below 1e-3, from 1e8 up or not finite takes _json_scalar's text).
+    the columns, by coltext.Rows with json's text of each value: the floats
+    it declines go through _json_scalar.
     """
     if records is None:
         _round_floats(payload)
@@ -292,10 +271,10 @@ def write_json(path, payload: dict | list, records=None) -> None:
         key, header, columns = records
         if key in payload:
             raise ValueError(f"records key {key!r} is also a key of the payload")
-        slots = _column_slots(header, columns)
+        _check_columns(header, columns)
         head = {**payload, key: []}
         _round_floats(head)
-        chunks = _records_json(json.dumps(head, indent=2), header, columns, slots)
+        chunks = _records_json(json.dumps(head, indent=2), header, columns)
     with _output(path) as fh:
         for chunk in chunks:
             fh.write(chunk)

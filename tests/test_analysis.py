@@ -1,9 +1,16 @@
 import csv
+import importlib.util
 import io
 import json
 import math
+import os
+import random
 import stat
+import subprocess
+import sys
 import tempfile
+import tracemalloc
+from decimal import ROUND_FLOOR, Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +34,9 @@ from tvmhrv import (
 )
 from tvmhrv import analysis, tvm
 from tvmhrv.analysis import ENTROPY_INDICATORS
-from tvmhrv.analysis import format_value, write_csv, write_json
+from tvmhrv.analysis import format_value, round_sig, write_csv, write_json
+from tvmhrv.cli import main
+from tvmhrv.sodp import Quadrant, second_order_diff
 
 FIVE = RRSeries([800, 810, 790, 805, 795], source_id="five")
 CONSTANT = RRSeries([800] * 12, source_id="flat")
@@ -447,7 +456,7 @@ def edge_table():
 
 
 class TestBlockPath:
-    """Array columns, BLOCK_ROWS rows to a `%`, against the per-value writers."""
+    """Array columns, BLOCK_ROWS rows to a coltext block, against the per-value writers."""
 
     @given(table=array_columns(), block_rows=st.integers(min_value=1, max_value=5))
     @example(table=edge_table(), block_rows=1)
@@ -556,3 +565,218 @@ class TestWriterInputs:
     def test_numpy_float_scalar_in_a_row(self, capsys):
         write_csv(None, ["a", "b", "c"], [[np.float32(0.1), np.float64(0.1), 0.1]])
         assert capsys.readouterr().out == "a,b,c\n0.100000001,0.1,0.1\n"
+
+
+def dense_floats() -> dict[str, np.ndarray]:
+    """About 10**6 float64s by kind, for the column kernel's digits and declines."""
+    rng = np.random.default_rng(20261019)
+    n = 200_000
+    signs = rng.choice([-1.0, 1.0], n)
+    ties = rng.integers(10**8, 10**9, n // 2) * 10 + 5  # 10 digits ending in 5
+    ties = [float(f"{d}e{k}") for d, k in zip(ties.tolist(), rng.integers(-14, 0, n // 2).tolist())]
+    powers = 10.0 ** np.arange(-5, 10)
+    multiples = [float(f"{m}e{k}") for m in range(1, 1000) for k in range(-4, 9)]
+    return {
+        "log-uniform": signs * np.exp(rng.uniform(math.log(1e-6), math.log(1e11), n)),
+        "intervals": np.diff(np.round(rng.uniform(250.0, 2000.0, n + 1), 3)),
+        "near-ties": np.array(ties) * signs[: n // 2],
+        "powers": np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)]),
+        "multiples": np.array(multiples) * signs[: len(multiples)],
+        "eighths": np.arange(-n, n) / 8,
+        "special": np.array(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan]
+        ),
+    }
+
+
+def written_csv_fields(path: Path) -> list[str]:
+    return path.read_text().split("\n")[1:-1]
+
+
+def written_json_fields(path: Path) -> list[str]:
+    lines = path.read_text().split("\n")
+    return [line.split(": ", 1)[1] for line in lines if line.startswith('      "')]
+
+
+class TestColumnKernel:
+    """The column writers' text of dense values, and which values they decline."""
+
+    def test_floats_equal_the_per_value_text(self, tmp_path, monkeypatch):
+        kinds = dense_floats()
+        values = np.concatenate(list(kinds.values()))
+        declined = []
+
+        def counted(fallback):
+            def call(v):
+                declined.append(v)
+                return fallback(v)
+
+            return call
+
+        monkeypatch.setattr(analysis, "format_value", counted(format_value))
+        write_csv(tmp_path / "v.csv", ["v"], columns=[values])
+        csv_declined = set(map(float.hex, declined))
+        monkeypatch.setattr(analysis, "format_value", format_value)
+        monkeypatch.setattr(analysis, "_json_scalar", counted(analysis._json_scalar))
+        declined.clear()
+        write_json(tmp_path / "v.json", {}, records=("points", ["v"], [values]))
+        assert set(map(float.hex, declined)) == csv_declined
+
+        floats = values.tolist()
+        assert written_csv_fields(tmp_path / "v.csv") == [format(v, ".9g") for v in floats]
+        as_json = json.dumps([round_sig(v) for v in floats])[1:-1].split(", ")
+        assert written_json_fields(tmp_path / "v.json") == as_json
+
+        def declined_share(kind, fixed_only=False):
+            v = kinds[kind]
+            if fixed_only:  # '%.9g' writes these without an exponent
+                rounded = np.abs([round_sig(x) for x in v.tolist()])
+                v = v[(rounded >= 1e-4) & (rounded < 1e9)]
+            return np.mean([float.hex(x) in csv_declined for x in v.tolist()])
+
+        for kind in ("intervals", "eighths", "multiples", "powers"):
+            assert declined_share(kind, fixed_only=True) == 0, kind  # none is near a tie
+        assert declined_share("multiples") > 0  # those from 1e9 up
+        assert declined_share("near-ties") == 1  # too near a tie to round in float64
+        assert declined_share("special") == 6 / 8  # all but 0 and -0
+        assert declined_share("log-uniform", fixed_only=True) < 1e-4
+        assert 0.2 < declined_share("log-uniform") < 0.3  # 4 of its 17 decades
+
+    def test_ints_equal_str(self, tmp_path):
+        powers = [10**k + d for k in range(19) for d in (-1, 0, 1)]
+        ints = np.array([0, 2**63 - 1, -(2**63)] + powers + [-p for p in powers], dtype=np.int64)
+        unsigned = np.array([0, 1, 9999, 10**19, 2**63, 2**64 - 1], dtype=np.uint64)
+        for column in (ints, unsigned):
+            write_csv(tmp_path / "i.csv", ["i"], columns=[column])
+            write_json(tmp_path / "i.json", {}, records=("points", ["i"], [column]))
+            expected = [str(v) for v in column.tolist()]
+            assert written_csv_fields(tmp_path / "i.csv") == expected
+            assert written_json_fields(tmp_path / "i.json") == expected
+
+    @pytest.mark.parametrize(
+        "label",
+        ["a,b", "nul\0", "x" * 200, "\u00e9" * 40],
+        ids=["quoted", "nul", "long", "long-utf8"],
+    )
+    def test_declined_strings_take_the_per_value_path(self, tmp_path, label):
+        labels = np.array(["I", label, "IV"] * 3)
+        header, columns = ["index", "x", "quadrant"], [np.arange(9), np.arange(9) / 4, labels]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "BLOCK_ROWS", 2)  # blocks with and without the label
+            write_csv(tmp_path / "p.csv", header, columns=columns)
+            write_json(tmp_path / "p.json", {"id": 1}, records=("points", header, columns))
+        rows = [[i, x, q] for i, x, q in zip(*(col.tolist() for col in columns))]
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(
+            [header] + [[i, format_value(x), q] for i, x, q in rows]
+        )
+        with (tmp_path / "p.csv").open(newline="") as fh:
+            assert fh.read() == expected.getvalue()
+        tree = {"id": 1, "points": [dict(zip(header, row)) for row in rows]}
+        assert (tmp_path / "p.json").read_text() == json.dumps(tree, indent=2) + "\n"
+
+
+def make_demo_data():
+    """scripts/make_demo_data.py as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "make_demo_data", Path(__file__).resolve().parents[1] / "scripts" / "make_demo_data.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def demo_recordings(tmp_path: Path) -> list[Path]:
+    """The recordings of `make_demo_data.py --recordings 1 --length 100000 --seed 1`, as
+    made and rounded to 1 ms."""
+    module = make_demo_data()
+    rng = random.Random(1)
+    paths = []
+    for name, maker in (("steady", module.steady_series), ("erratic", module.erratic_series)):
+        values = maker(rng, 100_000)
+        for suffix, text in (("", "{:.3f}\n"), ("_ms", "{:.0f}\n")):
+            path = tmp_path / f"{name}{suffix}.txt"
+            path.write_text("".join(map(text.format, values)))
+            paths.append(path)
+    return paths
+
+
+def tie_distance(v: float) -> Decimal:
+    """How far v lies from a tie of its 9-digit rounding, in units of the 9th digit."""
+    exact = Decimal(v)
+    scaled = exact.scaleb(8 - exact.adjusted())
+    return abs(scaled - scaled.to_integral_value(rounding=ROUND_FLOOR) - Decimal("0.5"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_points_export_rarely_falls_back(tmp_path, corpus_dir, monkeypatch, fmt):
+    fallback = "format_value" if fmt == "csv" else "_json_scalar"
+    per_value = getattr(analysis, fallback)
+    declined = []
+    monkeypatch.setattr(analysis, fallback, lambda v: declined.append(v) or per_value(v))
+    inputs = [corpus_dir / "steady", corpus_dir / "erratic", *demo_recordings(tmp_path)]
+    floats = 0
+    for k, path in enumerate(inputs):
+        assert main(["points", str(path), "--format", fmt, "--out", str(tmp_path / str(k))]) == 0
+        files = [path] if path.is_file() else list(path.iterdir())
+        floats += sum(8 * (len(f.read_text().split()) - 2) for f in files)  # 2 + 6 per point
+    assert floats > 800_000
+    assert len(declined) < floats / 1000
+    for v in declined:  # only noise next to 0, or a value within a hair of a tie
+        assert abs(v) < 1e-4 or tie_distance(v) < Decimal("2e-6"), v
+
+
+def export_table() -> tuple[list[str], list[np.ndarray]]:
+    """The 8 columns `points` exports for a 100k-interval make_demo_data.py recording."""
+    values = make_demo_data().steady_series(random.Random(1), 100_002)
+    rec = RRSeries(np.round(values, 3), source_id="day")
+    lifted = tvm.build_tvm_points(second_order_diff(rec))
+    points = lifted.base
+    labels = np.array([q.value for q in Quadrant])[points.code]
+    header = ["index", "x", "y", "d_co", "le", "l", "z", "quadrant"]
+    columns = [np.arange(len(points)), points.x, points.y, lifted.d_co, lifted.le, lifted.l]
+    return header, columns + [lifted.z, labels]
+
+
+# tracemalloc peaks of the writers of 6a401be, which wrote a block through one
+# `%` of a row template, on export_table() (Python 3.11.7, numpy 2.4.6).
+TEMPLATE_WRITER_PEAK = {"csv": 4_767_201, "json": 10_381_338}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_memory_stays_below_the_template_writer(tmp_path, fmt):
+    header, columns = export_table()
+
+    def write(path, columns):
+        if fmt == "csv":
+            write_csv(path, header, columns=columns)
+        else:
+            write_json(path, {"source_id": "day"}, records=("points", header, columns))
+
+    write(tmp_path / "warm", [col[:10] for col in columns])  # imports and tables
+    tracemalloc.start()
+    try:
+        write(tmp_path / "day", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= TEMPLATE_WRITER_PEAK[fmt]
+
+
+def test_only_column_writes_import_the_kernel(corpus_dir, tmp_path):
+    steady, erratic = corpus_dir / "steady", corpus_dir / "erratic"
+    script = f"""
+import sys
+from tvmhrv.cli import main
+for argv in (["indicators", {str(steady)!r}, "--out", {str(tmp_path / "i.csv")!r}],
+             ["classify", {str(steady)!r}, {str(erratic)!r}, "--indicator", "etv1",
+              "--out", {str(tmp_path / "c.csv")!r}],
+             ["sweep", {str(steady)!r}, "--r-grid", "1:3:1", "--out", {str(tmp_path / "s.csv")!r}]):
+    assert main(argv) == 0, argv
+assert "tvmhrv.coltext" not in sys.modules
+main(["points", {str(steady)!r}, "--out", {str(tmp_path)!r}])
+assert "tvmhrv.coltext" in sys.modules
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
