@@ -108,11 +108,11 @@ def _blocks(columns: Sequence[np.ndarray]) -> Iterator[tuple[int, int]]:
         yield start, min(start + BLOCK_ROWS, n)
 
 
-def _rows(columns, before, after, encode, fallback, json):
+def _rows(columns, before, after, text_of, fallback, json):
     """A coltext.Rows of the columns; the module is imported only here."""
     from . import coltext
 
-    return coltext.Rows(columns, before, after, encode, fallback, json)
+    return coltext.Rows(columns, before, after, text_of, fallback, json)
 
 
 def _csv_row(row: Sequence) -> list:
@@ -129,12 +129,12 @@ def _of_width(rows: Iterable[Sequence], width: int) -> Iterator[Sequence]:
         yield row
 
 
-def _csv_field(s: str, width: int) -> bytes | None:
-    """s's bytes if csv.writer writes s as it is in a row of width fields, else None."""
+def _csv_field(s: str, width: int) -> str:
+    """s's text as csv.writer writes it in a row of width fields."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([s] * width)
-    plain = buf.getvalue() == ",".join([s] * width) + "\n"
-    return s.encode("utf-8", "surrogatepass") if plain else None
+    row = buf.getvalue()[:-1]  # width copies of the field and width - 1 commas
+    return row[: (len(row) + 1) // width - 1]
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), columns=None) -> None:
@@ -150,9 +150,8 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), column
     or str, one per header name and all of one length; anything else raises
     TypeError or ValueError before path is opened. Their rows go out
     BLOCK_ROWS at a time, each block written by coltext.Rows: the floats it
-    declines go through format_value. A block holding a string that CSV must
-    quote, or that holds a NUL, is written row by row instead. Either way the
-    text is what csv.writer writes.
+    declines go through format_value, and each string is written as
+    csv.writer writes it. The text is what csv.writer writes.
     """
     if columns is not None:
         _check_columns(header, columns)
@@ -163,7 +162,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), column
             writer.writerows(map(_csv_row, _of_width(rows, len(header))))
             return
         width = len(columns)
-        text_of = _rows(
+        block_text = _rows(
             columns,
             [""] + [","] * (width - 1),
             "\n",
@@ -172,12 +171,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), column
             json=False,
         )
         for start, stop in _blocks(columns):
-            block = text_of(start, stop)
-            if block is None:
-                values = [col[start:stop].tolist() for col in columns]
-                writer.writerows(map(_csv_row, zip(*values)))
-            else:
-                fh.write(block)
+            fh.write(block_text(start, stop))
 
 
 def _round_floats(node) -> None:
@@ -200,44 +194,18 @@ def _json_scalar(v: float) -> str:
     return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
 
 
-def _json_value(v) -> str:
-    """The text json gives a value of a column's tolist()."""
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    return _json_scalar(v) if isinstance(v, float) else str(v)
-
-
 def _records_json(text: str, header: Sequence[str], columns) -> Iterator[str]:
     """text, a payload's JSON whose last value is [], with the columns' records in that list.
 
     The records come BLOCK_ROWS to a chunk, each chunk written by
-    coltext.Rows, or value by value if it holds a string that coltext
-    declines.
+    coltext.Rows.
     """
     before = [
         (",\n      " if j else ",\n    {\n      ") + encode_basestring_ascii(name) + ": "
         for j, name in enumerate(header)
     ]
-    after = "\n    }"
-    records = _rows(
-        columns,
-        before,
-        after,
-        lambda s: encode_basestring_ascii(s).encode(),
-        _json_scalar,
-        json=True,
-    )
-
-    def block(start, stop):
-        written = records(start, stop)
-        if written is not None:
-            return written
-        return "".join(
-            "".join(name + _json_value(v) for name, v in zip(before, row)) + after
-            for row in zip(*(col[start:stop].tolist() for col in columns))
-        )
-
-    blocks = (block(start, stop) for start, stop in _blocks(columns))
+    records = _rows(columns, before, "\n    }", encode_basestring_ascii, _json_scalar, json=True)
+    blocks = (records(start, stop) for start, stop in _blocks(columns))
     first = next(blocks, None)
     if first is None:
         yield text

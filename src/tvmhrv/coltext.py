@@ -12,10 +12,9 @@ groups looked up in tables:
   [-4, 8] (the fixed-point range of '%.9g') and which is not within 1e-6 of
   a rounding tie. It declines the others: non-finite, outside that range,
   or near a tie. The caller's fallback writes those into their slots.
-- a str column as the caller encodes each distinct string, once per column.
-  A string it declines (encodes as None), or whose encoding holds a NUL or
-  is longer than MAX_STR_BYTES, has no slot: a block holding one has no text
-  here.
+- a str column as the caller gives each distinct string's text, found once
+  per column. A text longer than MAX_STR_BYTES, or holding a NUL or SPLICE,
+  has the slot SPLICE, which is replaced by the text once the block is text.
 
 The package imports this module only to write columns, so that no other
 command builds its tables.
@@ -27,7 +26,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-MAX_STR_BYTES = 64
+# A str slot's bytes at most; a longer text is spliced in. Writing 100k rows
+# with a str column as CSV and JSON took as long either way at 256 bytes
+# (slots faster below, splicing above), and the row matrix of a block then
+# holds at most 2,048 such slots, 512 KiB, per str column.
+MAX_STR_BYTES = 256
+# The slot of a spliced text; no other text of a row holds it.
+SPLICE = "\x01"
 
 
 def _table(texts) -> np.ndarray:
@@ -202,43 +207,22 @@ class _Ints:
         return words
 
 
-def _codes(column: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The distinct strings of a str column, and each row's index among them.
-
-    Where every row's characters fit in 64 bits, the rows are told apart by
-    one uint64 each, which sort far faster, and in less memory, than the
-    strings.
-    """
-    chars = np.ascontiguousarray(column).view(np.uint32).reshape(len(column), column.itemsize // 4)
-    bits = int(chars.max()).bit_length() if chars.size else 0
-    if bits * chars.shape[1] > 64:
-        distinct, codes = np.unique(column, return_inverse=True)
-        return distinct.tolist(), codes.reshape(-1)
-    key = np.zeros(len(column), dtype=np.uint64)
-    for j in range(chars.shape[1]):
-        key <<= bits
-        key |= chars[:, j]
-    ordered = np.sort(key)
-    distinct = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
-    codes = np.searchsorted(distinct, key)
-    first = np.empty(len(distinct), dtype=np.intp)  # each string's first row
-    first[codes[::-1]] = np.arange(len(codes) - 1, -1, -1)
-    return column[first].tolist(), codes
-
-
 class _Strs:
-    """A str column's distinct strings, each encoded once into whole words."""
+    """A str column's distinct texts, each encoded once into whole words."""
 
-    def __init__(self, column: np.ndarray, encode: Callable[[str], bytes | None]):
-        strings, self.codes = _codes(column)
-        texts = [encode(s) for s in strings]
-        self.declined = np.array(
-            [t is None or b"\0" in t or len(t) > MAX_STR_BYTES for t in texts], dtype=bool
+    def __init__(self, column: np.ndarray, text_of: Callable[[str], str]):
+        distinct = np.unique(column)
+        self.codes = np.searchsorted(distinct, column)
+        texts = [text_of(s) for s in distinct.tolist()]
+        raw = [t.encode("utf-8", "surrogatepass") for t in texts]
+        self.spliced = np.array(
+            [len(b) > MAX_STR_BYTES or b"\0" in b or SPLICE.encode() in b for b in raw], dtype=bool
         )
-        texts = [b"" if no else t for t, no in zip(texts, self.declined.tolist())]
-        self.width = -(-max(map(len, texts), default=0) // 4)
-        padded = b"".join(t.ljust(4 * self.width, b"\0") for t in texts)
-        self.table = np.frombuffer(padded, dtype=np.uint32).reshape(len(texts), self.width)
+        self.texts = np.array(texts, dtype=object)
+        raw = [SPLICE.encode() if no else b for b, no in zip(raw, self.spliced.tolist())]
+        self.width = -(-max(map(len, raw), default=0) // 4)
+        padded = b"".join(b.ljust(4 * self.width, b"\0") for b in raw)
+        self.table = np.frombuffer(padded, dtype=np.uint32).reshape(len(raw), self.width)
 
 
 def _aligned(text: str) -> np.ndarray:
@@ -251,7 +235,7 @@ class Rows:
     """The text of the rows of aligned 1-D int, float64 and str columns.
 
     before[j] is the text ahead of field j and after the text that ends a
-    row. encode gives a string's bytes, or None if it declines the string.
+    row; neither holds a NUL or SPLICE. text_of gives a string's text.
     fallback gives the text of a declined float, in at most 4 * FLOAT_WORDS
     bytes. json selects the text of floats (see the module). Call it with
     (start, stop) for the text of those rows.
@@ -262,7 +246,7 @@ class Rows:
         columns: Sequence[np.ndarray],
         before: Sequence[str],
         after: str,
-        encode: Callable[[str], bytes | None],
+        text_of: Callable[[str], str],
         fallback: Callable[[float], str],
         json: bool,
     ):
@@ -280,7 +264,7 @@ class Rows:
                 self.ints.append((column, ints, offset))
                 width = 1 + ints.groups
             else:
-                strs = _Strs(column, encode)
+                strs = _Strs(column, text_of)
                 self.strs.append((strs, offset))
                 width = strs.width
             template.append(np.zeros(width, dtype=np.uint32))
@@ -314,10 +298,8 @@ class Rows:
             words[:, declined] = padded.reshape(-1, FLOAT_WORDS).T
         return words
 
-    def __call__(self, start: int, stop: int) -> str | None:
-        """Rows start to stop as text, or None if one of them holds a declined string."""
-        if any(strs.declined[strs.codes[start:stop]].any() for strs, _ in self.strs):
-            return None
+    def __call__(self, start: int, stop: int) -> str:
+        """Rows start to stop as text."""
         n = stop - start
         if n > self.capacity:
             self._reserve(n)
@@ -331,4 +313,11 @@ class Rows:
             rows[:, offset : offset + len(words)] = words.T
         for strs, offset in self.strs:
             rows[:, offset : offset + strs.width] = strs.table[strs.codes[start:stop]]
-        return rows.tobytes().translate(None, b"\0").decode("utf-8", "surrogatepass")
+        text = rows.tobytes().translate(None, b"\0").decode("utf-8", "surrogatepass")
+        codes = [(strs, strs.codes[start:stop]) for strs, _ in self.strs]
+        if not any(strs.spliced[c].any() for strs, c in codes):
+            return text
+        # The spliced texts in the order of their slots: by row, then by column.
+        spliced = np.stack([strs.spliced[c] for strs, c in codes], axis=1)
+        texts = np.stack([strs.texts[c] for strs, c in codes], axis=1)[spliced].tolist()
+        return "".join(map(str.__add__, text.split(SPLICE), texts + [""]))

@@ -655,23 +655,28 @@ class TestColumnKernel:
 
     @pytest.mark.parametrize(
         "label",
-        ["a,b", "nul\0", "x" * 200, "\u00e9" * 40],
-        ids=["quoted", "nul", "long", "long-utf8"],
+        ["a,b", 'say "x"\n', "nul\0", "\x01", "", "x" * 200, "\u00e9" * 40],
+        ids=["comma", "quote-newline", "nul", "splice", "empty", "long", "long-utf8"],
     )
-    def test_declined_strings_take_the_per_value_path(self, tmp_path, label):
+    def test_strings_the_slots_cannot_hold_are_spliced(self, tmp_path, label):
         labels = np.array(["I", label, "IV"] * 3)
-        header, columns = ["index", "x", "quadrant"], [np.arange(9), np.arange(9) / 4, labels]
+        header = ["index", "x", "quadrant", "other"]
+        other = np.array([f"{k}" + "y" * 70 for k in range(9)])  # spliced in every row
+        columns = [np.arange(9), np.arange(9) / 4, labels, other]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "BLOCK_ROWS", 2)  # blocks with and without the label
             write_csv(tmp_path / "p.csv", header, columns=columns)
             write_json(tmp_path / "p.json", {"id": 1}, records=("points", header, columns))
-        rows = [[i, x, q] for i, x, q in zip(*(col.tolist() for col in columns))]
-        expected = io.StringIO()
-        csv.writer(expected, lineterminator="\n").writerows(
-            [header] + [[i, format_value(x), q] for i, x, q in rows]
-        )
-        with (tmp_path / "p.csv").open(newline="") as fh:
-            assert fh.read() == expected.getvalue()
+            write_csv(tmp_path / "one.csv", ["quadrant"], columns=[labels])
+        rows = [list(row) for row in zip(*(col.tolist() for col in columns))]
+        one = [["quadrant"]] + [[q] for q in labels.tolist()]
+        for name, table in (("p.csv", [header] + rows), ("one.csv", one)):
+            expected = io.StringIO()
+            csv.writer(expected, lineterminator="\n").writerows(
+                [format_value(v) if isinstance(v, float) else v for v in row] for row in table
+            )
+            with (tmp_path / name).open(newline="") as fh:
+                assert fh.read() == expected.getvalue()
         tree = {"id": 1, "points": [dict(zip(header, row)) for row in rows]}
         assert (tmp_path / "p.json").read_text() == json.dumps(tree, indent=2) + "\n"
 
