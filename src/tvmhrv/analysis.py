@@ -79,33 +79,37 @@ def _output(path):
 BLOCK_ROWS = 2048
 
 
-def _check_columns(header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Raise unless the columns are aligned 1-D int, float64 or str arrays, one per name.
+def _check_columns(header: Sequence[str], columns: Sequence) -> int:
+    """The row count of aligned columns, one per header name; else raise.
 
-    Raises TypeError for any other column, and ValueError unless there is one
-    header name per column and every column has the same length.
+    A column is a 1-D int or float64 array, or a (codes, labels) pair of a
+    1-D int array and a list or tuple of str. Raises TypeError for any other
+    column, and ValueError for a code outside range(len(labels)), a header
+    of another length or columns of unequal length.
     """
     for j, col in enumerate(columns):
-        kind = col.dtype.kind if isinstance(col, np.ndarray) and col.ndim == 1 else None
-        if kind not in ("i", "u", "U") and not (kind == "f" and col.dtype == np.float64):
-            what = type(col).__name__
-            if isinstance(col, np.ndarray):
-                what = f"{col.ndim}-D {col.dtype} array"
+        codes, labels = col if isinstance(col, tuple) and len(col) == 2 else (col, None)
+        array = isinstance(codes, np.ndarray)
+        kind = codes.dtype.kind if array and codes.ndim == 1 else ""
+        if kind not in ("i", "u") and (labels is not None or not kind or codes.dtype != np.float64):
+            what = f"{codes.ndim}-D {codes.dtype} array" if array else type(codes).__name__
+            which = f"column {j}'s codes are" if labels is not None else f"column {j} is"
             raise TypeError(
-                f"columns must be 1-D numpy arrays of ints, float64 or str; column {j} is a {what}"
+                "columns must be 1-D numpy arrays of ints or float64, or (int codes, labels) "
+                f"pairs; {which} a {what}"
             )
+        if labels is None:
+            continue
+        if not isinstance(labels, (list, tuple)) or not all(isinstance(s, str) for s in labels):
+            raise TypeError(f"labels must be a list or tuple of str; column {j}'s are not")
+        if codes.size and not 0 <= codes.min() <= codes.max() < len(labels):
+            raise ValueError(f"column {j} has codes outside range({len(labels)})")
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
-    lengths = sorted({len(col) for col in columns})
+    lengths = sorted({len(col[0] if isinstance(col, tuple) else col) for col in columns})
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal length: {lengths}")
-
-
-def _blocks(columns: Sequence[np.ndarray]) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each block of up to BLOCK_ROWS rows of aligned columns."""
-    n = len(columns[0]) if columns else 0
-    for start in range(0, n, BLOCK_ROWS):
-        yield start, min(start + BLOCK_ROWS, n)
+    return lengths[0] if lengths else 0
 
 
 def _rows(columns, before, after, text_of, fallback, json):
@@ -146,15 +150,16 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), column
     header's raises ValueError naming it; a file at path is then left absent
     or as it was, but on stdout the rows before it stay printed.
 
-    columns, if given in place of rows, are 1-D numpy arrays of ints, float64
-    or str, one per header name and all of one length; anything else raises
-    TypeError or ValueError before path is opened. Their rows go out
-    BLOCK_ROWS at a time, each block written by coltext.Rows: the floats it
-    declines go through format_value, and each string is written as
-    csv.writer writes it. The text is what csv.writer writes.
+    columns, if given in place of rows, are 1-D numpy arrays of ints or
+    float64 and (codes, labels) pairs, one per header name and all of one
+    length (see _check_columns); anything else raises TypeError or
+    ValueError before path is opened. Their rows go out BLOCK_ROWS at a
+    time, each block written by coltext.Rows: the floats it declines go
+    through format_value, and each label is written as csv.writer writes
+    it. The text is what csv.writer writes.
     """
     if columns is not None:
-        _check_columns(header, columns)
+        n = _check_columns(header, columns)
     with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -170,8 +175,8 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), column
             format_value,
             json=False,
         )
-        for start, stop in _blocks(columns):
-            fh.write(block_text(start, stop))
+        for start in range(0, n, BLOCK_ROWS):
+            fh.write(block_text(start, min(start + BLOCK_ROWS, n)))
 
 
 def _round_floats(node) -> None:
@@ -194,7 +199,7 @@ def _json_scalar(v: float) -> str:
     return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
 
 
-def _records_json(text: str, header: Sequence[str], columns) -> Iterator[str]:
+def _records_json(text: str, header: Sequence[str], columns, n: int) -> Iterator[str]:
     """text, a payload's JSON whose last value is [], with the columns' records in that list.
 
     The records come BLOCK_ROWS to a chunk, each chunk written by
@@ -205,7 +210,7 @@ def _records_json(text: str, header: Sequence[str], columns) -> Iterator[str]:
         for j, name in enumerate(header)
     ]
     records = _rows(columns, before, "\n    }", encode_basestring_ascii, _json_scalar, json=True)
-    blocks = (records(start, stop) for start, stop in _blocks(columns))
+    blocks = (records(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS))
     first = next(blocks, None)
     if first is None:
         yield text
@@ -239,10 +244,10 @@ def write_json(path, payload: dict | list, records=None) -> None:
         key, header, columns = records
         if key in payload:
             raise ValueError(f"records key {key!r} is also a key of the payload")
-        _check_columns(header, columns)
+        n = _check_columns(header, columns)
         head = {**payload, key: []}
         _round_floats(head)
-        chunks = _records_json(json.dumps(head, indent=2), header, columns)
+        chunks = _records_json(json.dumps(head, indent=2), header, columns, n)
     with _output(path) as fh:
         for chunk in chunks:
             fh.write(chunk)

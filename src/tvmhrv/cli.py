@@ -288,12 +288,12 @@ def cmd_points(args) -> int:
     out_dir = args.out if args.out is not None else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    labels = np.array([q.value for q in Quadrant])  # indexed by quadrant code
+    labels = [q.value for q in Quadrant]  # indexed by quadrant code
     for rec in recordings:
         lifted = build_tvm_points(second_order_diff(rec))
         points = lifted.base
-        index = np.arange(len(points))
-        quadrant = labels[points.code]
+        index = np.arange(len(points), dtype=np.min_scalar_type(len(points)))
+        quadrant = (points.code, labels)
         _write_points(
             out_dir / f"{rec.source_id}_sodp.{args.format}",
             args.format,

@@ -12,9 +12,10 @@ groups looked up in tables:
   [-4, 8] (the fixed-point range of '%.9g') and which is not within 1e-6 of
   a rounding tie. It declines the others: non-finite, outside that range,
   or near a tie. The caller's fallback writes those into their slots.
-- a str column as the caller gives each distinct string's text, found once
-  per column. A text longer than MAX_STR_BYTES, or holding a NUL or SPLICE,
-  has the slot SPLICE, which is replaced by the text once the block is text.
+- a labelled-codes column, a pair (codes, labels), as the caller gives the
+  text of each label, found once per column; row i holds labels[codes[i]].
+  A text longer than MAX_STR_BYTES, or holding a NUL or SPLICE, has the slot
+  SPLICE, which is replaced by the text once the block is text.
 
 The package imports this module only to write columns, so that no other
 command builds its tables.
@@ -26,10 +27,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# A str slot's bytes at most; a longer text is spliced in. Writing 100k rows
-# with a str column as CSV and JSON took as long either way at 256 bytes
+# A label slot's bytes at most; a longer text is spliced in. Writing 100k rows
+# with a label column as CSV and JSON took as long either way at 256 bytes
 # (slots faster below, splicing above), and the row matrix of a block then
-# holds at most 2,048 such slots, 512 KiB, per str column.
+# holds at most 2,048 such slots, 512 KiB, per label column.
 MAX_STR_BYTES = 256
 # The slot of a spliced text; no other text of a row holds it.
 SPLICE = "\x01"
@@ -208,12 +209,11 @@ class _Ints:
 
 
 class _Strs:
-    """A str column's distinct texts, each encoded once into whole words."""
+    """A labelled-codes column: the text of each label, encoded once into whole words."""
 
-    def __init__(self, column: np.ndarray, text_of: Callable[[str], str]):
-        distinct = np.unique(column)
-        self.codes = np.searchsorted(distinct, column)
-        texts = [text_of(s) for s in distinct.tolist()]
+    def __init__(self, codes: np.ndarray, labels: Sequence[str], text_of: Callable[[str], str]):
+        self.codes = codes
+        texts = [text_of(s) for s in labels]
         raw = [t.encode("utf-8", "surrogatepass") for t in texts]
         self.spliced = np.array(
             [len(b) > MAX_STR_BYTES or b"\0" in b or SPLICE.encode() in b for b in raw], dtype=bool
@@ -232,10 +232,10 @@ def _aligned(text: str) -> np.ndarray:
 
 
 class Rows:
-    """The text of the rows of aligned 1-D int, float64 and str columns.
+    """The text of the rows of aligned 1-D int, float64 and labelled-codes columns.
 
     before[j] is the text ahead of field j and after the text that ends a
-    row; neither holds a NUL or SPLICE. text_of gives a string's text.
+    row; neither holds a NUL or SPLICE. text_of gives a label's text.
     fallback gives the text of a declined float, in at most 4 * FLOAT_WORDS
     bytes. json selects the text of floats (see the module). Call it with
     (start, stop) for the text of those rows.
@@ -243,7 +243,7 @@ class Rows:
 
     def __init__(
         self,
-        columns: Sequence[np.ndarray],
+        columns: Sequence[np.ndarray | tuple[np.ndarray, Sequence[str]]],
         before: Sequence[str],
         after: str,
         text_of: Callable[[str], str],
@@ -256,17 +256,17 @@ class Rows:
         for column, literal in zip(columns, before):
             template.append(_aligned(literal))
             offset = sum(map(len, template))
-            if column.dtype.kind == "f":
+            if isinstance(column, tuple):
+                strs = _Strs(*column, text_of)
+                self.strs.append((strs, offset))
+                width = strs.width
+            elif column.dtype.kind == "f":
                 self.floats.append((column, offset))
                 width = FLOAT_WORDS
-            elif column.dtype.kind in "iu":
+            else:
                 ints = _Ints(column)
                 self.ints.append((column, ints, offset))
                 width = 1 + ints.groups
-            else:
-                strs = _Strs(column, text_of)
-                self.strs.append((strs, offset))
-                width = strs.width
             template.append(np.zeros(width, dtype=np.uint32))
         template.append(_aligned(after))
         self.template = np.concatenate(template)

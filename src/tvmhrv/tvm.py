@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,6 +42,9 @@ MAX_AXIS_DIVISIONS = 2**53
 # (a larger set takes a batch of its own). Batches save the per-set call
 # overhead; a batch of a whole group of recordings would raise peak memory.
 BATCH_POINTS = 2048
+# The most values handed to Python as floats at a time: a list of a whole
+# 100k-point column would take 3.2 MB, four times the column.
+CHUNK = 4096
 
 
 def batches(sizes: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -78,12 +81,17 @@ def _per_point(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return values if sizes.size == 1 else np.repeat(values, sizes)
 
 
+def _floats(values: np.ndarray) -> Iterator[float]:
+    """The values of a 1-D array as Python floats, in order, CHUNK at a time."""
+    return chain.from_iterable(values[i : i + CHUNK].tolist() for i in range(0, values.size, CHUNK))
+
+
 def _fsums(values: np.ndarray, sizes: np.ndarray) -> list[float]:
     """math.fsum of each consecutive run of sizes[k] values.
 
     fsum is correctly rounded, so a sum does not depend on the order of its values.
     """
-    values = iter(values.tolist())
+    values = _floats(values)
     return [math.fsum(islice(values, n)) for n in sizes.tolist()]
 
 
@@ -170,8 +178,9 @@ def build_tvm_points(
     # Scalar math.exp, not np.exp: numpy's exp differs from libm by an ulp on
     # some inputs, and the exported l and z would change with it.
     scale = _per_point(np.where(zero, 1.0, mean_le), sizes)
-    e = np.fromiter(map(math.exp, (-le / scale).tolist()), np.float64, le.size)
-    l = 1.0 / (1.0 + e)
+    e = np.fromiter(map(math.exp, _floats(-le / scale)), np.float64, le.size)
+    e += 1.0
+    l = np.divide(1.0, e, out=e)
     z = d_co * l
     if zero.any():
         zero = _per_point(zero, sizes)
@@ -268,7 +277,7 @@ def temporal_variation_entropy(grid: SubspaceGrid) -> list[float]:
     p = np.abs(grid.counts - np.array(m_bar)[cell_set]) / grid.sizes[cell_set]
     live = p != 0.0
     p = p[live]
-    log_p = np.fromiter(map(math.log, p.tolist()), np.float64, p.size)
+    log_p = np.fromiter(map(math.log, _floats(p)), np.float64, p.size)
     terms = grid.counts[live] * grid.abs_z_sums[live] * p * -log_p
     return _fsums(terms, np.bincount(cell_set[live], minlength=len(sizes)))
 
@@ -305,35 +314,19 @@ def etv_of_sets(
 
 
 def quadrant_etv(
-    points: LiftedPoints,
-    divisions: tuple[int, int, int] = DEFAULT_DIVISIONS,
-    quadrants: Sequence[int] = range(4),
-    empty: list[int] | None = None,
-) -> tuple[float, ...]:
-    """E_TV per quadrant, each over a fresh grid spanning only that quadrant.
+    points: LiftedPoints, divisions: tuple[int, int, int] = DEFAULT_DIVISIONS
+) -> tuple[float, float, float, float]:
+    """E_TV of quadrants I-IV, each over a fresh grid spanning only that quadrant.
 
     points are the lifted points of one set. The sigmoid scale l keeps its
     global mean_le; only the spatial filtering and bounding box are
-    quadrant-local. An empty quadrant reports 0.
-
-    quadrants names the quadrants to compute by code (0-3 for I-IV), and the
-    result holds theirs in that order; by default all four. The codes of the
-    empty ones among them are appended to empty if given. One stable sort
-    by code lines each quadrant's points up, and etv_of_sets scores them.
+    quadrant-local. An empty quadrant reports 0. One stable sort by code
+    lines each quadrant's points up, and etv_of_sets scores them.
     """
     if len(points) == 0:
         raise EmptyInputError("need at least one 3-D point")
     if points.sizes.size != 1:
         raise ValueError(f"quadrant_etv takes one point set, got {points.sizes.size}")
-    quadrants = list(quadrants)
-    by_code = np.argsort(points.base.code, kind="stable")
     counts = np.bincount(points.base.code, minlength=5)
-    starts = np.cumsum(counts) - counts
-    # by_code[:0] gives the index type when no quadrant is asked for.
-    order = np.concatenate(
-        [by_code[:0], *(by_code[starts[q] : starts[q] + counts[q]] for q in quadrants)]
-    )
-    sizes = counts[quadrants].tolist()
-    if empty is not None:
-        empty += [q for q, n in zip(quadrants, sizes) if n == 0]
-    return tuple(etv_of_sets(points.base.x, points.base.y, points.z, sizes, divisions, order))
+    order = np.argsort(points.base.code, kind="stable")[: len(points) - counts[4]]
+    return tuple(etv_of_sets(points.base.x, points.base.y, points.z, counts[:4], divisions, order))

@@ -429,9 +429,23 @@ EDGE_FLOATS = [
 LABELS = ["I", "II", "III", "IV", "axis", "", "a,b", 'say "hi"', "two\nlines", "cr\r", "été"]
 
 
+def labelled(column: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """A str array as a (codes, labels) column, by np.unique."""
+    labels, codes = np.unique(column, return_inverse=True)
+    return codes, labels.tolist()
+
+
+def values_of(column) -> list:
+    """A column's row values as Python objects."""
+    if isinstance(column, tuple):
+        codes, labels = column
+        return [labels[c] for c in codes.tolist()]
+    return column.tolist()
+
+
 @st.composite
 def array_columns(draw):
-    """A header and aligned int64, float64 and str numpy columns."""
+    """A header and aligned int64, float64 and (codes, labels) columns of str arrays."""
     kinds = draw(st.lists(st.sampled_from(["int", "float", "str"]), max_size=5))
     header = draw(st.lists(st.text(), min_size=len(kinds), max_size=len(kinds), unique=True))
     n = draw(st.integers(min_value=0, max_value=12))
@@ -445,7 +459,7 @@ def array_columns(draw):
         np.array(draw(st.lists(values[kind], min_size=n, max_size=n)), dtype=dtypes[kind])
         for kind in kinds
     ]
-    return header, columns
+    return header, [labelled(col) if col.dtype.kind == "U" else col for col in columns]
 
 
 def edge_table():
@@ -461,14 +475,14 @@ class TestBlockPath:
     @given(table=array_columns(), block_rows=st.integers(min_value=1, max_value=5))
     @example(table=edge_table(), block_rows=1)
     @example(table=edge_table(), block_rows=4)
-    @example(table=(["q"], [np.array(["I", "", "IV", ""], dtype=str)]), block_rows=2)
+    @example(table=(["q"], [labelled(np.array(["I", "", "IV", ""], dtype=str))]), block_rows=2)
     @example(table=(["n"], [np.array([], dtype=np.float64)]), block_rows=3)
     def test_csv_equals_csv_writer(self, table, block_rows):
         header, columns = table
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(header)
-        for row in zip(*(col.tolist() for col in columns)):
+        for row in zip(*map(values_of, columns)):
             writer.writerow([format_value(v) if isinstance(v, float) else v for v in row])
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "BLOCK_ROWS", block_rows)
@@ -491,7 +505,7 @@ class TestBlockPath:
             mp.setattr(analysis, "BLOCK_ROWS", block_rows)
             streamed, tree = Path(tmp, "streamed.json"), Path(tmp, "tree.json")
             write_json(streamed, head, records=("points", header, columns))
-            points = [dict(zip(header, row)) for row in zip(*(col.tolist() for col in columns))]
+            points = [dict(zip(header, row)) for row in zip(*map(values_of, columns))]
             write_json(tree, {**head, "points": points})
             assert streamed.read_bytes() == tree.read_bytes()
 
@@ -505,7 +519,7 @@ class TestBlockPath:
         columns = [
             np.arange(4),
             np.array([800.25, 3.0, -0.0, -12.5]),  # '%.1f' writes the integral ones
-            np.array(["I", "IV", "axis", "II"]),
+            labelled(np.array(["I", "IV", "axis", "II"])),
         ]
         write_csv(tmp_path / "p.csv", header, columns=columns)
         write_json(tmp_path / "p.json", {}, records=("points", header, columns))
@@ -518,7 +532,7 @@ class TestBlockPath:
 
 
 class TestWriterInputs:
-    """What the column writers accept: aligned 1-D int, float64 or str arrays."""
+    """What the column writers accept: aligned 1-D int or float64 arrays and (codes, labels)."""
 
     @pytest.mark.parametrize(
         "column",
@@ -528,13 +542,14 @@ class TestWriterInputs:
             np.array([1.0, 2.0], dtype=np.float32),
             np.array([True, False]),
             np.array([1.0, "a"], dtype=object),
+            np.array(["I", "II"]),
         ],
-        ids=["list", "2-D", "float32", "bool", "object"],
+        ids=["list", "2-D", "float32", "bool", "object", "str"],
     )
     @pytest.mark.parametrize("writer", ["csv", "json"])
     def test_other_columns_are_a_type_error(self, tmp_path, column, writer):
         out = tmp_path / f"p.{writer}"
-        with pytest.raises(TypeError, match="1-D numpy arrays of ints, float64 or str"):
+        with pytest.raises(TypeError, match="1-D numpy arrays of ints or float64, or"):
             if writer == "csv":
                 write_csv(out, ["x"], columns=[column])
             else:
@@ -561,6 +576,41 @@ class TestWriterInputs:
             with pytest.raises(ValueError, match=message):
                 call(tmp_path / "p")
             assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "column, error, message",
+        [
+            ((np.array([0, 2]), ["I", "II"]), ValueError, r"codes outside range\(2\)"),
+            ((np.array([0, -1]), ["I", "II"]), ValueError, r"codes outside range\(2\)"),
+            ((np.array([0, 1]), []), ValueError, r"codes outside range\(0\)"),
+            ((np.array([0.0, 1.0]), ["I", "II"]), TypeError, "column 1's codes are a"),
+            (([0, 1], ["I", "II"]), TypeError, "column 1's codes are a"),
+            ((np.array([0, 1]), ["I", 2]), TypeError, "labels must be a list or tuple of str"),
+            ((np.array([0, 1]), np.array(["I", "II"])), TypeError, "labels must be a list"),
+            ((np.array([0, 1, 0]), ["I", "II"]), ValueError, "columns of unequal length"),
+        ],
+        ids=["above", "negative", "no-labels", "float", "list", "int-label", "array", "length"],
+    )
+    def test_bad_labelled_codes_write_nothing(self, tmp_path, capsys, column, error, message):
+        header, columns = ["index", "quadrant"], [np.arange(2), column]
+        for call in (
+            lambda path: write_csv(path, header, columns=columns),
+            lambda path: write_json(path, {}, records=("points", header, columns)),
+        ):
+            with pytest.raises(error, match=message):
+                call(None)
+            assert capsys.readouterr().out == ""
+            with pytest.raises(error, match=message):
+                call(tmp_path / "p")
+            assert list(tmp_path.iterdir()) == []
+
+    def test_labelled_codes_of_any_int_dtype(self, tmp_path):
+        labels = ["I", "II", "III", "IV", "axis"]
+        codes = np.array([4, 0, 3, 1, 2], dtype=np.int8)
+        expected = ["quadrant", "axis", "I", "IV", "II", "III"]
+        for dtype in (np.int8, np.uint8, np.int64, np.uint64):
+            write_csv(tmp_path / "q.csv", ["quadrant"], columns=[(codes.astype(dtype), labels)])
+            assert (tmp_path / "q.csv").read_text().split() == expected
 
     def test_numpy_float_scalar_in_a_row(self, capsys):
         write_csv(None, ["a", "b", "c"], [[np.float32(0.1), np.float64(0.1), 0.1]])
@@ -659,17 +709,17 @@ class TestColumnKernel:
         ids=["comma", "quote-newline", "nul", "splice", "empty", "long", "long-utf8"],
     )
     def test_strings_the_slots_cannot_hold_are_spliced(self, tmp_path, label):
-        labels = np.array(["I", label, "IV"] * 3)
+        labels = labelled(np.array(["I", label, "IV"] * 3))
         header = ["index", "x", "quadrant", "other"]
-        other = np.array([f"{k}" + "y" * 70 for k in range(9)])  # spliced in every row
+        other = labelled(np.array([f"{k}" + "y" * 300 for k in range(9)]))  # spliced in every row
         columns = [np.arange(9), np.arange(9) / 4, labels, other]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "BLOCK_ROWS", 2)  # blocks with and without the label
             write_csv(tmp_path / "p.csv", header, columns=columns)
             write_json(tmp_path / "p.json", {"id": 1}, records=("points", header, columns))
             write_csv(tmp_path / "one.csv", ["quadrant"], columns=[labels])
-        rows = [list(row) for row in zip(*(col.tolist() for col in columns))]
-        one = [["quadrant"]] + [[q] for q in labels.tolist()]
+        rows = [list(row) for row in zip(*map(values_of, columns))]
+        one = [["quadrant"]] + [[q] for q in values_of(labels)]
         for name, table in (("p.csv", [header] + rows), ("one.csv", one)):
             expected = io.StringIO()
             csv.writer(expected, lineterminator="\n").writerows(
@@ -731,21 +781,24 @@ def test_points_export_rarely_falls_back(tmp_path, corpus_dir, monkeypatch, fmt)
         assert abs(v) < 1e-4 or tie_distance(v) < Decimal("2e-6"), v
 
 
-def export_table() -> tuple[list[str], list[np.ndarray]]:
+def export_table() -> tuple[list[str], list]:
     """The 8 columns `points` exports for a 100k-interval make_demo_data.py recording."""
     values = make_demo_data().steady_series(random.Random(1), 100_002)
     rec = RRSeries(np.round(values, 3), source_id="day")
     lifted = tvm.build_tvm_points(second_order_diff(rec))
     points = lifted.base
-    labels = np.array([q.value for q in Quadrant])[points.code]
+    quadrant = (points.code, [q.value for q in Quadrant])
     header = ["index", "x", "y", "d_co", "le", "l", "z", "quadrant"]
-    columns = [np.arange(len(points)), points.x, points.y, lifted.d_co, lifted.le, lifted.l]
-    return header, columns + [lifted.z, labels]
+    index = np.arange(len(points), dtype=np.min_scalar_type(len(points)))
+    columns = [index, points.x, points.y, lifted.d_co, lifted.le, lifted.l]
+    return header, columns + [lifted.z, quadrant]
 
 
-# tracemalloc peaks of the writers of 6a401be, which wrote a block through one
-# `%` of a row template, on export_table() (Python 3.11.7, numpy 2.4.6).
-TEMPLATE_WRITER_PEAK = {"csv": 4_767_201, "json": 10_381_338}
+# tracemalloc peaks on export_table() of the writers of 7aa820b, which took the
+# quadrant as a str array and found its codes again per file (Python 3.11.7,
+# numpy 2.4.6); the `%` row template writers before them peaked at 4,767,201
+# (CSV) and 10,381,338 bytes (JSON).
+STR_COLUMN_WRITER_PEAK = {"csv": 3_617_061, "json": 4_988_195}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -758,14 +811,15 @@ def test_writer_memory_stays_below_the_template_writer(tmp_path, fmt):
         else:
             write_json(path, {"source_id": "day"}, records=("points", header, columns))
 
-    write(tmp_path / "warm", [col[:10] for col in columns])  # imports and tables
+    warm = [(col[0][:10], col[1]) if isinstance(col, tuple) else col[:10] for col in columns]
+    write(tmp_path / "warm", warm)  # imports and tables
     tracemalloc.start()
     try:
         write(tmp_path / "day", columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= TEMPLATE_WRITER_PEAK[fmt]
+    assert peak <= STR_COLUMN_WRITER_PEAK[fmt]
 
 
 def test_only_column_writes_import_the_kernel(corpus_dir, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -312,17 +313,6 @@ class TestQuadrantEtv:
         with pytest.raises(EmptyInputError):
             quadrant_etv(EMPTY, (2, 2, 2))
 
-    def test_asked_quadrants_only_in_the_order_asked(self):
-        points = lift([800 + 40 * math.sin(0.7 * i) for i in range(60)])
-        full = quadrant_etv(points, (4, 4, 4))
-        assert quadrant_etv(points, (4, 4, 4), (2, 0)) == (full[2], full[0])
-        assert quadrant_etv(points, (4, 4, 4), ()) == ()
-
-    def test_empty_quadrants_named(self):
-        points = build_tvm_points(plot((1, 2), (-2, -1), (0, 3)))
-        empty = []
-        assert quadrant_etv(points, (2, 2, 2), (3, 0, 1), empty)[::2] == (0.0, 0.0)
-        assert empty == [3, 1]
 
 
 class TestPipeline:
@@ -452,3 +442,52 @@ def test_grid_of_several_sets_is_each_sets_own_grid(runs, divisions):
         assert getattr(grid, name).tolist() == [v for g in alone for v in getattr(g, name).tolist()]
     assert grid.n_cells == sum(g.n_cells for g in alone)
     assert temporal_variation_entropy(grid) == [temporal_variation_entropy(g)[0] for g in alone]
+
+
+def hexes(values) -> list[str]:
+    return [float.hex(v) for v in values]
+
+
+def test_fsums_across_chunk_edges():
+    c = tvm.CHUNK
+    sizes = np.array([1, c - 1, c, c + 1, 3 * c + 7])
+    rng = np.random.default_rng(24)
+    values = rng.standard_normal(sizes.sum()) * 10.0 ** rng.integers(-8, 9, sizes.sum())
+    assert list(tvm._floats(values)) == values.tolist()
+    ends = np.cumsum(sizes).tolist()
+    want = [math.fsum(values[end - n : end].tolist()) for end, n in zip(ends, sizes.tolist())]
+    assert hexes(tvm._fsums(values, sizes)) == hexes(want)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, tvm.CHUNK + 3])
+def test_lift_across_chunk_edges_equals_per_value_exp(extra):
+    n = tvm.CHUNK + extra
+    rng = np.random.default_rng(n)
+    points = PlotPoints(x=rng.normal(0.0, 40.0, n), y=rng.normal(0.0, 40.0, n))
+    lifted = build_tvm_points(points)
+    le = point_distances(points).tolist()
+    mean_le = math.fsum(le) / n
+    l = [1.0 / (1.0 + math.exp(-v / mean_le)) for v in le]
+    d_co = (np.abs(points.y) - np.abs(points.x)).tolist()
+    assert hexes(lifted.l.tolist()) == hexes(l)
+    assert hexes(lifted.z.tolist()) == hexes(d * w for d, w in zip(d_co, l))
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lift_and_grid_hold_at_most_six_float_columns():
+    # 100k intervals of a random walk in ms, as a 24-hour recording has.
+    diff = np.round(np.random.default_rng(1).normal(0.0, 30.0, 99_999))
+    points = PlotPoints(x=diff[:-1], y=diff[1:])
+    lifted = build_tvm_points(points)
+    build_grid(*xyz(build_tvm_points(plot((1, 2), (3, -4)))))  # imports and first calls
+    six_columns = 6 * 8 * len(points)
+    assert traced_peak(lambda: build_tvm_points(points)) <= six_columns
+    assert traced_peak(lambda: build_grid(*xyz(lifted))) <= six_columns
