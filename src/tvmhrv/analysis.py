@@ -91,7 +91,8 @@ def _check_columns(header: Sequence[str], columns: Sequence) -> int:
         codes, labels = col if isinstance(col, tuple) and len(col) == 2 else (col, None)
         array = isinstance(codes, np.ndarray)
         kind = codes.dtype.kind if array and codes.ndim == 1 else ""
-        if kind not in ("i", "u") and (labels is not None or not kind or codes.dtype != np.float64):
+        plain_float = labels is None and kind == "f" and codes.dtype == np.float64
+        if kind not in ("i", "u") and not plain_float:
             what = f"{codes.ndim}-D {codes.dtype} array" if array else type(codes).__name__
             which = f"column {j}'s codes are" if labels is not None else f"column {j} is"
             raise TypeError(

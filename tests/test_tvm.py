@@ -314,7 +314,6 @@ class TestQuadrantEtv:
             quadrant_etv(EMPTY, (2, 2, 2))
 
 
-
 class TestPipeline:
     def test_constant_series(self):
         assert etv([800] * 10) == (0.0, (0.0, 0.0, 0.0, 0.0))
