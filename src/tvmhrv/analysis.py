@@ -10,7 +10,7 @@ import math
 import os
 import shutil
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -69,7 +69,8 @@ def _output(path):
             shutil.copymode(path, tmp)  # opening path for writing would keep its mode
         os.replace(tmp, path)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        with suppress(OSError):  # a failed cleanup must not replace the error it follows
+            tmp.unlink()
         if isinstance(exc, OSError) and exc.filename == str(tmp):
             exc.filename = str(path)  # name the file asked for, not the temporary one
         raise
@@ -289,16 +290,16 @@ def report(series: RRSeries, params: IndicatorParams = IndicatorParams()) -> Ind
     """Compute all indicators of one recording."""
     points = second_order_diff(series)
     near, far = radius_census(points, (params.r_ctm, params.r_d))
-    lifted = build_tvm_points(points)
+    z = build_tvm_points(points).z  # the grids bin z alone, so l goes at once
     return IndicatorReport(
         source_id=series.source_id,
         ctm=near.ctm,
         cctm=near.cctm,
         d=far.d,
         etv_global=temporal_variation_entropy(
-            build_grid(points.x, points.y, lifted.z, params.divisions)
+            build_grid(points.x, points.y, z, params.divisions)
         )[0],
-        etv_quadrant=quadrant_etv(lifted, params.divisions),
+        etv_quadrant=quadrant_etv(points, z, params.divisions),
         quadrant_points=tuple(np.bincount(points.code, minlength=5)[:4].tolist()),
     )
 

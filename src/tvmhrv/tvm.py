@@ -99,14 +99,12 @@ def _fsums(values: np.ndarray, sizes: np.ndarray) -> list[float]:
 class LiftedPoints:
     """Plot points lifted to three dimensions, as float64 columns.
 
-    `base` holds x, y and the quadrant codes; d_co, le, l and z are aligned
-    with it point by point. `sizes` counts the points of each consecutive
-    set they were lifted in; the default, None, is one set of them all.
+    `base` holds x, y and the quadrant codes; l and z are aligned with it,
+    and d_co and le are computed from it on each read. `sizes` counts the
+    points of each consecutive set they were lifted in; None is one set.
     """
 
     base: PlotPoints
-    d_co: np.ndarray
-    le: np.ndarray
     l: np.ndarray
     z: np.ndarray
     sizes: np.ndarray | None = None
@@ -117,6 +115,14 @@ class LiftedPoints:
 
     def __len__(self) -> int:
         return len(self.base)
+
+    @property
+    def d_co(self) -> np.ndarray:
+        return np.abs(self.base.y) - np.abs(self.base.x)
+
+    @property
+    def le(self) -> np.ndarray:
+        return point_distances(self.base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,20 +179,23 @@ def build_tvm_points(
         sizes = np.add.reduceat(keep, np.cumsum(sizes) - sizes, dtype=np.int64)
         points = PlotPoints(x=points.x[keep], y=points.y[keep])
         le = le[keep]
-    d_co = np.abs(points.y) - np.abs(points.x)
     zero = mean_le == 0.0
+    # -le / scale, in le's own buffer as le / -scale: division rounds alike for either sign.
+    le /= _per_point(np.where(zero, -1.0, -mean_le), sizes)
     # Scalar math.exp, not np.exp: numpy's exp differs from libm by an ulp on
     # some inputs, and the exported l and z would change with it.
-    scale = _per_point(np.where(zero, 1.0, mean_le), sizes)
-    e = np.fromiter(map(math.exp, _floats(-le / scale)), np.float64, le.size)
-    e += 1.0
-    l = np.divide(1.0, e, out=e)
-    z = d_co * l
+    l = np.fromiter(map(math.exp, _floats(le)), np.float64, le.size)
+    del le
+    l += 1.0
+    np.divide(1.0, l, out=l)
+    z = np.abs(points.y)
+    z -= np.abs(points.x)  # d_co
+    z *= l
     if zero.any():
         zero = _per_point(zero, sizes)
-        l = np.where(zero, 0.5, l)
-        z = np.where(zero, 0.0, z)
-    return LiftedPoints(base=points, d_co=d_co, le=le, l=l, z=z, sizes=sizes)
+        np.copyto(l, 0.5, where=zero)
+        np.copyto(z, 0.0, where=zero)
+    return LiftedPoints(base=points, l=l, z=z, sizes=sizes)
 
 
 def build_grid(
@@ -218,6 +227,7 @@ def build_grid(
 
     # keys becomes each point's C-order flat cell index, one axis at a time.
     lo_hi, k, keys = [], [], np.zeros(z.size, dtype=np.int64)
+    scratch, index = np.empty(z.size), np.empty(z.size, dtype=np.int64)
     for values, requested in zip((x, y, z), map(int, divisions)):
         lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
         # A set of zero extent on this axis takes one bin: its values all
@@ -225,13 +235,15 @@ def build_grid(
         flat = hi == lo
         span = np.where(flat, 1.0, hi - lo)
         # Half-open equal-width bins; the clamp closes the last bin at the top.
-        index = ((values - _per_point(lo, sizes)) / _per_point(span, sizes) * requested).astype(
-            np.int64
-        )
+        np.subtract(values, _per_point(lo, sizes), out=scratch)
+        scratch /= _per_point(span, sizes)
+        scratch *= requested
+        np.copyto(index, scratch, casting="unsafe")  # truncates, as astype(np.int64) does
         lo_hi.append((lo, hi))
         k.append(np.where(flat, 1, requested))
         keys *= _per_point(k[-1], sizes)
         keys += np.minimum(index, requested - 1, out=index)
+    del scratch, index  # each array goes once read: the grid peaks at three columns
     divisions = np.array(k).T
     # A stable sort's order is fully determined, so sorting the keys in the
     # narrowest type that holds them (uint16 for 1,000 cells, which numpy
@@ -243,13 +255,17 @@ def build_grid(
         set_of = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size - 1)), sizes)
         order = order[np.argsort(set_of[order], kind="stable")]
     keys = keys[order]
+    abs_z = z[order]
+    del order
+    np.abs(abs_z, out=abs_z)
     # Each run of equal keys within a set is one occupied cell.
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     first[starts] = True
     cell_starts = np.flatnonzero(first)
     counts = np.diff(cell_starts, append=keys.size)
-    abs_z = np.abs(z[order])
+    cells = keys[cell_starts]
+    del keys
     # A one-point cell's sum is its point's |z|; the others' are fsums.
     abs_z_sums = abs_z[cell_starts]
     many = counts > 1
@@ -259,7 +275,7 @@ def build_grid(
         bounds=np.array(lo_hi).transpose(2, 0, 1),
         divisions=divisions,
         occupied=np.add.reduceat(first, starts, dtype=np.int64),
-        cells=keys[cell_starts],
+        cells=cells,
         counts=counts,
         abs_z_sums=abs_z_sums,
     )
@@ -314,19 +330,17 @@ def etv_of_sets(
 
 
 def quadrant_etv(
-    points: LiftedPoints, divisions: tuple[int, int, int] = DEFAULT_DIVISIONS
+    points: PlotPoints, z: np.ndarray, divisions: tuple[int, int, int] = DEFAULT_DIVISIONS
 ) -> tuple[float, float, float, float]:
     """E_TV of quadrants I-IV, each over a fresh grid spanning only that quadrant.
 
-    points are the lifted points of one set. The sigmoid scale l keeps its
-    global mean_le; only the spatial filtering and bounding box are
-    quadrant-local. An empty quadrant reports 0. One stable sort by code
-    lines each quadrant's points up, and etv_of_sets scores them.
+    points are the plot points of one set and z their lifted coordinate.
+    The sigmoid scale l keeps its global mean_le; only the spatial filtering
+    and bounding box are quadrant-local. An empty quadrant reports 0. One
+    stable sort by code lines the quadrants up for etv_of_sets to score.
     """
     if len(points) == 0:
         raise EmptyInputError("need at least one 3-D point")
-    if points.sizes.size != 1:
-        raise ValueError(f"quadrant_etv takes one point set, got {points.sizes.size}")
-    counts = np.bincount(points.base.code, minlength=5)
-    order = np.argsort(points.base.code, kind="stable")[: len(points) - counts[4]]
-    return tuple(etv_of_sets(points.base.x, points.base.y, points.z, counts[:4], divisions, order))
+    counts = np.bincount(points.code, minlength=5)
+    order = np.argsort(points.code, kind="stable")[: len(points) - counts[4]]
+    return tuple(etv_of_sets(points.x, points.y, z, counts[:4], divisions, order))

@@ -365,6 +365,17 @@ class TestWriteCsv:
             write_csv(out, ["name"], [["a"]])
         assert str(out) in str(info.value) and ".tmp" not in str(info.value)
 
+    def test_file_in_the_path_error_names_the_target(self, tmp_path):
+        # The temporary file cannot be made under a regular file, and removing
+        # it then fails too; that second error must not replace the first.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "table.csv"
+        with pytest.raises(NotADirectoryError) as info:
+            write_csv(out, ["name"], [["a"]])
+        assert str(out) in str(info.value) and ".tmp" not in str(info.value)
+        assert list(tmp_path.iterdir()) == [blocker]
+
     def test_new_file_mode_as_open_gives(self, tmp_path):
         reference = tmp_path / "reference"
         reference.open("w").close()

@@ -171,6 +171,13 @@ class TestIndicators:
         assert run(["indicators", missing]) == 1
         assert "nope.txt" in capsys.readouterr().err
 
+    def test_out_under_a_regular_file_names_the_file_asked_for(self, rr_file, tmp_path, capsys):
+        out = rr_file / "x.csv"
+        assert run(["indicators", rr_file, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"tvmhrv: error: [Errno 20] Not a directory: '{out}'"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.txt"]
+
     def test_directory_input_one_row_per_file(self, tmp_path):
         ddir = tmp_path / "grp"
         ddir.mkdir()
