@@ -4,7 +4,6 @@ CSV/JSON writer that every output goes through."""
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -26,6 +25,7 @@ from .tvm import (
     batches,
     build_grid,
     build_tvm_points,
+    check_divisions,
     etv_of_sets,
     quadrant_etv,
     temporal_variation_entropy,
@@ -51,28 +51,29 @@ def _output(path):
 
     The text goes to a temporary file beside path that then replaces it, so
     a failed write leaves no partial file and an existing one as it was. A
-    symbolic link, device or pipe at path is written through in place.
+    symbolic link, device or pipe at path is written through in place. An
+    OSError names path: a write's names no file, and the temporary file is
+    not the one asked for.
     """
     if path is None:
         yield sys.stdout
         return
     path = Path(path)
-    if path.is_symlink() or (path.exists() and not path.is_file()):
-        with path.open("w", newline="") as fh:
-            yield fh
-        return
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    in_place = path.is_symlink() or (path.exists() and not path.is_file())
+    target = path if in_place else path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", newline="") as fh:
+        with target.open("w", newline="") as fh:
             yield fh
-        if path.exists():
-            shutil.copymode(path, tmp)  # opening path for writing would keep its mode
-        os.replace(tmp, path)
+        if not in_place:
+            if path.exists():
+                shutil.copymode(path, target)  # opening path for writing would keep its mode
+            os.replace(target, path)
     except BaseException as exc:
-        with suppress(OSError):  # a failed cleanup must not replace the error it follows
-            tmp.unlink()
-        if isinstance(exc, OSError) and exc.filename == str(tmp):
-            exc.filename = str(path)  # name the file asked for, not the temporary one
+        if not in_place:
+            with suppress(OSError):  # a failed cleanup must not replace the error it follows
+                target.unlink()
+        if isinstance(exc, OSError) and exc.filename in (None, str(target)):
+            exc.filename = str(path)
         raise
 
 
@@ -80,45 +81,11 @@ def _output(path):
 BLOCK_ROWS = 2048
 
 
-def _check_columns(header: Sequence[str], columns: Sequence) -> int:
-    """The row count of aligned columns, one per header name; else raise.
-
-    A column is a 1-D int or float64 array, or a (codes, labels) pair of a
-    1-D int array and a list or tuple of str. Raises TypeError for any other
-    column, and ValueError for a code outside range(len(labels)), a header
-    of another length or columns of unequal length.
-    """
-    for j, col in enumerate(columns):
-        codes, labels = col if isinstance(col, tuple) and len(col) == 2 else (col, None)
-        array = isinstance(codes, np.ndarray)
-        kind = codes.dtype.kind if array and codes.ndim == 1 else ""
-        plain_float = labels is None and kind == "f" and codes.dtype == np.float64
-        if kind not in ("i", "u") and not plain_float:
-            what = f"{codes.ndim}-D {codes.dtype} array" if array else type(codes).__name__
-            which = f"column {j}'s codes are" if labels is not None else f"column {j} is"
-            raise TypeError(
-                "columns must be 1-D numpy arrays of ints or float64, or (int codes, labels) "
-                f"pairs; {which} a {what}"
-            )
-        if labels is None:
-            continue
-        if not isinstance(labels, (list, tuple)) or not all(isinstance(s, str) for s in labels):
-            raise TypeError(f"labels must be a list or tuple of str; column {j}'s are not")
-        if codes.size and not 0 <= codes.min() <= codes.max() < len(labels):
-            raise ValueError(f"column {j} has codes outside range({len(labels)})")
-    if len(header) != len(columns):
-        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
-    lengths = sorted({len(col[0] if isinstance(col, tuple) else col) for col in columns})
-    if len(lengths) > 1:
-        raise ValueError(f"columns of unequal length: {lengths}")
-    return lengths[0] if lengths else 0
-
-
-def _rows(columns, before, after, text_of, fallback, json):
-    """A coltext.Rows of the columns; the module is imported only here."""
+def _rows(columns, before, after, fallback, json):
+    """A coltext.Rows of the columns, which checks them; the module is imported only here."""
     from . import coltext
 
-    return coltext.Rows(columns, before, after, text_of, fallback, json)
+    return coltext.Rows(columns, before, after, fallback, json)
 
 
 def _csv_row(row: Sequence) -> list:
@@ -135,14 +102,6 @@ def _of_width(rows: Iterable[Sequence], width: int) -> Iterator[Sequence]:
         yield row
 
 
-def _csv_field(s: str, width: int) -> str:
-    """s's text as csv.writer writes it in a row of width fields."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([s] * width)
-    row = buf.getvalue()[:-1]  # width copies of the field and width - 1 commas
-    return row[: (len(row) + 1) // width - 1]
-
-
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), columns=None) -> None:
     """Write a header and rows of raw values as CSV to path, or stdout if None.
 
@@ -152,33 +111,25 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), column
     header's raises ValueError naming it; a file at path is then left absent
     or as it was, but on stdout the rows before it stay printed.
 
-    columns, if given in place of rows, are 1-D numpy arrays of ints or
+    columns, if given in place of rows, are 1-D numpy arrays of ints >= 0 or
     float64 and (codes, labels) pairs, one per header name and all of one
-    length (see _check_columns); anything else raises TypeError or
-    ValueError before path is opened. Their rows go out BLOCK_ROWS at a
-    time, each block written by coltext.Rows: the floats it declines go
-    through format_value, and each label is written as csv.writer writes
-    it. The text is what csv.writer writes.
+    length, as coltext.Rows takes them; it raises TypeError or ValueError
+    for anything else before path is opened. Their rows go out BLOCK_ROWS at
+    a time, the floats that Rows declines through format_value. The text is
+    what csv.writer writes.
     """
     if columns is not None:
-        n = _check_columns(header, columns)
+        block_text = _rows(
+            columns, ["," if j else "" for j in range(len(header))], "\n", format_value, json=False
+        )
     with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if columns is None:
             writer.writerows(map(_csv_row, _of_width(rows, len(header))))
             return
-        width = len(columns)
-        block_text = _rows(
-            columns,
-            [""] + [","] * (width - 1),
-            "\n",
-            lambda s: _csv_field(s, width),
-            format_value,
-            json=False,
-        )
-        for start in range(0, n, BLOCK_ROWS):
-            fh.write(block_text(start, min(start + BLOCK_ROWS, n)))
+        for start in range(0, block_text.n, BLOCK_ROWS):
+            fh.write(block_text(start, min(start + BLOCK_ROWS, block_text.n)))
 
 
 def _round_floats(node) -> None:
@@ -201,17 +152,12 @@ def _json_scalar(v: float) -> str:
     return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
 
 
-def _records_json(text: str, header: Sequence[str], columns, n: int) -> Iterator[str]:
-    """text, a payload's JSON whose last value is [], with the columns' records in that list.
+def _records_json(text: str, records) -> Iterator[str]:
+    """text, a payload's JSON whose last value is [], with the coltext.Rows records in that list.
 
-    The records come BLOCK_ROWS to a chunk, each chunk written by
-    coltext.Rows.
+    The records come BLOCK_ROWS to a chunk.
     """
-    before = [
-        (",\n      " if j else ",\n    {\n      ") + encode_basestring_ascii(name) + ": "
-        for j, name in enumerate(header)
-    ]
-    records = _rows(columns, before, "\n    }", encode_basestring_ascii, _json_scalar, json=True)
+    n = records.n
     blocks = (records(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS))
     first = next(blocks, None)
     if first is None:
@@ -231,25 +177,29 @@ def write_json(path, payload: dict | list, records=None) -> None:
     lists), so pass a payload built for this call, not one shared with a
     result object. The payload is formatted whole by json.
 
-    records, if given, is (key, header, columns) and payload a dict without
-    key. The file is then that of payload with key added last, holding one
-    object per row of the columns, which maps each header name to the row's
-    value. The columns follow write_csv's rule, checked before path is
-    opened. The records are formatted BLOCK_ROWS at a time, straight from
-    the columns, by coltext.Rows with json's text of each value: the floats
-    it declines go through _json_scalar.
+    records, if given, is (header, columns) and payload a dict without the
+    key "points". The file is then that of payload with "points" added
+    last, holding one object per row of the columns, which maps each header
+    name to the row's value. The columns follow write_csv's rule, checked
+    before path is opened. The records are formatted BLOCK_ROWS at a time,
+    straight from the columns, by coltext.Rows with json's text of each
+    value: the floats it declines go through _json_scalar.
     """
     if records is None:
         _round_floats(payload)
         chunks = [json.dumps(payload, indent=2)]
     else:
-        key, header, columns = records
-        if key in payload:
-            raise ValueError(f"records key {key!r} is also a key of the payload")
-        n = _check_columns(header, columns)
-        head = {**payload, key: []}
+        if "points" in payload:
+            raise ValueError("records key 'points' is also a key of the payload")
+        header, columns = records
+        before = [
+            (",\n      " if j else ",\n    {\n      ") + encode_basestring_ascii(name) + ": "
+            for j, name in enumerate(header)
+        ]
+        rows = _rows(columns, before, "\n    }", _json_scalar, json=True)
+        head = {**payload, "points": []}
         _round_floats(head)
-        chunks = _records_json(json.dumps(head, indent=2), header, columns, n)
+        chunks = _records_json(json.dumps(head, indent=2), rows)
     with _output(path) as fh:
         for chunk in chunks:
             fh.write(chunk)
@@ -267,9 +217,7 @@ class IndicatorParams:
     def __post_init__(self):
         if not (self.r_ctm > 0 and self.r_d > 0):
             raise ValueError("radii must be > 0")
-        if len(self.divisions) != 3 or any(int(d) != d or d < 1 for d in self.divisions):
-            raise ValueError(f"divisions must be three integers >= 1, got {self.divisions}")
-        object.__setattr__(self, "divisions", tuple(int(d) for d in self.divisions))
+        object.__setattr__(self, "divisions", check_divisions(self.divisions))
 
 
 @dataclass(frozen=True)

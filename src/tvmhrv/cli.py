@@ -274,7 +274,7 @@ def _write_points(path, fmt, source_id, header, columns) -> None:
     if fmt == "csv":
         write_csv(path, header, columns=columns)
     else:
-        write_json(path, {"source_id": source_id}, records=("points", header, columns))
+        write_json(path, {"source_id": source_id}, records=(header, columns))
 
 
 def cmd_points(args) -> int:

@@ -5,17 +5,16 @@ matrix, with the text between fields in place. Unused bytes are NUL, and
 one bytes.translate per block drops them. Numbers are written from 4-digit
 groups looked up in tables:
 
-- an int column, over the whole int64 and uint64 range, as str() writes it;
+- an int column of values >= 0, up to the uint64 maximum, as str() writes it;
 - a float64 column as '%.9g' writes it, or with json=True as json writes the
   float nearest that 9-digit decimal (an integral one keeps '.0'). The
   kernel writes 0 and each finite value whose 9-digit exponent is in
   [-4, 8] (the fixed-point range of '%.9g') and which is not within 1e-6 of
   a rounding tie. It declines the others: non-finite, outside that range,
   or near a tie. The caller's fallback writes those into their slots.
-- a labelled-codes column, a pair (codes, labels), as the caller gives the
-  text of each label, found once per column; row i holds labels[codes[i]].
-  A text longer than MAX_STR_BYTES, or holding a NUL or SPLICE, has the slot
-  SPLICE, which is replaced by the text once the block is text.
+- a labelled-codes column, a pair (codes, labels); row i holds
+  labels[codes[i]]. A label is non-empty printable ASCII without ',', '"'
+  or '\\', so csv.writer writes it as it is and json between quotes.
 
 The package imports this module only to write columns, so that no other
 command builds its tables.
@@ -26,14 +25,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-
-# A label slot's bytes at most; a longer text is spliced in. Writing 100k rows
-# with a label column as CSV and JSON took as long either way at 256 bytes
-# (slots faster below, splicing above), and the row matrix of a block then
-# holds at most 2,048 such slots, 512 KiB, per label column.
-MAX_STR_BYTES = 256
-# The slot of a spliced text; no other text of a row holds it.
-SPLICE = "\x01"
 
 
 def _table(texts) -> np.ndarray:
@@ -62,7 +53,6 @@ _LAST[0] = _table(["\0\0\0" "0"])[0]
 _TRAIL = np.concatenate([_TRAILING, _WHOLE])
 # The sign and the first of 9 integer digits (NUL for 0), at digit + 10 * negative.
 _SIGN_DIGIT = _table(s + "\0\0" + (str(d) if d else "") for s in ("\0", "-") for d in range(10))
-_SIGN = _table(["", "-"])
 # The point of a number without, and with, a fraction. json writes an
 # integral float with '.0'.
 _POINT = {False: _table(["", "."]), True: _table([".0", "."])}
@@ -169,60 +159,36 @@ class _Floats:
 
 
 class _Ints:
-    """The int kernel for one column."""
+    """The int kernel for one column of values >= 0."""
 
     def __init__(self, column: np.ndarray):
-        top = max(abs(int(column.min())), int(column.max())) if len(column) else 0
+        top = int(column.max()) if len(column) else 0
         self.groups = -(-len(str(top)) // 4)  # of 4 digits, in the longest value
-        self.signed = column.dtype.kind == "i"
 
     def reserve(self, n: int) -> None:
         """Buffers for n values."""
         self.u = np.empty((3, n), dtype=np.uint64)
         self.b = np.empty(n, dtype=bool)
-        self.words = np.empty((1 + self.groups, n), dtype=np.uint32)
+        self.words = np.empty((self.groups, n), dtype=np.uint32)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        """(1 + groups, len(v)) words of v's text."""
+        """(groups, len(v)) words of v's text."""
         n = len(v)
         u, rest, g = (buf[:n] for buf in self.u)
         b, words = self.b[:n], self.words[:, :n]
-        np.copyto(u, v, casting="unsafe")  # two's complement: -u is a negative's magnitude
-        if self.signed:
-            np.less(v, 0, out=b)
-            np.negative(u, out=u, where=b)
-        else:
-            b[:] = False
-        np.take(_SIGN, b.view(np.int8), out=words[0], mode="clip")
+        np.copyto(u, v, casting="unsafe")
         np.copyto(rest, u)
-        for k in range(self.groups, 0, -1):
+        for k in range(self.groups - 1, -1, -1):
             np.floor_divide(rest, 10**4, out=g)
             g *= 10**4
             np.subtract(rest, g, out=g)  # this group
             rest //= 10**4
-            if k > 1:  # whole if a group comes before it
-                np.greater_equal(u, 10 ** (4 * (self.groups - k + 1)), out=b)
+            if k:  # whole if a group comes before it
+                np.greater_equal(u, 10 ** (4 * (self.groups - k)), out=b)
                 np.add(g, 10**4, out=g, where=b)
-            table = _LAST if k == self.groups else _LEAD
+            table = _LAST if k == self.groups - 1 else _LEAD
             np.take(table, g.view(np.int64), out=words[k], mode="clip")
         return words
-
-
-class _Strs:
-    """A labelled-codes column: the text of each label, encoded once into whole words."""
-
-    def __init__(self, codes: np.ndarray, labels: Sequence[str], text_of: Callable[[str], str]):
-        self.codes = codes
-        texts = [text_of(s) for s in labels]
-        raw = [t.encode("utf-8", "surrogatepass") for t in texts]
-        self.spliced = np.array(
-            [len(b) > MAX_STR_BYTES or b"\0" in b or SPLICE.encode() in b for b in raw], dtype=bool
-        )
-        self.texts = np.array(texts, dtype=object)
-        raw = [SPLICE.encode() if no else b for b, no in zip(raw, self.spliced.tolist())]
-        self.width = -(-max(map(len, raw), default=0) // 4)
-        padded = b"".join(b.ljust(4 * self.width, b"\0") for b in raw)
-        self.table = np.frombuffer(padded, dtype=np.uint32).reshape(len(raw), self.width)
 
 
 def _aligned(text: str) -> np.ndarray:
@@ -232,13 +198,17 @@ def _aligned(text: str) -> np.ndarray:
 
 
 class Rows:
-    """The text of the rows of aligned 1-D int, float64 and labelled-codes columns.
+    """The text of the rows of aligned columns, n rows in all, checked before any is formatted.
 
-    before[j] is the text ahead of field j and after the text that ends a
-    row; neither holds a NUL or SPLICE. text_of gives a label's text.
-    fallback gives the text of a declined float, in at most 4 * FLOAT_WORDS
-    bytes. json selects the text of floats (see the module). Call it with
-    (start, stop) for the text of those rows.
+    A column is a 1-D numpy array of ints >= 0 or float64, or a (codes,
+    labels) pair of a 1-D numpy int array and a list or tuple of labels (see
+    the module). Any other column raises TypeError; a negative int, another
+    label, a code outside range(len(labels)), columns of unequal length or a
+    before of another length, ValueError. before[j] is the ASCII text ahead
+    of field j and after the ASCII text that ends a row; neither holds a
+    NUL. fallback gives the text of a declined float, in at most
+    4 * FLOAT_WORDS bytes. json selects the text of floats and labels. Call
+    it with (start, stop) for the text of those rows.
     """
 
     def __init__(
@@ -246,28 +216,63 @@ class Rows:
         columns: Sequence[np.ndarray | tuple[np.ndarray, Sequence[str]]],
         before: Sequence[str],
         after: str,
-        text_of: Callable[[str], str],
         fallback: Callable[[float], str],
         json: bool,
     ):
+        if len(before) != len(columns):
+            raise ValueError(f"{len(before)} header names for {len(columns)} columns")
         self.fallback, self.json = fallback, json
         self.floats, self.ints, self.strs = [], [], []  # each with its slot's word offset
         template = []  # one row's words, with the text between fields in place
-        for column, literal in zip(columns, before):
+        lengths = set()
+        for j, (column, literal) in enumerate(zip(columns, before)):
+            pair = isinstance(column, tuple) and len(column) == 2
+            codes, labels = column if pair else (column, None)
+            array = isinstance(codes, np.ndarray)
+            kind = codes.dtype.kind if array and codes.ndim == 1 else ""
+            plain_float = labels is None and kind == "f" and codes.dtype == np.float64
+            if kind not in ("i", "u") and not plain_float:
+                what = f"{codes.ndim}-D {codes.dtype} array" if array else type(codes).__name__
+                which = f"column {j}'s codes are" if labels is not None else f"column {j} is"
+                raise TypeError(
+                    "columns must be 1-D numpy arrays of ints or float64, or (int codes, labels) "
+                    f"pairs; {which} a {what}"
+                )
+            lengths.add(len(codes))
             template.append(_aligned(literal))
             offset = sum(map(len, template))
-            if isinstance(column, tuple):
-                strs = _Strs(*column, text_of)
-                self.strs.append((strs, offset))
-                width = strs.width
-            elif column.dtype.kind == "f":
-                self.floats.append((column, offset))
+            if plain_float:
+                self.floats.append((codes, offset))
                 width = FLOAT_WORDS
+            elif labels is None:
+                if codes.size and codes.min() < 0:
+                    raise ValueError(f"column {j} has ints below 0")
+                ints = _Ints(codes)
+                self.ints.append((codes, ints, offset))
+                width = ints.groups
             else:
-                ints = _Ints(column)
-                self.ints.append((column, ints, offset))
-                width = 1 + ints.groups
+                if not isinstance(labels, (list, tuple)) or any(
+                    not isinstance(s, str) for s in labels
+                ):
+                    raise TypeError(f"labels must be a list or tuple of str; column {j}'s are not")
+                for s in labels:
+                    if not (s and s.isascii() and s.isprintable()) or {",", '"', "\\"} & set(s):
+                        raise ValueError(
+                            "labels must be non-empty printable ASCII without ',', '\"' or '\\'; "
+                            f"column {j} has {s!r}"
+                        )
+                if codes.size and not 0 <= codes.min() <= codes.max() < len(labels):
+                    raise ValueError(f"column {j} has codes outside range({len(labels)})")
+                # Each label's text, NUL-padded to the longest's whole words.
+                raw = [(f'"{s}"' if json else s).encode() for s in labels]
+                width = -(-max(map(len, raw), default=0) // 4)
+                table = b"".join(b.ljust(4 * width, b"\0") for b in raw)
+                table = np.frombuffer(table, dtype=np.uint32).reshape(len(raw), width)
+                self.strs.append((codes, table, offset))
             template.append(np.zeros(width, dtype=np.uint32))
+        if len(lengths) > 1:
+            raise ValueError(f"columns of unequal length: {sorted(lengths)}")
+        self.n = lengths.pop() if lengths else 0
         template.append(_aligned(after))
         self.template = np.concatenate(template)
         self.capacity = 0
@@ -311,13 +316,6 @@ class Rows:
         for column, ints, offset in self.ints:
             words = ints(column[start:stop])
             rows[:, offset : offset + len(words)] = words.T
-        for strs, offset in self.strs:
-            rows[:, offset : offset + strs.width] = strs.table[strs.codes[start:stop]]
-        text = rows.tobytes().translate(None, b"\0").decode("utf-8", "surrogatepass")
-        codes = [(strs, strs.codes[start:stop]) for strs, _ in self.strs]
-        if not any(strs.spliced[c].any() for strs, c in codes):
-            return text
-        # The spliced texts in the order of their slots: by row, then by column.
-        spliced = np.stack([strs.spliced[c] for strs, c in codes], axis=1)
-        texts = np.stack([strs.texts[c] for strs, c in codes], axis=1)[spliced].tolist()
-        return "".join(map(str.__add__, text.split(SPLICE), texts + [""]))
+        for codes, table, offset in self.strs:
+            rows[:, offset : offset + table.shape[1]] = table[codes[start:stop]]
+        return rows.tobytes().translate(None, b"\0").decode()

@@ -198,6 +198,19 @@ def build_tvm_points(
     return LiftedPoints(base=points, l=l, z=z, sizes=sizes)
 
 
+def check_divisions(divisions: Sequence[int]) -> tuple[int, int, int]:
+    """divisions as a tuple of ints, if build_grid can bin by them; else ValueError."""
+    if len(divisions) != 3 or any(int(d) != d or d < 1 for d in divisions):
+        raise ValueError(f"divisions must be three integers >= 1, got {divisions}")
+    # Each bin index is computed in float64 and the flat cell index is an int64.
+    if max(divisions) > MAX_AXIS_DIVISIONS or math.prod(map(int, divisions)) >= 2**63:
+        raise ValueError(
+            f"divisions must be at most 2**53 per axis and give fewer than 2**63 cells, "
+            f"got {divisions}"
+        )
+    return tuple(map(int, divisions))
+
+
 def build_grid(
     x: np.ndarray,
     y: np.ndarray,
@@ -213,22 +226,14 @@ def build_grid(
     """
     if z.size == 0:
         raise EmptyInputError("need at least one 3-D point")
-    for d in divisions:
-        if int(d) != d or d < 1:
-            raise ValueError(f"divisions must be integers >= 1, got {divisions}")
-    # Each bin index is computed in float64 and the flat cell index is an int64.
-    if max(divisions) > MAX_AXIS_DIVISIONS or math.prod(map(int, divisions)) >= 2**63:
-        raise ValueError(
-            f"divisions must be at most 2**53 per axis and give fewer than 2**63 cells, "
-            f"got {divisions}"
-        )
+    divisions = check_divisions(divisions)
     sizes = _set_sizes(sizes, z.size)
     starts = np.cumsum(sizes) - sizes
 
     # keys becomes each point's C-order flat cell index, one axis at a time.
     lo_hi, k, keys = [], [], np.zeros(z.size, dtype=np.int64)
     scratch, index = np.empty(z.size), np.empty(z.size, dtype=np.int64)
-    for values, requested in zip((x, y, z), map(int, divisions)):
+    for values, requested in zip((x, y, z), divisions):
         lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
         # A set of zero extent on this axis takes one bin: its values all
         # equal lo, so a span of 1 puts them in bin 0.

@@ -1,4 +1,5 @@
 import csv
+import errno
 import importlib.util
 import io
 import json
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from contextlib import redirect_stderr
 from decimal import ROUND_FLOOR, Decimal
 from pathlib import Path
 from unittest import mock
@@ -36,7 +38,7 @@ from tvmhrv import analysis, tvm
 from tvmhrv.analysis import ENTROPY_INDICATORS
 from tvmhrv.analysis import format_value, round_sig, write_csv, write_json
 from tvmhrv.cli import main
-from tvmhrv.sodp import Quadrant, second_order_diff
+from tvmhrv.sodp import Quadrant, radius_census, second_order_diff
 
 FIVE = RRSeries([800, 810, 790, 805, 795], source_id="five")
 CONSTANT = RRSeries([800] * 12, source_id="flat")
@@ -186,6 +188,16 @@ class TestParams:
         with pytest.raises(ValueError):
             IndicatorParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "divisions", [(0, 1, 1), (1, 1, 1.5), (1, 1), (2**21,) * 3, (1, 1, 2**53 + 1)]
+    )
+    def test_divisions_follow_the_grid_rule(self, divisions):
+        with pytest.raises(ValueError) as grid_error:
+            tvm.build_grid(np.zeros(1), np.zeros(1), np.zeros(1), divisions)
+        with pytest.raises(ValueError) as params_error:
+            IndicatorParams(divisions=divisions)
+        assert str(params_error.value) == str(grid_error.value)
+
 
 class TestSweep:
     def test_single_recording_equals_report(self):
@@ -233,6 +245,21 @@ class TestSweep:
         }
         rows = sweep_r(groups, "ctm", [1.0])
         assert list(rows) == ["alpha", "zeta"]
+
+    def test_group_mean_is_np_mean_in_source_id_order(self):
+        # numpy sums 8 or more values pairwise; here that differs, bit for bit,
+        # from a running sum and from np.mean in the reverse order.
+        recs = [RRSeries(jittery(k, spread=5.0 + 3 * k), source_id=f"r{k}") for k in range(9)]
+        values = [
+            indicator_value(radius_census(second_order_diff(rec), (10.0,))[0], "ctm")
+            for rec in recs
+        ]
+        running = 0.0
+        for v in values:
+            running += v
+        assert np.mean(values) not in (running / len(values), np.mean(values[::-1]))
+        (mean,) = sweep_r({"g": recs[::-1]}, "ctm", [10.0])["g"]
+        assert mean == np.mean(values)
 
     def test_unknown_indicator_rejected(self):
         with pytest.raises(ValueError):
@@ -425,6 +452,111 @@ class TestWriteCsv:
         assert target.read_text() == "name\na\n"
 
 
+class FullAfter:
+    """A text file that takes k characters, then raises OSError(ENOSPC) as a full disk does."""
+
+    def __init__(self, fh, k: int):
+        self.fh, self.room = fh, k
+
+    def write(self, text: str) -> int:
+        if len(text) > self.room:
+            self.fh.write(text[: self.room])
+            self.room = 0
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(text)
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+def disk_full_after(k: int):
+    """A patch under which each file opened for writing takes k characters, then fails."""
+    real_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return FullAfter(fh, k) if "w" in mode else fh
+
+    return mock.patch.object(Path, "open", open_)
+
+
+# Each form of the two writers, on enough rows for several writes.
+WRITER_FORMS = {
+    "csv-rows": lambda path: write_csv(path, ["name", "value"], [["a", 1.5], ["b,c", None]] * 9),
+    "csv-columns": lambda path: write_csv(path, edge_table()[0], columns=edge_table()[1]),
+    "json-payload": lambda path: write_json(path, {"values": [1.5, None, "a"] * 9}),
+    "json-records": lambda path: write_json(path, {"source_id": "rec"}, records=edge_table()),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(form=st.sampled_from(sorted(WRITER_FORMS)), old=st.booleans(), data=st.data())
+def test_a_write_that_fails_part_way_leaves_the_old_file(form, old, data):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "BLOCK_ROWS", 4)  # records in several chunks
+        WRITER_FORMS[form](Path(tmp, "full"))
+        text = Path(tmp, "full").read_text()
+        k = data.draw(st.integers(min_value=0, max_value=len(text)), label="k")
+        out = Path(tmp, "out")
+        if old:
+            out.write_text("old\n")
+        try:
+            with disk_full_after(k):
+                WRITER_FORMS[form](out)
+        except OSError as exc:
+            assert k < len(text)
+            assert (exc.errno, exc.filename) == (errno.ENOSPC, str(out))
+            assert sorted(os.listdir(tmp)) == ["full", "out"][: 1 + old]
+            assert not old or out.read_text() == "old\n"
+        else:
+            assert k == len(text)
+            assert sorted(os.listdir(tmp)) == ["full", "out"]
+            assert out.read_text() == text
+
+
+CORPUS = Path(__file__).resolve().parent / "fixtures" / "corpus"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    argv=st.sampled_from([
+        ["indicators", str(CORPUS / "steady"), "--out", "{out}/indicators.csv"],
+        ["indicators", str(CORPUS / "steady"), "--format", "json", "--out", "{out}/ind.json"],
+        ["points", str(CORPUS / "steady" / "rec00.txt"), "--out", "{out}"],
+        ["points", str(CORPUS / "steady" / "rec00.txt"), "--format", "json", "--out", "{out}"],
+    ]),
+    old=st.booleans(),
+    data=st.data(),
+)
+def test_main_exits_1_when_the_disk_fills(argv, old, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [token.replace("{out}", tmp) for token in argv]
+        with redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        texts = {path.name: path.read_text() for path in Path(tmp).iterdir()}
+        k = data.draw(st.integers(min_value=0, max_value=max(map(len, texts.values()))), label="k")
+        if not old:
+            for name in texts:
+                Path(tmp, name).unlink()
+        err = io.StringIO()
+        with disk_full_after(k), redirect_stderr(err):
+            code = main(argv)
+        left = {path.name: path.read_text() for path in Path(tmp).iterdir()}
+        assert all(texts[name] == text for name, text in left.items())  # whole, old or new
+        if code == 0:
+            assert all(len(text) <= k for text in texts.values()) and left == texts
+            return
+        assert code == 1
+        (line,) = err.getvalue().splitlines()
+        failed = next(name for name in texts if line.endswith(f"'{Path(tmp, name)}'"))
+        assert line.startswith(f"tvmhrv: error: [Errno {errno.ENOSPC}] ")
+        assert len(texts[failed]) > k and (failed in left) == old
+
+
 # Every kind of scalar a payload may hold; st.floats() includes NaN, infinities,
 # -0.0 and subnormals.
 SCALARS = st.one_of(st.floats(), st.integers(), st.text(), st.none(), st.booleans())
@@ -436,8 +568,17 @@ EDGE_FLOATS = [
     1e-4, 5e-4, 9.9999e-4, 1e-3, 0.9999999999, 9.9999999996, 99999999.95, 999999999.5, 1e9,
     1e16, 1.5e300, 800.25, math.nan, math.inf, -math.inf,
 ]
-# Labels as the point export writes them, and strings that CSV must quote.
-LABELS = ["I", "II", "III", "IV", "axis", "", "a,b", 'say "hi"', "two\nlines", "cr\r", "été"]
+# Labels as the point export writes them, and others the writers take: non-empty
+# printable ASCII without ',', '"' or '\\', which csv.writer writes as they are.
+LABELS = ["I", "II", "III", "IV", "axis", " I ", "'q'", "a;b", "x" * 300]
+# Labels the writers refuse, by the rule each breaks.
+REFUSED_LABELS = {
+    "empty": "", "comma": "a,b", "quote": 'say "x"', "backslash": "a\\b", "newline": "two\nlines",
+    "tab": "tab\t", "nul": "nul\0", "control": "\x01", "non-ascii": "été",
+}
+LABEL_TEXT = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters=',"\\'), min_size=1
+)
 
 
 def labelled(column: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -456,14 +597,14 @@ def values_of(column) -> list:
 
 @st.composite
 def array_columns(draw):
-    """A header and aligned int64, float64 and (codes, labels) columns of str arrays."""
+    """A header and aligned int64 (>= 0), float64 and (codes, labels) columns of str arrays."""
     kinds = draw(st.lists(st.sampled_from(["int", "float", "str"]), max_size=5))
     header = draw(st.lists(st.text(), min_size=len(kinds), max_size=len(kinds), unique=True))
     n = draw(st.integers(min_value=0, max_value=12))
     values = {
-        "int": st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        "int": st.integers(min_value=0, max_value=2**63 - 1),
         "float": st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)),
-        "str": st.one_of(st.sampled_from(LABELS), st.text()),
+        "str": st.one_of(st.sampled_from(LABELS), LABEL_TEXT),
     }
     dtypes = {"int": np.int64, "float": np.float64, "str": str}
     columns = [
@@ -476,7 +617,7 @@ def array_columns(draw):
 def edge_table():
     """Every edge float in a float64 column, first, beside an int64 index."""
     floats = np.array(EDGE_FLOATS, dtype=np.float64)
-    index = np.arange(len(floats), dtype=np.int64) - 3
+    index = np.arange(len(floats), dtype=np.int64)
     return ["index", "value %s"], [index, floats]
 
 
@@ -486,7 +627,7 @@ class TestBlockPath:
     @given(table=array_columns(), block_rows=st.integers(min_value=1, max_value=5))
     @example(table=edge_table(), block_rows=1)
     @example(table=edge_table(), block_rows=4)
-    @example(table=(["q"], [labelled(np.array(["I", "", "IV", ""], dtype=str))]), block_rows=2)
+    @example(table=(["q"], [labelled(np.array(["I", "x" * 300, "IV", "x"]))]), block_rows=2)
     @example(table=(["n"], [np.array([], dtype=np.float64)]), block_rows=3)
     def test_csv_equals_csv_writer(self, table, block_rows):
         header, columns = table
@@ -515,7 +656,7 @@ class TestBlockPath:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "BLOCK_ROWS", block_rows)
             streamed, tree = Path(tmp, "streamed.json"), Path(tmp, "tree.json")
-            write_json(streamed, head, records=("points", header, columns))
+            write_json(streamed, head, records=(header, columns))
             points = [dict(zip(header, row)) for row in zip(*map(values_of, columns))]
             write_json(tree, {**head, "points": points})
             assert streamed.read_bytes() == tree.read_bytes()
@@ -533,7 +674,7 @@ class TestBlockPath:
             labelled(np.array(["I", "IV", "axis", "II"])),
         ]
         write_csv(tmp_path / "p.csv", header, columns=columns)
-        write_json(tmp_path / "p.json", {}, records=("points", header, columns))
+        write_json(tmp_path / "p.json", {}, records=(header, columns))
         assert (tmp_path / "p.csv").read_text().splitlines()[1:] == [
             "0,800.25,I", "1,3,IV", "2,-0,axis", "3,-12.5,II",
         ]
@@ -543,7 +684,8 @@ class TestBlockPath:
 
 
 class TestWriterInputs:
-    """What the column writers accept: aligned 1-D int or float64 arrays and (codes, labels)."""
+    """What the column writers accept: aligned 1-D arrays of ints >= 0 or float64, and
+    (codes, labels)."""
 
     @pytest.mark.parametrize(
         "column",
@@ -564,7 +706,7 @@ class TestWriterInputs:
             if writer == "csv":
                 write_csv(out, ["x"], columns=[column])
             else:
-                write_json(out, {}, records=("points", ["x"], [column]))
+                write_json(out, {}, records=(["x"], [column]))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -579,7 +721,7 @@ class TestWriterInputs:
     def test_misaligned_columns_are_a_value_error(self, tmp_path, capsys, header, columns, message):
         for call in (
             lambda path: write_csv(path, header, columns=columns),
-            lambda path: write_json(path, {}, records=("points", header, columns)),
+            lambda path: write_json(path, {}, records=(header, columns)),
         ):
             with pytest.raises(ValueError, match=message):
                 call(None)  # stdout: nothing may be written before the check
@@ -599,19 +741,40 @@ class TestWriterInputs:
             ((np.array([0, 1]), ["I", 2]), TypeError, "labels must be a list or tuple of str"),
             ((np.array([0, 1]), np.array(["I", "II"])), TypeError, "labels must be a list"),
             ((np.array([0, 1, 0]), ["I", "II"]), ValueError, "columns of unequal length"),
+            *(
+                ((np.array([0, 1]), ["I", label]), ValueError, "labels must be non-empty printable")
+                for label in REFUSED_LABELS.values()
+            ),
         ],
-        ids=["above", "negative", "no-labels", "float", "list", "int-label", "array", "length"],
+        ids=[
+            "above", "negative", "no-labels", "float", "list", "int-label", "array", "length",
+            *REFUSED_LABELS,
+        ],
     )
     def test_bad_labelled_codes_write_nothing(self, tmp_path, capsys, column, error, message):
         header, columns = ["index", "quadrant"], [np.arange(2), column]
         for call in (
             lambda path: write_csv(path, header, columns=columns),
-            lambda path: write_json(path, {}, records=("points", header, columns)),
+            lambda path: write_json(path, {}, records=(header, columns)),
         ):
             with pytest.raises(error, match=message):
                 call(None)
             assert capsys.readouterr().out == ""
             with pytest.raises(error, match=message):
+                call(tmp_path / "p")
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_negative_ints_write_nothing(self, tmp_path, capsys, dtype):
+        header, columns = ["index", "x"], [np.array([0, -1, 2], dtype=dtype), np.arange(3) / 2]
+        for call in (
+            lambda path: write_csv(path, header, columns=columns),
+            lambda path: write_json(path, {}, records=(header, columns)),
+        ):
+            with pytest.raises(ValueError, match="^column 0 has ints below 0$"):
+                call(None)
+            assert capsys.readouterr().out == ""
+            with pytest.raises(ValueError, match="^column 0 has ints below 0$"):
                 call(tmp_path / "p")
             assert list(tmp_path.iterdir()) == []
 
@@ -680,7 +843,7 @@ class TestColumnKernel:
         monkeypatch.setattr(analysis, "format_value", format_value)
         monkeypatch.setattr(analysis, "_json_scalar", counted(analysis._json_scalar))
         declined.clear()
-        write_json(tmp_path / "v.json", {}, records=("points", ["v"], [values]))
+        write_json(tmp_path / "v.json", {}, records=(["v"], [values]))
         assert set(map(float.hex, declined)) == csv_declined
 
         floats = values.tolist()
@@ -705,41 +868,14 @@ class TestColumnKernel:
 
     def test_ints_equal_str(self, tmp_path):
         powers = [10**k + d for k in range(19) for d in (-1, 0, 1)]
-        ints = np.array([0, 2**63 - 1, -(2**63)] + powers + [-p for p in powers], dtype=np.int64)
+        ints = np.array([0, 2**63 - 1] + powers, dtype=np.int64)
         unsigned = np.array([0, 1, 9999, 10**19, 2**63, 2**64 - 1], dtype=np.uint64)
         for column in (ints, unsigned):
             write_csv(tmp_path / "i.csv", ["i"], columns=[column])
-            write_json(tmp_path / "i.json", {}, records=("points", ["i"], [column]))
+            write_json(tmp_path / "i.json", {}, records=(["i"], [column]))
             expected = [str(v) for v in column.tolist()]
             assert written_csv_fields(tmp_path / "i.csv") == expected
             assert written_json_fields(tmp_path / "i.json") == expected
-
-    @pytest.mark.parametrize(
-        "label",
-        ["a,b", 'say "x"\n', "nul\0", "\x01", "", "x" * 200, "\u00e9" * 40],
-        ids=["comma", "quote-newline", "nul", "splice", "empty", "long", "long-utf8"],
-    )
-    def test_strings_the_slots_cannot_hold_are_spliced(self, tmp_path, label):
-        labels = labelled(np.array(["I", label, "IV"] * 3))
-        header = ["index", "x", "quadrant", "other"]
-        other = labelled(np.array([f"{k}" + "y" * 300 for k in range(9)]))  # spliced in every row
-        columns = [np.arange(9), np.arange(9) / 4, labels, other]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "BLOCK_ROWS", 2)  # blocks with and without the label
-            write_csv(tmp_path / "p.csv", header, columns=columns)
-            write_json(tmp_path / "p.json", {"id": 1}, records=("points", header, columns))
-            write_csv(tmp_path / "one.csv", ["quadrant"], columns=[labels])
-        rows = [list(row) for row in zip(*map(values_of, columns))]
-        one = [["quadrant"]] + [[q] for q in values_of(labels)]
-        for name, table in (("p.csv", [header] + rows), ("one.csv", one)):
-            expected = io.StringIO()
-            csv.writer(expected, lineterminator="\n").writerows(
-                [format_value(v) if isinstance(v, float) else v for v in row] for row in table
-            )
-            with (tmp_path / name).open(newline="") as fh:
-                assert fh.read() == expected.getvalue()
-        tree = {"id": 1, "points": [dict(zip(header, row)) for row in rows]}
-        assert (tmp_path / "p.json").read_text() == json.dumps(tree, indent=2) + "\n"
 
 
 def make_demo_data():
@@ -820,7 +956,7 @@ def test_writer_memory_stays_below_the_template_writer(tmp_path, fmt):
         if fmt == "csv":
             write_csv(path, header, columns=columns)
         else:
-            write_json(path, {"source_id": "day"}, records=("points", header, columns))
+            write_json(path, {"source_id": "day"}, records=(header, columns))
 
     warm = [(col[0][:10], col[1]) if isinstance(col, tuple) else col[:10] for col in columns]
     write(tmp_path / "warm", warm)  # imports and tables

@@ -1,7 +1,12 @@
 import csv
+import errno
 import itertools
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -177,6 +182,14 @@ class TestIndicators:
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == f"tvmhrv: error: [Errno 20] Not a directory: '{out}'"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.txt"]
+
+    def test_out_to_a_full_device_names_it(self, rr_file, capsys):
+        # /dev/full is written in place, and its error comes from the close.
+        assert run(["indicators", rr_file, "--out", "/dev/full"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"tvmhrv: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '/dev/full'"
+        )
 
     def test_directory_input_one_row_per_file(self, tmp_path):
         ddir = tmp_path / "grp"
@@ -433,6 +446,28 @@ class TestPoints:
         err = capsys.readouterr().err
         assert f"files {ddir / 'rec.csv'}, {ddir / 'rec.txt'} share the source id 'rec'" in err
         assert not (tmp_path / "pts").exists()
+
+    def test_write_that_fails_part_way_names_the_file_asked_for(self, corpus_dir, tmp_path):
+        # Under a 2,048-byte file size limit rec00_sodp.csv (1,502 bytes) is
+        # written and rec00_tvm.csv fails part way. CPython ignores SIGXFSZ, so
+        # the write raises EFBIG, an OSError that names no file.
+        def limit():
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (2048, hard))
+
+        out = tmp_path / "pts"
+        argv = ["points", str(corpus_dir / "steady" / "rec00.txt"), "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "tvmhrv.cli", *argv],
+            capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr == (
+            f"tvmhrv: error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: "
+            f"'{out / 'rec00_tvm.csv'}'\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == ["rec00_sodp.csv"]
 
     def test_json_format_equivalent_values(self, rr_file, tmp_path):
         out_c = tmp_path / "c"
