@@ -45,8 +45,8 @@ from .series import (
     split_segments,
 )
 from .sodp import (
+    QUADRANTS,
     PlotPoints,
-    Quadrant,
     RadiusCounts,
     mean_distance_d,
     point_distances,

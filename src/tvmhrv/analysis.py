@@ -23,12 +23,10 @@ from .sodp import RadiusCounts, radius_census, second_order_diff
 from .tvm import (
     DEFAULT_DIVISIONS,
     batches,
-    build_grid,
     build_tvm_points,
     check_divisions,
     etv_of_sets,
     quadrant_etv,
-    temporal_variation_entropy,
 )
 
 RADIUS_INDICATORS = ("ctm", "d", "cctm1", "cctm2", "cctm3", "cctm4")
@@ -81,13 +79,6 @@ def _output(path):
 BLOCK_ROWS = 2048
 
 
-def _rows(columns, before, after, fallback, json):
-    """A coltext.Rows of the columns, which checks them; the module is imported only here."""
-    from . import coltext
-
-    return coltext.Rows(columns, before, after, fallback, json)
-
-
 def _csv_row(row: Sequence) -> list:
     return [
         format_value(float(v)) if isinstance(v, (float, np.floating)) else "" if v is None else v
@@ -119,7 +110,8 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence] = (), column
     what csv.writer writes.
     """
     if columns is not None:
-        block_text = _rows(
+        from .coltext import Rows  # here, so that only column writes build its tables
+        block_text = Rows(
             columns, ["," if j else "" for j in range(len(header))], "\n", format_value, json=False
         )
     with _output(path) as fh:
@@ -196,7 +188,8 @@ def write_json(path, payload: dict | list, records=None) -> None:
             (",\n      " if j else ",\n    {\n      ") + encode_basestring_ascii(name) + ": "
             for j, name in enumerate(header)
         ]
-        rows = _rows(columns, before, "\n    }", _json_scalar, json=True)
+        from .coltext import Rows  # here, so that only column writes build its tables
+        rows = Rows(columns, before, "\n    }", _json_scalar, json=True)
         head = {**payload, "points": []}
         _round_floats(head)
         chunks = _records_json(json.dumps(head, indent=2), rows)
@@ -244,9 +237,7 @@ def report(series: RRSeries, params: IndicatorParams = IndicatorParams()) -> Ind
         ctm=near.ctm,
         cctm=near.cctm,
         d=far.d,
-        etv_global=temporal_variation_entropy(
-            build_grid(points.x, points.y, z, params.divisions)
-        )[0],
+        etv_global=etv_of_sets(points.x, points.y, z, [len(points)], params.divisions)[0],
         etv_quadrant=quadrant_etv(points, z, params.divisions),
         quadrant_points=tuple(np.bincount(points.code, minlength=5)[:4].tolist()),
     )

@@ -30,7 +30,7 @@ from .analysis import (
 from .cluster import pairwise_classify
 from .errors import TvmhrvError
 from .series import RRSeries, check_group_names, input_files, load_groups, load_recordings
-from .sodp import Quadrant, second_order_diff
+from .sodp import QUADRANTS, second_order_diff
 from .tvm import MAX_AXIS_DIVISIONS, build_tvm_points
 
 DEFAULT_R_GRID = "0.5:10:0.5"
@@ -288,12 +288,11 @@ def cmd_points(args) -> int:
     out_dir = args.out if args.out is not None else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    labels = [q.value for q in Quadrant]  # indexed by quadrant code
     for rec in recordings:
         lifted = build_tvm_points(second_order_diff(rec))
         points = lifted.base
         index = np.arange(len(points), dtype=np.min_scalar_type(len(points)))
-        quadrant = (points.code, labels)
+        quadrant = (points.code, QUADRANTS)
         _write_points(
             out_dir / f"{rec.source_id}_sodp.{args.format}",
             args.format,

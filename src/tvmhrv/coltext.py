@@ -64,6 +64,20 @@ _POW = np.array([10.0**k if k < 0 else float(10**k) for k in range(-2, 15)])
 FLOAT_WORDS = 7
 
 
+def _group(q, g, h, unit, b, out, table) -> None:
+    """Write into out the 4 digits of q from unit up, whole if digits come before them.
+
+    g, h and b are buffers of q's length; q, g and h are of one int dtype.
+    """
+    np.floor_divide(q, unit, out=h)
+    np.floor_divide(h, 10**4, out=g)  # the digits before the group
+    np.not_equal(g, 0, out=b)
+    g *= 10**4
+    h -= g
+    np.add(h, 10**4, out=h, where=b)
+    np.take(table, h.view(np.int64), out=out, mode="clip")  # a uint64 index would be copied
+
+
 class _Floats:
     """The float64 kernel, on buffers of n values."""
 
@@ -131,8 +145,8 @@ class _Floats:
         np.multiply(b, 10, out=h)
         h += g
         np.take(_SIGN_DIGIT, h, out=words[0], mode="clip")
-        self._group(q, g, h, 10**8, 10**4, b, words[1], _LEAD)
-        self._group(q, g, h, 10**4, 1, b, words[2], _LAST)
+        _group(q, g, h, 10**4, b, words[1], _LEAD)
+        _group(q, g, h, 1, b, words[2], _LAST)
         # The fraction: its point, then digits 1-4, 5-8 and 9-12.
         np.not_equal(i, 0, out=b)
         np.take(self.point, b.view(np.int8), out=words[3], mode="clip")
@@ -145,17 +159,6 @@ class _Floats:
             np.take(_TRAIL, g, out=word, mode="clip")
         np.take(_TRAIL, i, out=words[6], mode="clip")
         return words, declined
-
-    @staticmethod
-    def _group(q, g, h, above, unit, b, out, table) -> None:
-        """Write into out the 4 digits of q from unit up, whole if q >= above."""
-        np.floor_divide(q, unit, out=h)
-        np.floor_divide(h, 10**4, out=g)
-        g *= 10**4
-        h -= g
-        np.greater_equal(q, above, out=b)
-        np.add(h, 10**4, out=h, where=b)
-        np.take(table, h, out=out, mode="clip")
 
 
 class _Ints:
@@ -174,20 +177,12 @@ class _Ints:
     def __call__(self, v: np.ndarray) -> np.ndarray:
         """(groups, len(v)) words of v's text."""
         n = len(v)
-        u, rest, g = (buf[:n] for buf in self.u)
+        u, g, h = (buf[:n] for buf in self.u)
         b, words = self.b[:n], self.words[:, :n]
         np.copyto(u, v, casting="unsafe")
-        np.copyto(rest, u)
-        for k in range(self.groups - 1, -1, -1):
-            np.floor_divide(rest, 10**4, out=g)
-            g *= 10**4
-            np.subtract(rest, g, out=g)  # this group
-            rest //= 10**4
-            if k:  # whole if a group comes before it
-                np.greater_equal(u, 10 ** (4 * (self.groups - k)), out=b)
-                np.add(g, 10**4, out=g, where=b)
+        for k in range(self.groups):
             table = _LAST if k == self.groups - 1 else _LEAD
-            np.take(table, g.view(np.int64), out=words[k], mode="clip")
+            _group(u, g, h, 10 ** (4 * (self.groups - 1 - k)), b, words[k], table)
         return words
 
 

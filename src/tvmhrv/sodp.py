@@ -15,7 +15,6 @@ points are excluded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -24,14 +23,8 @@ from .errors import EmptyInputError, NoPointInRadiusError
 from .series import RRSeries
 
 
-class Quadrant(str, Enum):
-    """Quadrant labels, in the order of the int8 quadrant codes 0-4."""
-
-    I = "I"
-    II = "II"
-    III = "III"
-    IV = "IV"
-    ON_AXIS = "axis"
+# Quadrant labels, in the order of the int8 quadrant codes 0-4.
+QUADRANTS = ("I", "II", "III", "IV", "axis")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,14 +89,12 @@ def second_order_diff(*recordings: RRSeries) -> PlotPoints:
     Given several series, their points follow one another, each series'
     in index order; no point spans two series.
     """
-    if len(recordings) == 1:
-        diff = np.diff(recordings[0].intervals)
-        return PlotPoints(x=diff[:-1], y=diff[1:])
-    diff = np.diff(np.concatenate([rec.intervals for rec in recordings]))
-    # The points that start in the last two intervals of a series span the next one.
-    ends = np.cumsum([len(rec) for rec in recordings[:-1]])
-    cut = np.concatenate((ends - 2, ends - 1))
-    return PlotPoints(x=np.delete(diff[:-1], cut), y=np.delete(diff[1:], cut))
+    diffs = [np.diff(rec.intervals) for rec in recordings]
+    if len(diffs) == 1:  # views, where concatenate would copy
+        return PlotPoints(x=diffs[0][:-1], y=diffs[0][1:])
+    return PlotPoints(
+        x=np.concatenate([d[:-1] for d in diffs]), y=np.concatenate([d[1:] for d in diffs])
+    )
 
 
 def point_distances(points: PlotPoints) -> np.ndarray:

@@ -101,17 +101,13 @@ class LiftedPoints:
 
     `base` holds x, y and the quadrant codes; l and z are aligned with it,
     and d_co and le are computed from it on each read. `sizes` counts the
-    points of each consecutive set they were lifted in; None is one set.
+    points of each consecutive set they were lifted in.
     """
 
     base: PlotPoints
     l: np.ndarray
     z: np.ndarray
-    sizes: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.sizes is None:
-            object.__setattr__(self, "sizes", np.array([len(self.base)]))
+    sizes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.base)
@@ -129,19 +125,17 @@ class LiftedPoints:
 class SubspaceGrid:
     """Bounding cuboids of consecutive point sets, each cut into equal-width subspaces.
 
-    Per set s: `sizes[s]` points, the (lo, hi) extremes `bounds[s, axis]`
-    and the effective per-axis bin counts `divisions[s]` (an axis whose
-    extent is zero collapses to a single bin whatever was requested). The
-    occupied cells are three aligned columns, set by set (`occupied[s]`
-    cells each) and in ascending cell order within a set: `cells` holds the
-    C-order flat index of each cell's (ix, iy, iz) over its set's
-    divisions, `counts` its point count and `abs_z_sums` the sum of its
-    points' |z|. Empty cells are not stored; they still count toward
-    `n_cells`.
+    Per set s: `sizes[s]` points and the effective per-axis bin counts
+    `divisions[s]` (an axis whose extent is zero collapses to a single bin
+    whatever was requested). The occupied cells are three aligned columns,
+    set by set (`occupied[s]` cells each) and in ascending cell order
+    within a set: `cells` holds the C-order flat index of each cell's (ix,
+    iy, iz) over its set's divisions, `counts` its point count and
+    `abs_z_sums` the sum of its points' |z|. Empty cells are not stored;
+    they still count toward `n_cells`.
     """
 
     sizes: np.ndarray
-    bounds: np.ndarray
     divisions: np.ndarray
     occupied: np.ndarray
     cells: np.ndarray
@@ -200,7 +194,8 @@ def build_tvm_points(
 
 def check_divisions(divisions: Sequence[int]) -> tuple[int, int, int]:
     """divisions as a tuple of ints, if build_grid can bin by them; else ValueError."""
-    if len(divisions) != 3 or any(int(d) != d or d < 1 for d in divisions):
+    # The range test comes first: int() of an inf or NaN raises an error of its own.
+    if len(divisions) != 3 or any(not 1 <= d < math.inf or int(d) != d for d in divisions):
         raise ValueError(f"divisions must be three integers >= 1, got {divisions}")
     # Each bin index is computed in float64 and the flat cell index is an int64.
     if max(divisions) > MAX_AXIS_DIVISIONS or math.prod(map(int, divisions)) >= 2**63:
@@ -231,7 +226,7 @@ def build_grid(
     starts = np.cumsum(sizes) - sizes
 
     # keys becomes each point's C-order flat cell index, one axis at a time.
-    lo_hi, k, keys = [], [], np.zeros(z.size, dtype=np.int64)
+    k, keys = [], np.zeros(z.size, dtype=np.int64)
     scratch, index = np.empty(z.size), np.empty(z.size, dtype=np.int64)
     for values, requested in zip((x, y, z), divisions):
         lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
@@ -244,7 +239,6 @@ def build_grid(
         scratch /= _per_point(span, sizes)
         scratch *= requested
         np.copyto(index, scratch, casting="unsafe")  # truncates, as astype(np.int64) does
-        lo_hi.append((lo, hi))
         k.append(np.where(flat, 1, requested))
         keys *= _per_point(k[-1], sizes)
         keys += np.minimum(index, requested - 1, out=index)
@@ -277,7 +271,6 @@ def build_grid(
     abs_z_sums[many] = _fsums(abs_z[np.repeat(many, counts)], counts[many])
     return SubspaceGrid(
         sizes=sizes,
-        bounds=np.array(lo_hi).transpose(2, 0, 1),
         divisions=divisions,
         occupied=np.add.reduceat(first, starts, dtype=np.int64),
         cells=cells,

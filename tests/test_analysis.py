@@ -38,7 +38,7 @@ from tvmhrv import analysis, tvm
 from tvmhrv.analysis import ENTROPY_INDICATORS
 from tvmhrv.analysis import format_value, round_sig, write_csv, write_json
 from tvmhrv.cli import main
-from tvmhrv.sodp import Quadrant, radius_census, second_order_diff
+from tvmhrv.sodp import QUADRANTS, radius_census, second_order_diff
 
 FIVE = RRSeries([800, 810, 790, 805, 795], source_id="five")
 CONSTANT = RRSeries([800] * 12, source_id="flat")
@@ -197,6 +197,15 @@ class TestParams:
         with pytest.raises(ValueError) as params_error:
             IndicatorParams(divisions=divisions)
         assert str(params_error.value) == str(grid_error.value)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_divisions_break_the_grid_rule(self, bad):
+        # Each division is tested before int() sees it, which raises its own errors.
+        rule = r"^divisions must be three integers >= 1, got \(1, (inf|-inf|nan), 1\)$"
+        with pytest.raises(ValueError, match=rule):
+            tvm.build_grid(np.zeros(1), np.zeros(1), np.zeros(1), (1, bad, 1))
+        with pytest.raises(ValueError, match=rule):
+            IndicatorParams(divisions=(1, bad, 1))
 
 
 class TestSweep:
@@ -934,7 +943,7 @@ def export_table() -> tuple[list[str], list]:
     rec = RRSeries(np.round(values, 3), source_id="day")
     lifted = tvm.build_tvm_points(second_order_diff(rec))
     points = lifted.base
-    quadrant = (points.code, [q.value for q in Quadrant])
+    quadrant = (points.code, QUADRANTS)
     header = ["index", "x", "y", "d_co", "le", "l", "z", "quadrant"]
     index = np.arange(len(points), dtype=np.min_scalar_type(len(points)))
     columns = [index, points.x, points.y, lifted.d_co, lifted.le, lifted.l]

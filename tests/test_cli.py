@@ -28,7 +28,7 @@ from tvmhrv import (
 )
 from tvmhrv.analysis import round_sig
 from tvmhrv.cli import main, parse_divisions, parse_r_grid
-from tvmhrv.sodp import Quadrant, second_order_diff
+from tvmhrv.sodp import QUADRANTS, second_order_diff
 from tvmhrv.tvm import build_tvm_points
 
 
@@ -493,7 +493,6 @@ class TestPoints:
 
         lifted = build_tvm_points(second_order_diff(RRSeries(values, source_id="day")))
         points = lifted.base
-        labels = [q.value for q in Quadrant]
         columns = {
             "x": points.x, "y": points.y, "d_co": lifted.d_co, "le": lifted.le, "l": lifted.l,
             "z": lifted.z,
@@ -505,7 +504,7 @@ class TestPoints:
                     {
                         "index": i,
                         **{name: round_sig(float(columns[name][i])) for name in names},
-                        "quadrant": labels[points.code[i]],
+                        "quadrant": QUADRANTS[points.code[i]],
                     }
                     for i in range(len(points))
                 ],

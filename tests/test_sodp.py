@@ -9,8 +9,8 @@ from oracle import reference_radius_counts
 from tvmhrv import (
     EmptyInputError,
     NoPointInRadiusError,
+    QUADRANTS,
     PlotPoints,
-    Quadrant,
     RRSeries,
     mean_distance_d,
     radius_census,
@@ -22,10 +22,6 @@ from tvmhrv import (
 THREE_POINTS_MEAN_DISTANCE = 21.796145384105944
 
 FIVE = RRSeries([800, 810, 790, 805, 795])
-
-
-LABELS = list(Quadrant)  # indexed by quadrant code
-CODE = {q: code for code, q in enumerate(LABELS)}
 
 
 def five_points():
@@ -51,7 +47,7 @@ class TestSecondOrderDiff:
     def test_constant_series_on_axis(self):
         points = second_order_diff(RRSeries([800, 800, 800, 800]))
         assert xy(points) == [(0.0, 0.0), (0.0, 0.0)]
-        assert points.code.tolist() == [CODE[Quadrant.ON_AXIS]] * 2
+        assert points.code.tolist() == [QUADRANTS.index("axis")] * 2
 
     def test_five_interval_example(self):
         assert xy(five_points()) == [
@@ -82,22 +78,40 @@ class TestSecondOrderDiff:
             assert points.x[i] == iv[i + 1] - iv[i]
             assert points.y[i] == iv[i + 2] - iv[i + 1]
 
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(min_value=300.0, max_value=1500.0), min_size=3, max_size=40),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_several_series_give_each_series_points_in_turn(self, runs):
+        # 3 intervals give one point; no point spans two series.
+        recordings = [RRSeries(values) for values in runs]
+        together = second_order_diff(*recordings)
+        alone = [second_order_diff(rec) for rec in recordings]
+        for name in ("x", "y", "code"):
+            want = np.concatenate([getattr(points, name) for points in alone])
+            assert getattr(together, name).tobytes() == want.tobytes()
+            assert getattr(together, name).dtype == want.dtype
+
 
 class TestQuadrants:
     @pytest.mark.parametrize(
         ("x", "y", "expected"),
         [
-            (1.0, 1.0, Quadrant.I),
-            (-1.0, 1.0, Quadrant.II),
-            (-1.0, -1.0, Quadrant.III),
-            (1.0, -1.0, Quadrant.IV),
-            (0.0, 1.0, Quadrant.ON_AXIS),
-            (1.0, 0.0, Quadrant.ON_AXIS),
-            (0.0, 0.0, Quadrant.ON_AXIS),
+            (1.0, 1.0, "I"),
+            (-1.0, 1.0, "II"),
+            (-1.0, -1.0, "III"),
+            (1.0, -1.0, "IV"),
+            (0.0, 1.0, "axis"),
+            (1.0, 0.0, "axis"),
+            (0.0, 0.0, "axis"),
         ],
     )
     def test_sign_rules(self, x, y, expected):
-        assert LABELS[PlotPoints(x=[x], y=[y]).code[0]] is expected
+        assert QUADRANTS[PlotPoints(x=[x], y=[y]).code[0]] == expected
 
 
 class TestCtm:

@@ -79,7 +79,7 @@ def xyz(lifted):
     return lifted.base.x, lifted.base.y, lifted.z
 
 
-EMPTY = LiftedPoints(base=PlotPoints(x=[], y=[]), l=np.zeros(0), z=np.zeros(0))
+EMPTY = LiftedPoints(base=PlotPoints(x=[], y=[]), l=np.zeros(0), z=np.zeros(0), sizes=np.array([0]))
 
 
 class TestBuildTvmPoints:
@@ -167,10 +167,16 @@ class TestBuildGrid:
         assert grid.counts.tolist() == [5]
 
     def test_bounds_are_exact_extremes(self):
-        points = build_tvm_points(plot((-3, 1), (5, -2), (2, 7)))
-        grid = build_grid(*xyz(points), (3, 3, 3))
-        zs = points.z.tolist()
-        assert grid.bounds.tolist() == [[[-3.0, 5.0], [-2.0, 7.0], [min(zs), max(zs)]]]
+        # The cuboid spans the set's own extremes: on each axis, the smallest
+        # point lands in bin 0 and the largest in the last bin. x = 1 and y = 1
+        # lie on a bin edge of [-3, 5] in 4 bins and [-2, 7] in 3: a hi past
+        # the largest point would drop them into the bin below.
+        points = build_tvm_points(plot((-3, 1), (5, -2), (1, 7)))
+        assert np.argsort(points.z).tolist() == [1, 0, 2]  # z: lowest at point 2, highest at 3
+        grid = build_grid(*xyz(points), (4, 3, 3))
+        assert grid.divisions.tolist() == [[4, 3, 3]]
+        bins = np.stack(np.unravel_index(grid.cells, (4, 3, 3)), axis=1)
+        assert bins.tolist() == [[0, 1, 0], [2, 2, 2], [3, 0, 0]]  # points 1, 3 and 2
 
     def test_maximum_point_included(self):
         # The top of the last bin is closed, so the max lands inside.
@@ -219,7 +225,6 @@ class TestEntropy:
         # Two occupied cells out of two: n = (1, 2), |z| mass (0.5, 0.375).
         grid = SubspaceGrid(
             sizes=np.array([3]),
-            bounds=np.array([[[0.0, 2.0], [5.0, 5.0], [0.125, 0.5]]]),
             divisions=np.array([[2, 1, 1]]),
             occupied=np.array([2]),
             cells=np.array([0, 1]),
@@ -368,7 +373,6 @@ def test_grid_statistics_ignore_point_order(values, divisions, rnd):
     rnd.shuffle(order)
     g1 = build_grid(*xyz(points), divisions)
     g2 = build_grid(*(column[np.array(order)] for column in xyz(points)), divisions)
-    assert g1.bounds.tolist() == g2.bounds.tolist()
     assert g1.divisions.tolist() == g2.divisions.tolist()
     assert g1.cells.tolist() == g2.cells.tolist()
     assert g1.counts.tolist() == g2.counts.tolist()
@@ -433,7 +437,6 @@ def test_grid_of_several_sets_is_each_sets_own_grid(runs, divisions):
     grid = build_grid(x, y, z, divisions, [len(s) for s in sets])
     alone = [build_grid(*xyz(s), divisions) for s in sets]
     assert grid.sizes.tolist() == [len(s) for s in sets]
-    assert grid.bounds.tolist() == [g.bounds[0].tolist() for g in alone]
     assert grid.divisions.tolist() == [g.divisions[0].tolist() for g in alone]
     assert grid.occupied.tolist() == [len(g.cells) for g in alone]
     for name in ("cells", "counts", "abs_z_sums"):
