@@ -29,7 +29,7 @@ from .analysis import (
 )
 from .cluster import pairwise_classify
 from .errors import TvmhrvError
-from .series import RRSeries, check_group_names, input_files, load_groups, load_recordings
+from .series import check_group_names, input_files, load_groups, load_recordings
 from .sodp import QUADRANTS, second_order_diff
 from .tvm import MAX_AXIS_DIVISIONS, build_tvm_points
 
@@ -176,8 +176,8 @@ def indicator_params(args) -> IndicatorParams:
     return IndicatorParams(**{f.name: getattr(args, f.name) for f in fields(IndicatorParams)})
 
 
-def _recordings(args) -> tuple[list[RRSeries], dict[str, list[str]]]:
-    """Flatten files and directories into recordings, sorted by source_id.
+def _input_files(args) -> tuple[list[Path], dict[str, list[str]]]:
+    """The files that args.inputs name, in order, without reading any.
 
     Also returns, in id order, each source id (a file stem) that more than
     one file has, with those files. Segment ids carry their file's stem, so
@@ -188,7 +188,7 @@ def _recordings(args) -> tuple[list[RRSeries], dict[str, list[str]]]:
     for file in files:
         by_stem.setdefault(file.stem, []).append(str(file))
     shared = {stem: names for stem, names in sorted(by_stem.items()) if len(names) > 1}
-    return load_recordings(files, args.segment_len), shared
+    return files, shared
 
 
 def _group_features(name, directory, args, params, empty_ids: list[str]):
@@ -233,13 +233,18 @@ def _warn_degenerate(reports, params: IndicatorParams) -> None:
 
 def cmd_indicators(args) -> int:
     params = indicator_params(args)
-    recordings, shared = _recordings(args)
-    for sid, files in shared.items():
+    files, shared = _input_files(args)
+    # One file at a time, so only one recording's points are held at once.
+    # The stable sort then gives the order load_recordings gives all files.
+    reports = []
+    for file in files:
+        reports += [report(rec, params) for rec in load_recordings([file], args.segment_len)]
+    reports.sort(key=lambda rep: rep.source_id)
+    for sid, names in shared.items():
         log.warning(
             "files %s share the source id %r; only the row order tells their rows apart",
-            ", ".join(files), sid,
+            ", ".join(names), sid,
         )
-    reports = [report(rec, params) for rec in recordings]
     _warn_degenerate(reports, params)
     if args.format == "csv":
         write_csv(
@@ -278,7 +283,8 @@ def _write_points(path, fmt, source_id, header, columns) -> None:
 
 
 def cmd_points(args) -> int:
-    recordings, shared = _recordings(args)
+    files, shared = _input_files(args)
+    recordings = load_recordings(files, args.segment_len)
     if shared:
         sid, files = next(iter(shared.items()))
         raise TvmhrvError(

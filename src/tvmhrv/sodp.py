@@ -89,6 +89,8 @@ def second_order_diff(*recordings: RRSeries) -> PlotPoints:
     Given several series, their points follow one another, each series'
     in index order; no point spans two series.
     """
+    if not recordings:
+        raise EmptyInputError("need at least one series")
     diffs = [np.diff(rec.intervals) for rec in recordings]
     if len(diffs) == 1:  # views, where concatenate would copy
         return PlotPoints(x=diffs[0][:-1], y=diffs[0][1:])
@@ -98,8 +100,13 @@ def second_order_diff(*recordings: RRSeries) -> PlotPoints:
 
 
 def point_distances(points: PlotPoints) -> np.ndarray:
-    """Distances from the origin for every point, as a float64 array."""
-    return np.sqrt(points.x * points.x + points.y * points.y)
+    """Distances from the origin for every point, as a float64 array.
+
+    sqrt(x*x + y*y), each step rounded as numpy rounds it, in one buffer.
+    """
+    d = points.x * points.x
+    d += points.y * points.y
+    return np.sqrt(d, out=d)
 
 
 def radius_census(points: PlotPoints, radii: Sequence[float]) -> list[RadiusCounts]:

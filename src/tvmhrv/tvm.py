@@ -212,58 +212,65 @@ def build_grid(
     z: np.ndarray,
     divisions: tuple[int, int, int] = DEFAULT_DIVISIONS,
     sizes: Sequence[int] | None = None,
+    rows: np.ndarray | None = None,
 ) -> SubspaceGrid:
     """Bin consecutive point sets, each into the cuboid spanned by its own extremes.
 
     x, y and z are aligned float64 arrays of one length; point i is
-    (x[i], y[i], z[i]). sizes counts the points of each set in turn (each
-    >= 1); by default all points are one set.
+    (x[i], y[i], z[i]). rows, if given, is an index array that picks the
+    points, in its order, and each axis is gathered through it in turn.
+    sizes counts the points of each set in turn (each >= 1); by default all
+    points are one set.
     """
-    if z.size == 0:
+    n = z.size if rows is None else rows.size
+    if n == 0:
         raise EmptyInputError("need at least one 3-D point")
     divisions = check_divisions(divisions)
-    sizes = _set_sizes(sizes, z.size)
+    sizes = _set_sizes(sizes, n)
     starts = np.cumsum(sizes) - sizes
 
-    # keys becomes each point's C-order flat cell index, one axis at a time.
-    k, keys = [], np.zeros(z.size, dtype=np.int64)
-    scratch, index = np.empty(z.size), np.empty(z.size, dtype=np.int64)
-    for values, requested in zip((x, y, z), divisions):
+    # keys becomes each point's C-order flat cell index, one axis at a time,
+    # in the narrowest type that holds every cell index (uint16 for 1,000
+    # cells, which a stable sort radix-sorts). Every operand takes that type:
+    # uint64 with int64 would make float64.
+    key_type = np.min_scalar_type(math.prod(divisions) - 1)
+    k, keys = [], np.zeros(n, dtype=key_type)
+    scratch, index = np.empty(n), np.empty(n, dtype=key_type)
+    for axis, requested in zip((x, y, z), divisions):
+        values = axis if rows is None else axis[rows]
         lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
         # A set of zero extent on this axis takes one bin: its values all
         # equal lo, so a span of 1 puts them in bin 0.
         flat = hi == lo
         span = np.where(flat, 1.0, hi - lo)
         # Half-open equal-width bins; the clamp closes the last bin at the top.
+        # Clamped before the cast, so that the top bin's index fits the type.
         np.subtract(values, _per_point(lo, sizes), out=scratch)
         scratch /= _per_point(span, sizes)
         scratch *= requested
+        np.minimum(scratch, requested - 1, out=scratch)
         np.copyto(index, scratch, casting="unsafe")  # truncates, as astype(np.int64) does
         k.append(np.where(flat, 1, requested))
-        keys *= _per_point(k[-1], sizes)
-        keys += np.minimum(index, requested - 1, out=index)
-    del scratch, index  # each array goes once read: the grid peaks at three columns
+        keys *= _per_point(k[-1].astype(key_type), sizes)
+        keys += index
+    del scratch, index
     divisions = np.array(k).T
-    # A stable sort's order is fully determined, so sorting the keys in the
-    # narrowest type that holds them (uint16 for 1,000 cells, which numpy
-    # radix-sorts) gives the same order as sorting them as int64.
-    widest = max(math.prod(d) for d in divisions.tolist())
-    order = np.argsort(keys.astype(np.min_scalar_type(widest - 1)), kind="stable")
+    order = np.argsort(keys, kind="stable")
     if sizes.size > 1:
         # Then by set, stably: each set keeps its place, its points in cell order.
         set_of = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size - 1)), sizes)
         order = order[np.argsort(set_of[order], kind="stable")]
     keys = keys[order]
-    abs_z = z[order]
-    del order
+    abs_z = values[order]  # values holds z's points now
+    del order, values
     np.abs(abs_z, out=abs_z)
     # Each run of equal keys within a set is one occupied cell.
-    first = np.ones(keys.size, dtype=bool)
+    first = np.ones(n, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     first[starts] = True
     cell_starts = np.flatnonzero(first)
-    counts = np.diff(cell_starts, append=keys.size)
-    cells = keys[cell_starts]
+    counts = np.diff(cell_starts, append=n)
+    cells = keys[cell_starts].astype(np.int64)
     del keys
     # A one-point cell's sum is its point's |z|; the others' are fsums.
     abs_z_sums = abs_z[cell_starts]
@@ -320,8 +327,10 @@ def etv_of_sets(
     values = []
     for first, stop in batches(filled.tolist()):
         i, j = ends[first] - int(filled[first]), ends[stop - 1]
-        rows = slice(i, j) if order is None else order[i:j]
-        grid = build_grid(x[rows], y[rows], z[rows], divisions, filled[first:stop])
+        if order is None:  # views of the batch's points
+            grid = build_grid(x[i:j], y[i:j], z[i:j], divisions, filled[first:stop])
+        else:
+            grid = build_grid(x, y, z, divisions, filled[first:stop], order[i:j])
         values += temporal_variation_entropy(grid)
     filled_values = iter(values)
     return [next(filled_values) if n else 0.0 for n in sizes.tolist()]

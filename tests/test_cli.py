@@ -8,9 +8,11 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
@@ -23,10 +25,11 @@ from tvmhrv import (
     cli,
     cluster,
     indicator_value,
+    load_recordings,
     load_rr_series,
     report,
 )
-from tvmhrv.analysis import round_sig
+from tvmhrv.analysis import round_sig, write_csv
 from tvmhrv.cli import main, parse_divisions, parse_r_grid
 from tvmhrv.sodp import QUADRANTS, second_order_diff
 from tvmhrv.tvm import build_tvm_points
@@ -377,6 +380,85 @@ class TestIndicators:
         out = tmp_path / "report.csv"
         assert run(["indicators", path, "--segment-len", "3", "--out", out]) == 0
         assert [row[0] for row in read_csv(out)[1:]] == [f"rec#{k:04d}" for k in range(1010)]
+
+    @pytest.fixture
+    def interleaved(self, tmp_path):
+        """one/a.txt, one/a#5.txt and two/a.txt, each with a tail under 3-interval segments.
+
+        Segment ids of the stems a and a#5 interleave (a#499 < a#5#000 <
+        a#500), and both a.txt files give the ids a#000 to a#005.
+        """
+        one, two = tmp_path / "one", tmp_path / "two"
+        one.mkdir()
+        two.mkdir()
+        # Every point is (1, 1), (1, -2) or (-2, 1): inside r_d=6, and never on an axis.
+        write_series(one / "a.txt", [800 + i % 3 for i in range(1600)])
+        write_series(one / "a#5.txt", [800 + i % 3 for i in range(10)])
+        write_series(two / "a.txt", [800 + i % 3 for i in range(20)])
+        return one, two
+
+    def tails(self, one, two) -> str:
+        return "".join(
+            f"tvmhrv: warning: {path}: dropped the last {tail} of {n} intervals, "
+            "fewer than one segment of 3\n"
+            for path, tail, n in ((one / "a#5.txt", 1, 10), (one / "a.txt", 1, 1600), (two / "a.txt", 2, 20))
+        )
+
+    def test_rows_follow_the_ids_of_every_file_at_once(self, interleaved, tmp_path, capsys):
+        one, two = interleaved
+        out = tmp_path / "report.csv"
+        assert run(["indicators", one, two, "--segment-len", "3", "--out", out]) == 0
+        assert capsys.readouterr().err == self.tails(one, two) + (
+            f"tvmhrv: warning: files {one / 'a.txt'}, {two / 'a.txt'} share the source id 'a'; "
+            "only the row order tells their rows apart\n"
+            "tvmhrv: warning: an empty quadrant's E_TV is reported as 0 in 542 recordings "
+            "(a#000, a#000, a#001, ...)\n"
+        )
+        ids = [row[0] for row in read_csv(out)[1:]]
+        assert ids[:4] == ["a#000", "a#000", "a#001", "a#001"]
+        assert ids[505:510] == ["a#499", "a#5#000", "a#5#001", "a#5#002", "a#500"]
+        # Every file loaded before any is reported, as the rows were once made.
+        recordings = load_recordings([one / "a#5.txt", one / "a.txt", two / "a.txt"], 3)
+        want = tmp_path / "want.csv"
+        write_csv(
+            want,
+            read_csv(out)[0],
+            (
+                [rep.source_id, rep.ctm, *rep.cctm, rep.d, rep.etv_global, *rep.etv_quadrant]
+                for rep in map(report, recordings)
+            ),
+        )
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_a_bad_last_file_writes_nothing(self, interleaved, tmp_path, capsys):
+        one, two = interleaved
+        bad = two / "z.txt"
+        bad.write_text("800\noops\n790\n")
+        out = tmp_path / "report.csv"
+        assert run(["indicators", one, two, "--segment-len", "3", "--out", out]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == self.tails(one, two) + (
+            f"tvmhrv: error: {bad}: line 2: cannot parse 'oops' as a number\n"
+        )
+
+    def test_peak_memory_does_not_grow_with_recordings(self, tmp_path):
+        rng = np.random.default_rng(8)
+        files = [
+            write_series(tmp_path / f"rec{k}.txt", rng.integers(600, 1000, 20_000).tolist())
+            for k in range(8)
+        ]
+
+        def peak(inputs):
+            tracemalloc.start()
+            try:
+                assert run(["indicators", *inputs, "--out", tmp_path / "report.csv"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(files[:2])  # imports and first calls
+        column = 8 * 20_000
+        assert peak(files) < peak(files[:2]) + column
 
     def test_recording_shorter_than_segment_len_is_an_error(self, rr_file, capsys):
         assert run(["indicators", rr_file, "--segment-len", "10"]) == 1

@@ -67,6 +67,10 @@ class TestSecondOrderDiff:
         assert points.code.dtype == np.int8
         assert points.x.shape == points.y.shape == points.code.shape == (48,)
 
+    def test_no_series_is_empty_input(self):
+        with pytest.raises(EmptyInputError, match="at least one series"):
+            second_order_diff()
+
     def test_columns_of_different_lengths_rejected(self):
         with pytest.raises(ValueError):
             PlotPoints(x=[1.0, 2.0], y=[1.0])
