@@ -3,7 +3,8 @@
 
 For every dataset: per-indicator mean/std and five-number summaries
 (boxplot data). For every dataset pair and indicator: deterministic
-k-means + RI. Outputs land in --out as CSV and JSON.
+k-means + RI. Outputs land in --out as CSV and JSON; warnings and errors
+go to stderr as the tvmhrv CLI prints them.
 
 Intended for user-downloaded PhysioNet RR exports (one directory per
 database, plain-text RR files). Intervals are used as written, in
@@ -25,25 +26,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tvmhrv import (
-    ALL_INDICATORS,
-    TvmhrvError,
-    indicator_value,
-    load_groups,
-    pairwise_classify,
-    report,
-    summarize_reports,
-)
-from tvmhrv.analysis import write_csv, write_json
-from tvmhrv.cli import add_indicator_args, indicator_params, parse_segment_len
-from tvmhrv.series import check_group_names
+from tvmhrv import ALL_INDICATORS, TvmhrvError, cli, indicator_value, pairwise_classify
+from tvmhrv.analysis import summarize_reports, write_csv, write_json
+from tvmhrv.series import check_group_names, input_files
 
-def main() -> int:
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("datasets", nargs="+", type=Path, help="dataset directories")
     parser.add_argument("--out", type=Path, default=Path("out/tables"))
-    add_indicator_args(parser)
-    parser.add_argument("--segment-len", type=parse_segment_len, default=None)
+    cli.add_indicator_args(parser)
+    parser.add_argument("--segment-len", type=cli.parse_segment_len, default=None)
     parser.add_argument(
         "--indicators",
         nargs="+",
@@ -51,18 +44,24 @@ def main() -> int:
         choices=ALL_INDICATORS,
         help="indicators to cluster on (default: all)",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     try:
-        check_group_names(args.datasets)
+        groups = check_group_names(args.datasets)
     except (TvmhrvError, NotADirectoryError) as exc:
         parser.error(str(exc))
+    return cli.run(lambda args: tables(groups, args), args)
 
-    params = indicator_params(args)
-    groups = load_groups(args.datasets, args.segment_len)
+
+def tables(groups: dict[str, Path], args) -> int:
+    """Report each group, then write the summaries and the RI matrix to args.out."""
+    params = cli.indicator_params(args)
+    # One report per recording feeds both the summaries and the RI matrix.
+    reports = {}
+    for name, path in groups.items():
+        reports[name] = cli._reports(input_files(path), args.segment_len, params)
+        cli._warn_degenerate(reports[name], params)
     args.out.mkdir(parents=True, exist_ok=True)
 
-    # One report per recording feeds both the summaries and the RI matrix.
-    reports = {name: [report(rec, params) for rec in recs] for name, recs in groups.items()}
     summaries = [(name, summarize_reports(name, reps)) for name, reps in reports.items()]
     write_csv(
         args.out / "summary.csv",

@@ -39,7 +39,6 @@ from .errors import (
 from .series import (
     RRSeries,
     load_dataset_group,
-    load_groups,
     load_recordings,
     load_rr_series,
     split_segments,

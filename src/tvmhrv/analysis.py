@@ -13,7 +13,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -299,16 +299,15 @@ def indicator_value(rep: IndicatorReport | RadiusCounts, indicator: str) -> floa
 
 
 def sweep_r(
-    groups: Mapping[str, Sequence[RRSeries]],
+    recordings: Iterable[RRSeries],
     indicator: str,
     r_values: Sequence[float],
-) -> dict[str, tuple[float | None, ...]]:
-    """Mean indicator value per group at each radius of an ascending grid.
+) -> tuple[float | None, ...]:
+    """Mean indicator value over one group's recordings at each radius of an ascending grid.
 
-    groups maps each group name to its recordings, as load_groups gives it.
-    The rows are keyed by group name, in name order, one entry per radius. An
-    entry is None where no recording of that group produced a value at that
-    radius (e.g. D with no point inside r).
+    recordings is any iterable, read once after the arguments are checked.
+    Each mean is np.mean of the values in source_id order; it is None where
+    no recording has a value at that radius (e.g. D with no point inside r).
     """
     r_values = tuple(float(r) for r in r_values)
     if not r_values:
@@ -319,23 +318,20 @@ def sweep_r(
         raise ValueError(
             f"unknown radius indicator {indicator!r}; expected one of {RADIUS_INDICATORS}"
         )
-    if not groups:
-        raise EmptyInputError("need at least one dataset group")
 
-    rows: dict[str, tuple[float | None, ...]] = {}
-    for name in sorted(groups):
-        if not groups[name]:
-            raise EmptyInputError(f"dataset group {name!r} has no recordings")
-        per_recording = []  # one value per radius, one list per recording
-        for rec in sorted(groups[name], key=lambda s: s.source_id):
-            census = radius_census(second_order_diff(rec), r_values)
-            per_recording.append([indicator_value(counts, indicator) for counts in census])
-        row = []
-        for at_r in zip(*per_recording):
-            values = [v for v in at_r if v is not None]
-            row.append(float(np.mean(values)) if values else None)
-        rows[name] = tuple(row)
-    return rows
+    def swept(rec: RRSeries) -> tuple[str, list[float | None]]:
+        census = radius_census(second_order_diff(rec), r_values)
+        return rec.source_id, [indicator_value(counts, indicator) for counts in census]
+
+    # map holds no recording while the next one is read.
+    per_recording = sorted(map(swept, recordings), key=lambda pair: pair[0])
+    if not per_recording:
+        raise EmptyInputError("need at least one recording")
+    row = []
+    for at_r in zip(*(by_radius for _, by_radius in per_recording)):
+        values = [v for v in at_r if v is not None]
+        row.append(float(np.mean(values)) if values else None)
+    return tuple(row)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import logging
 import math
 import sys
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .analysis import (
 )
 from .cluster import pairwise_classify
 from .errors import TvmhrvError
-from .series import check_group_names, input_files, load_groups, load_recordings
+from .series import check_group_names, input_files, load_recordings
 from .sodp import QUADRANTS, second_order_diff
 from .tvm import MAX_AXIS_DIVISIONS, build_tvm_points
 
@@ -199,6 +200,7 @@ def _group_features(name, directory, args, params, empty_ids: list[str]):
     """
     # One group at a time, so only one group's recordings are held at once.
     recordings = load_recordings(input_files(directory), args.segment_len)
+    recordings = sorted(recordings, key=lambda rec: rec.source_id)
     empty = []
     features = indicator_of(recordings, args.indicator, params, empty)
     for rec, value in zip(recordings, features):
@@ -231,15 +233,20 @@ def _warn_degenerate(reports, params: IndicatorParams) -> None:
         )
 
 
+def _reports(files, segment_len: int | None, params: IndicatorParams) -> list:
+    """Each recording's report, sorted stably by source_id.
+
+    map holds no recording while the next file is read, so only one file's
+    recordings are held at a time.
+    """
+    reports = map(partial(report, params=params), load_recordings(files, segment_len))
+    return sorted(reports, key=lambda rep: rep.source_id)
+
+
 def cmd_indicators(args) -> int:
     params = indicator_params(args)
     files, shared = _input_files(args)
-    # One file at a time, so only one recording's points are held at once.
-    # The stable sort then gives the order load_recordings gives all files.
-    reports = []
-    for file in files:
-        reports += [report(rec, params) for rec in load_recordings([file], args.segment_len)]
-    reports.sort(key=lambda rep: rep.source_id)
+    reports = _reports(files, args.segment_len, params)
     for sid, names in shared.items():
         log.warning(
             "files %s share the source id %r; only the row order tells their rows apart",
@@ -284,7 +291,7 @@ def _write_points(path, fmt, source_id, header, columns) -> None:
 
 def cmd_points(args) -> int:
     files, shared = _input_files(args)
-    recordings = load_recordings(files, args.segment_len)
+    recordings = list(load_recordings(files, args.segment_len))
     if shared:
         sid, files = next(iter(shared.items()))
         raise TvmhrvError(
@@ -317,8 +324,12 @@ def cmd_points(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    groups = load_groups(args.inputs, args.segment_len)
-    rows = sweep_r(groups, args.indicator, args.r_grid)
+    # One group, and in it one file, at a time, in the order given; rows in name order.
+    rows = {}
+    for name, path in check_group_names(args.inputs).items():
+        recordings = load_recordings(input_files(path), args.segment_len)
+        rows[name] = sweep_r(recordings, args.indicator, args.r_grid)
+    rows = dict(sorted(rows.items()))
     if args.format == "csv":
         write_csv(
             args.out,
@@ -378,21 +389,25 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(command, args) -> int:
+    """Run command(args) with warnings on stderr; an error prints `tvmhrv: error: ...`, exit 1."""
     # Attached for this call only, so warnings go to the stderr of the moment
     # and repeated in-process calls print each warning once.
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("tvmhrv: warning: %(message)s"))
     log.addHandler(handler)
     try:
-        return _COMMANDS[args.command](args)
+        return command(args)
     except (TvmhrvError, OSError, ValueError) as exc:
         print(f"tvmhrv: error: {exc}", file=sys.stderr)
         return 1
     finally:
         log.removeHandler(handler)
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run(_COMMANDS[args.command], args)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import os
 import re
 from dataclasses import InitVar, dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -181,55 +181,44 @@ def check_group_names(paths: Iterable) -> dict[str, Path]:
 
 
 def load_dataset_group(directory) -> tuple[RRSeries, ...]:
-    """The recordings of one directory, as load_groups gives them.
+    """The recordings of one directory, sorted by source_id.
 
     Kept only because perfbench/spans.py traces it by name, until the stage
     hook of ROADMAP item 1 replaces that tracer's function patching.
     """
-    return next(iter(load_groups([directory]).values()))
+    (path,) = check_group_names([directory]).values()
+    return tuple(sorted(load_recordings(input_files(path)), key=lambda s: s.source_id))
 
 
-def load_recordings(files: Iterable, segment_len: int | None = None) -> list[RRSeries]:
-    """Load each file as a recording, and return them sorted by source_id.
+def load_recordings(files: Iterable, segment_len: int | None = None) -> Iterator[RRSeries]:
+    """Yield each file's recording, or its segments, in file order; nothing sorts them.
 
-    With segment_len, every recording is cut by split_segments; a partial
+    A file is read when its first recording is asked for, and nothing of it
+    is held here once its last is handed out. With segment_len, a partial
     tail is dropped with a warning on the `tvmhrv` logger naming the file,
-    and a recording shorter than one segment raises TooShortSeriesError
-    naming its file.
+    before its first segment is yielded, and a recording shorter than one
+    segment raises TooShortSeriesError naming its file.
     """
-    recordings = []
     for file in files:
-        rec = load_rr_series(file)
         if segment_len is None:
-            recordings.append(rec)
-        elif len(rec) < segment_len:
-            raise TooShortSeriesError(
-                f"{file}: found {len(rec)} intervals, fewer than one "
-                f"segment of {segment_len}"
-            )
+            yield load_rr_series(file)
         else:
-            recordings.extend(split_segments(rec, segment_len))
-            if tail := len(rec) % segment_len:
-                log.warning(
-                    "%s: dropped the last %d of %d intervals, fewer than one segment of %d",
-                    file, tail, len(rec), segment_len,
-                )
-    recordings.sort(key=lambda s: s.source_id)
-    return recordings
+            yield from _load_segments(file, segment_len)
 
 
-def load_groups(
-    paths: Iterable, segment_len: int | None = None
-) -> dict[str, tuple[RRSeries, ...]]:
-    """Each directory's group name, in the order given, mapped to its recordings.
-
-    Every path is named by check_group_names before any file is read. A
-    group's recordings are its .txt/.csv files, loaded by load_recordings.
-    """
-    return {
-        name: tuple(load_recordings(input_files(path), segment_len))
-        for name, path in check_group_names(paths).items()
-    }
+def _load_segments(file, segment_len: int) -> list[RRSeries]:
+    """The segments of one file; the whole recording is dropped on return."""
+    rec = load_rr_series(file)
+    if len(rec) < segment_len:
+        raise TooShortSeriesError(
+            f"{file}: found {len(rec)} intervals, fewer than one segment of {segment_len}"
+        )
+    if tail := len(rec) % segment_len:
+        log.warning(
+            "%s: dropped the last %d of %d intervals, fewer than one segment of %d",
+            file, tail, len(rec), segment_len,
+        )
+    return split_segments(rec, segment_len)
 
 
 def split_segments(series: RRSeries, length: int) -> list[RRSeries]:

@@ -26,7 +26,7 @@ from tvmhrv import (
     build_grid,
     build_tvm_points,
     indicator_value,
-    load_groups,
+    load_recordings,
     mean_distance_d,
     pairwise_classify,
     radius_counts,
@@ -36,6 +36,7 @@ from tvmhrv import (
     temporal_variation_entropy,
 )
 from tvmhrv.cli import main as cli_main
+from tvmhrv.series import check_group_names, input_files
 
 
 @contextmanager
@@ -261,9 +262,13 @@ CUDB_DIR = os.environ.get("TVMHRV_CUDB_DIR")
 def _reproduction(dir_a, dir_b, segment_len=None):
     """The CTM means of two dataset directories and the RI of quadrant-I E_TV between them."""
     params = IndicatorParams(r_ctm=3.0, r_d=6.0)
-    (name_a, recs_a), (name_b, recs_b) = load_groups([dir_a, dir_b], segment_len).items()
-    reports_a = [report(rec, params) for rec in recs_a]
-    reports_b = [report(rec, params) for rec in recs_b]
+
+    def reports(path):
+        recordings = load_recordings(input_files(path), segment_len)
+        return sorted((report(rec, params) for rec in recordings), key=lambda rep: rep.source_id)
+
+    (name_a, path_a), (name_b, path_b) = check_group_names([dir_a, dir_b]).items()
+    reports_a, reports_b = reports(path_a), reports(path_b)
     ctm_a = summarize_reports(name_a, reports_a)["ctm"].mean
     ctm_b = summarize_reports(name_b, reports_b)["ctm"].mean
     _, ri = pairwise_classify(

@@ -210,9 +210,8 @@ class TestParams:
 
 class TestSweep:
     def test_single_recording_equals_report(self):
-        group = {"solo": (FIVE,)}
-        rows = sweep_r(group, "ctm", [3.0])
-        assert rows["solo"] == (report(FIVE, IndicatorParams(r_ctm=3.0)).ctm,)
+        row = sweep_r([FIVE], "ctm", [3.0])
+        assert row == (report(FIVE, IndicatorParams(r_ctm=3.0)).ctm,)
 
     @given(
         st.lists(st.floats(min_value=300.0, max_value=1500.0), min_size=3, max_size=40),
@@ -222,9 +221,8 @@ class TestSweep:
     def test_single_recording_equals_report_for_every_radius_indicator(self, values, r):
         series = RRSeries(values, source_id="solo")
         rep = report(series, IndicatorParams(r_ctm=r, r_d=r))
-        group = {"solo": (series,)}
         for indicator in RADIUS_INDICATORS:
-            (swept,) = sweep_r(group, indicator, [r])["solo"]
+            (swept,) = sweep_r([series], indicator, [r])
             assert swept == indicator_value(rep, indicator), indicator
 
     def test_ctm_rows_non_decreasing(self):
@@ -232,28 +230,17 @@ class TestSweep:
             "a": (RRSeries(jittery(1)),),
             "b": (RRSeries(jittery(2, spread=5.0)),),
         }
-        rows = sweep_r(groups, "ctm", [0.5, 1.0, 2.0, 5.0, 20.0, 100.0])
-        for row in rows.values():
+        for recordings in groups.values():
+            row = sweep_r(recordings, "ctm", [0.5, 1.0, 2.0, 5.0, 20.0, 100.0])
             assert list(row) == sorted(row)
 
     def test_constant_dataset_is_all_ones(self):
-        group = {"flat": (CONSTANT, CONSTANT)}
-        rows = sweep_r(group, "ctm", [0.5, 1.0, 3.0])
-        assert rows["flat"] == (1.0, 1.0, 1.0)
+        assert sweep_r((CONSTANT, CONSTANT), "ctm", [0.5, 1.0, 3.0]) == (1.0, 1.0, 1.0)
 
     def test_d_absent_entries_do_not_abort(self):
-        group = {"far": (FIVE,)}
-        rows = sweep_r(group, "d", [1.0, 30.0])
-        assert rows["far"][0] is None
-        assert rows["far"][1] == pytest.approx(21.796145384105944, abs=1e-9)
-
-    def test_rows_ordered_by_dataset_name(self):
-        groups = {
-            "zeta": (CONSTANT,),
-            "alpha": (CONSTANT,),
-        }
-        rows = sweep_r(groups, "ctm", [1.0])
-        assert list(rows) == ["alpha", "zeta"]
+        row = sweep_r([FIVE], "d", [1.0, 30.0])
+        assert row[0] is None
+        assert row[1] == pytest.approx(21.796145384105944, abs=1e-9)
 
     def test_group_mean_is_np_mean_in_source_id_order(self):
         # numpy sums 8 or more values pairwise; here that differs, bit for bit,
@@ -267,21 +254,40 @@ class TestSweep:
         for v in values:
             running += v
         assert np.mean(values) not in (running / len(values), np.mean(values[::-1]))
-        (mean,) = sweep_r({"g": recs[::-1]}, "ctm", [10.0])["g"]
-        assert mean == np.mean(values)
+        for recordings in (recs[::-1], iter(recs[::-1])):
+            (mean,) = sweep_r(recordings, "ctm", [10.0])
+            assert mean == np.mean(values)
 
     def test_unknown_indicator_rejected(self):
         with pytest.raises(ValueError):
-            sweep_r({"a": (FIVE,)}, "etv_global", [1.0])
+            sweep_r([FIVE], "etv_global", [1.0])
 
-    def test_requires_groups(self):
-        with pytest.raises(EmptyInputError):
-            sweep_r({}, "ctm", [1.0])
-        with pytest.raises(EmptyInputError, match="dataset group 'a' has no recordings"):
-            sweep_r({"a": ()}, "ctm", [1.0])
+    def test_requires_recordings(self):
+        for recordings in ([], iter(())):
+            with pytest.raises(EmptyInputError, match="need at least one recording"):
+                sweep_r(recordings, "ctm", [1.0])
+
+    def test_recordings_are_read_once_after_the_arguments_are_checked(self):
+        def unread():
+            raise AssertionError("recordings read before the arguments were checked")
+            yield
+
+        for indicator, grid in (("ctm", []), ("ctm", [2.0, 1.0]), ("etv1", [1.0])):
+            with pytest.raises(ValueError):
+                sweep_r(unread(), indicator, grid)
+        reads = []
+
+        def counted():
+            for rec in (FIVE, CONSTANT):
+                reads.append(rec.source_id)
+                yield rec
+
+        row = sweep_r(counted(), "ctm", [3.0, 30.0])
+        assert reads == ["five", "flat"]
+        assert row == sweep_r([FIVE, CONSTANT], "ctm", [3.0, 30.0])
 
     def test_table_validates_ascending_radii(self):
-        group = {"a": (FIVE,)}
+        group = [FIVE]
         with pytest.raises(ValueError, match="strictly ascending"):
             sweep_r(group, "ctm", [2.0, 1.0])
         with pytest.raises(ValueError, match="strictly ascending"):
@@ -295,9 +301,8 @@ class TestSweep:
             raise AssertionError("radius_census ran before the grid was checked")
 
         monkeypatch.setattr(analysis, "radius_census", census)
-        group = {"a": (FIVE,)}
         with pytest.raises(ValueError, match="r_values must be"):
-            sweep_r(group, "ctm", grid)
+            sweep_r([FIVE], "ctm", grid)
 
 
 class TestSummarize:

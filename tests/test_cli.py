@@ -417,8 +417,12 @@ class TestIndicators:
         ids = [row[0] for row in read_csv(out)[1:]]
         assert ids[:4] == ["a#000", "a#000", "a#001", "a#001"]
         assert ids[505:510] == ["a#499", "a#5#000", "a#5#001", "a#5#002", "a#500"]
-        # Every file loaded before any is reported, as the rows were once made.
-        recordings = load_recordings([one / "a#5.txt", one / "a.txt", two / "a.txt"], 3)
+        # Every file loaded before any is reported, and sorted stably by id,
+        # as the rows were once made.
+        recordings = sorted(
+            load_recordings([one / "a#5.txt", one / "a.txt", two / "a.txt"], 3),
+            key=lambda rec: rec.source_id,
+        )
         want = tmp_path / "want.csv"
         write_csv(
             want,
@@ -696,6 +700,50 @@ class TestSweep:
         ddir.mkdir()
         assert run(["sweep", ddir]) == 1
         assert "empty" in capsys.readouterr().err
+
+    def test_rows_ordered_by_dataset_name(self, two_groups, tmp_path, capsys):
+        # Groups load in the order given, so their warnings come in that
+        # order; the rows are written in name order whatever it is.
+        a, b = two_groups
+        outs = []
+        for order in ((a, b), (b, a)):
+            outs.append(tmp_path / f"{order[0].name}.csv")
+            argv = ["sweep", *order, "--segment-len", "3", "--r-grid", "5:25:10"]
+            assert run([*argv, "--out", outs[-1]]) == 0
+            assert capsys.readouterr().err == "".join(
+                f"tvmhrv: warning: {group / f'r{k}.txt'}: dropped the last 2 of 5 intervals, "
+                "fewer than one segment of 3\n"
+                for group in order
+                for k in range(2)
+            )
+        assert [row[0] for row in read_csv(outs[1])[1:]] == ["alpha"] * 3 + ["beta"] * 3
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_peak_memory_does_not_grow_with_recordings(self, tmp_path):
+        # Four recordings per group, and copies of each group's first in
+        # groups of the same names.
+        rng = np.random.default_rng(8)
+        for group in ("a", "b"):
+            for root, count in (("many", 4), ("few", 1)):
+                (tmp_path / root / group).mkdir(parents=True)
+            for k in range(4):
+                values = rng.integers(600, 1000, 20_000).tolist()
+                write_series(tmp_path / "many" / group / f"r{k}.txt", values)
+                if k == 0:
+                    write_series(tmp_path / "few" / group / f"r{k}.txt", values)
+
+        def peak(root):
+            tracemalloc.start()
+            try:
+                argv = ["sweep", root / "a", root / "b", "--indicator", "d"]
+                assert run([*argv, "--out", tmp_path / "sweep.csv"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(tmp_path / "few")  # imports and first calls
+        column = 8 * 20_000
+        assert peak(tmp_path / "many") < peak(tmp_path / "few") + column
 
 
 class TestClassify:

@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from tvmhrv import (
     TooShortSeriesError,
     TvmhrvError,
     load_dataset_group,
-    load_groups,
     load_recordings,
     load_rr_series,
     split_segments,
@@ -207,14 +207,16 @@ class TestDatasetGroup:
             write(ddir, name, "800\n810\n790\n")
         write(ddir, "ignored.dat", "not rr data")
         recordings = load_dataset_group(ddir)
-        # Sorted by source id, as load_groups sorts: "a-b.txt" comes before
-        # "a.txt" by file name, but "a" before "a-b" by id.
+        # Sorted by source id: "a-b.txt" comes before "a.txt" by file name,
+        # but "a" before "a-b" by id. load_recordings keeps file order.
         assert [rec.source_id for rec in recordings] == ["a", "a-b", "b", "c"]
-        groups = load_groups([ddir])
-        assert list(groups) == ["nsr2db"]
-        assert [(r.source_id, r.intervals.tolist()) for r in groups["nsr2db"]] == [
-            (r.source_id, r.intervals.tolist()) for r in recordings
-        ]
+        assert list(check_group_names([ddir])) == ["nsr2db"]
+        loaded = list(load_recordings(input_files(ddir)))
+        assert [r.source_id for r in loaded] == ["a-b", "a", "b", "c"]
+        assert [
+            (r.source_id, r.intervals.tolist())
+            for r in sorted(loaded, key=lambda r: r.source_id)
+        ] == [(r.source_id, r.intervals.tolist()) for r in recordings]
 
     def test_malformed_file_named_in_error(self, tmp_path):
         ddir = tmp_path / "grp"
@@ -247,16 +249,23 @@ class TestDatasetGroup:
         # Checked before any file is read: an error naming bad.txt would mean a read.
         write(tmp_path, "bad.txt", "800\noops\n790\n")
         for other in (tmp_path / "missing", tmp_path / "bad.txt"):
-            for check in (check_group_names, load_groups):
+            for check, paths in (
+                (check_group_names, [tmp_path, other]),
+                (load_dataset_group, other),
+            ):
                 with pytest.raises(NotADirectoryError) as err:
-                    check([tmp_path, other])
+                    check(paths)
                 assert str(err.value) == f"{other} is not a directory"
 
     def test_empty_name_rejected(self, tmp_path):
         write(tmp_path, "bad.txt", "800\noops\n790\n")  # an error naming it would mean a read
-        for paths in (["/"], [tmp_path, "/"]):
+        for check, paths in (
+            (check_group_names, ["/"]),
+            (check_group_names, [tmp_path, "/"]),
+            (load_dataset_group, "/"),
+        ):
             with pytest.raises(TvmhrvError) as err:
-                load_groups(paths)
+                check(paths)
             assert str(err.value) == "/ has no last component to name its group"
 
 
@@ -336,6 +345,9 @@ class TestGroupNames:
 
 
 class TestLoadGroups:
+    """A group directory's recordings: check_group_names names it, input_files
+    finds its files and load_recordings loads them."""
+
     @pytest.fixture
     def grp(self, tmp_path):
         ddir = tmp_path / "grp"
@@ -345,19 +357,21 @@ class TestLoadGroups:
         return ddir
 
     def test_directory_group_sorted_by_source_id(self, grp):
-        groups = load_groups([grp])
-        assert list(groups) == ["grp"]
-        assert [rec.source_id for rec in groups["grp"]] == ["a", "b"]
+        assert list(check_group_names([grp])) == ["grp"]
+        assert [rec.source_id for rec in load_dataset_group(grp)] == ["a", "b"]
 
     def test_segments_with_partial_tail_dropped(self, grp):
-        (recordings,) = load_groups([grp], segment_len=5).values()
+        recordings = load_recordings(input_files(grp), segment_len=5)
         assert [rec.source_id for rec in recordings] == ["a#000", "b#000", "b#001"]
         files = [grp / "b.txt", grp / "a.csv"]
-        assert [rec.source_id for rec in load_recordings(files, 5)] == ["a#000", "b#000", "b#001"]
+        recordings = list(load_recordings(files, 5))
+        assert [rec.source_id for rec in recordings] == ["b#000", "b#001", "a#000"]
+        recordings.sort(key=lambda rec: rec.source_id)
+        assert [rec.source_id for rec in recordings] == ["a#000", "b#000", "b#001"]
 
     def test_partial_tails_logged_not_printed(self, grp, caplog, capsys):
         with caplog.at_level(logging.WARNING, logger="tvmhrv"):
-            load_groups([grp], segment_len=5)
+            list(load_recordings(input_files(grp), segment_len=5))
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
             ("tvmhrv", logging.WARNING,
              f"{grp / name}: dropped the last 1 of {n} intervals, fewer than one segment of 5")
@@ -368,7 +382,10 @@ class TestLoadGroups:
     def test_library_prints_nothing_by_default(self, grp):
         # A fresh interpreter with no logging set up: without the package's
         # NullHandler, Python would print the tail warnings to stderr.
-        code = f"import tvmhrv; tvmhrv.load_groups([{str(grp)!r}], segment_len=5)"
+        code = (
+            "import pathlib, tvmhrv; "
+            f"list(tvmhrv.load_recordings(sorted(pathlib.Path({str(grp)!r}).iterdir()), 5))"
+        )
         pythonpath = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
         done = subprocess.run(
             [sys.executable, "-c", code],
@@ -381,20 +398,57 @@ class TestLoadGroups:
 
     def test_recording_shorter_than_segment_names_file(self, grp):
         with pytest.raises(TooShortSeriesError) as err:
-            load_groups([grp], segment_len=7)
+            list(load_recordings(input_files(grp), segment_len=7))
         assert "a.csv" in str(err.value)
 
     def test_a_file_is_a_recording_not_a_group(self, grp):
         assert input_files(grp / "b.txt") == [grp / "b.txt"]
         assert [rec.source_id for rec in load_recordings(input_files(grp / "b.txt"))] == ["b"]
         with pytest.raises(NotADirectoryError):
-            load_groups([grp / "b.txt"])
+            check_group_names([grp / "b.txt"])
 
     def test_one_group_per_path_in_order(self, grp, tmp_path):
         other = tmp_path / "other"
         other.mkdir()
         write(other, "z.txt", "800\n810\n790\n")
-        assert list(load_groups([other, grp])) == ["other", "grp"]
+        assert list(check_group_names([other, grp])) == ["other", "grp"]
+
+    def test_each_file_is_read_when_its_first_recording_is_asked_for(self, grp, caplog):
+        bad = write(grp, "c.txt", "800\noops\n790\n")
+        recordings = load_recordings(input_files(grp), segment_len=5)
+        with caplog.at_level(logging.WARNING, logger="tvmhrv"):
+            assert next(recordings).source_id == "a#000"
+            # The tail is logged before the file's first segment is handed out.
+            assert [r.getMessage() for r in caplog.records] == [
+                f"{grp / 'a.csv'}: dropped the last 1 of 6 intervals, fewer than one segment of 5"
+            ]
+        assert [next(recordings).source_id for _ in range(2)] == ["b#000", "b#001"]
+        with pytest.raises(RRParseError) as err:
+            next(recordings)
+        assert str(err.value) == f"{bad}: line 2: cannot parse 'oops' as a number"
+
+    @pytest.mark.parametrize("segment_len", [None, 5])
+    def test_nothing_of_a_file_is_held_once_its_recordings_are_handed_out(
+        self, grp, segment_len, monkeypatch
+    ):
+        write(grp, "c.txt", "".join(f"{800 + i}\n" for i in range(7)))
+        read, handed_out = [], []
+        load = series_module.load_rr_series
+
+        def tracked_load(file):
+            alive = [ref() for ref in read + handed_out if ref() is not None]
+            assert alive == [], f"{file} read while {alive} are held"
+            rec = load(file)
+            read.append(weakref.ref(rec))
+            return rec
+
+        def source_id(rec):
+            handed_out.append(weakref.ref(rec))
+            return rec.source_id
+
+        monkeypatch.setattr(series_module, "load_rr_series", tracked_load)
+        ids = list(map(source_id, load_recordings(input_files(grp), segment_len)))
+        assert len(read) == 3 and len(ids) == len(handed_out)
 
 
 @given(
