@@ -26,7 +26,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tvmhrv import ALL_INDICATORS, TvmhrvError, cli, indicator_value, pairwise_classify
+from tvmhrv import (
+    ALL_INDICATORS,
+    DistinctValuesError,
+    TvmhrvError,
+    cli,
+    indicator_value,
+    pairwise_classify,
+)
 from tvmhrv.analysis import summarize_reports, write_csv, write_json
 from tvmhrv.series import check_group_names, input_files
 
@@ -59,7 +66,7 @@ def tables(groups: dict[str, Path], args) -> int:
     reports = {}
     for name, path in groups.items():
         reports[name] = cli._reports(input_files(path), args.segment_len, params)
-        cli._warn_degenerate(reports[name], params)
+        cli._warn_degenerate(reports[name], params, group=name)
     args.out.mkdir(parents=True, exist_ok=True)
 
     summaries = [(name, summarize_reports(name, reps)) for name, reps in reports.items()]
@@ -111,8 +118,14 @@ def tables(groups: dict[str, Path], args) -> int:
             fb = [indicator_value(r, indicator) for r in rb]
             ri = None
             if None not in fa + fb:
-                _, ri = pairwise_classify(fa, fb)
-                if indicator in ("ctm", "etv1"):
+                # One value over the pair gets an empty RI, as an undefined D does.
+                try:
+                    _, ri = pairwise_classify(fa, fb)
+                except DistinctValuesError as exc:
+                    cli.log.warning(
+                        "RI[%s vs %s, %s] is left empty: %s", name_a, name_b, indicator, exc
+                    )
+                if ri is not None and indicator in ("ctm", "etv1"):
                     print(f"RI[{name_a} vs {name_b}, {indicator}] = {ri:.3f}")
             ri_rows.append((f"{name_a}|{name_b}", indicator, ri))
     write_csv(args.out / "ri_matrix.csv", ["pair", "indicator", "ri"], ri_rows)

@@ -217,15 +217,16 @@ def _some(ids: list[str], shown: int = 3) -> str:
     return ", ".join(ids[:shown] + ["..."] * (len(ids) > shown))
 
 
-def _warn_degenerate(reports, params: IndicatorParams) -> None:
+def _warn_degenerate(reports, params: IndicatorParams, group: str = "") -> None:
     """One warning for all reports whose D is undefined, one for all with an empty quadrant."""
-    no_d = [rep.source_id for rep in reports if rep.d is None]
+    prefix = f"{group}/" if group else ""
+    no_d = [prefix + rep.source_id for rep in reports if rep.d is None]
     if no_d:
         log.warning(
             "no point lies inside r_d=%g in %d recordings (%s); their D is left empty",
             params.r_d, len(no_d), _some(no_d),
         )
-    empty = [rep.source_id for rep in reports if 0 in rep.quadrant_points]
+    empty = [prefix + rep.source_id for rep in reports if 0 in rep.quadrant_points]
     if empty:
         log.warning(
             "an empty quadrant's E_TV is reported as 0 in %d recordings (%s)",

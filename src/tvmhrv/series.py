@@ -8,10 +8,9 @@ first non-blank character is '#') are skipped; only comments may hold
 non-ASCII text. Values are taken in whatever unit the file holds them;
 nothing converts them.
 
-A file is read once, in blocks of BLOCK_CHARS characters each carried on to
-the next line end. A block's comment lines are blanked, and its numbers are
-parsed straight into float64 values. Only a block that fails a check is
-walked line by line, to name the line of its first bad value.
+A file's whole text is read once, its comment lines blanked and its numbers
+parsed by one np.fromstring call. Only a text that fails a check is walked
+line by line, to name the line of its first bad value.
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ log = logging.getLogger("tvmhrv")
 # Largest accepted interval: successive differences then stay below 1e150 in
 # magnitude, so x*x + y*y cannot overflow on the way to a point's distance.
 MAX_INTERVAL = 1e150
-
-# Characters the block parser reads at a time.
-BLOCK_CHARS = 1 << 16
 
 _ASCII_SEPARATORS = re.compile(r"[\s,]+", re.ASCII)
 # A line whose first non-blank character is '#', up to its line end.
@@ -86,10 +82,11 @@ class RRSeries:
         return self.intervals.size
 
 
-def _bad_value(path: Path, block: str, first_line: int) -> RRParseError | RRValidationError:
-    """The error for the first bad token of a block that failed its checks,
-    naming its line; first_line is the number of the block's first line."""
-    for lineno, line in enumerate(block.split("\n"), start=first_line):
+def _scan_lines(path: Path, text: str) -> np.ndarray:
+    """The values of a text with its comment lines blanked, as float() reads
+    each token; raises the error for the first bad token, naming its line."""
+    values = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
         # Only commas and ASCII whitespace separate tokens, so a non-ASCII
         # space stays in its token and makes that token a bad one.
         if line.isascii():
@@ -100,42 +97,44 @@ def _bad_value(path: Path, block: str, first_line: int) -> RRParseError | RRVali
             try:
                 if "_" in token or not token.isascii():
                     raise ValueError  # float() would take them
-                if 0.0 < float(token) <= MAX_INTERVAL:
+                if 0.0 < (value := float(token)) <= MAX_INTERVAL:
+                    values.append(value)
                     continue
                 error = RRValidationError
                 problem = f"interval {token!r} must be > 0 and <= {MAX_INTERVAL:g}"
             except ValueError:
                 error, problem = RRParseError, f"cannot parse {token!r} as a number"
-            return error(f"{path}: line {lineno}: {problem}", path=path, line=lineno)
+            raise error(f"{path}: line {lineno}: {problem}", path=path, line=lineno)
+    return np.array(values, dtype=np.float64)
 
 
 def load_rr_series(path) -> RRSeries:
     """Load one RR recording from a text file; source_id is the file stem."""
     path = Path(path)
-    arrays = []  # one per block
-    lineno = 1  # the number of the current block's first line
-    with path.open(encoding="utf-8-sig") as fh:
-        try:
-            # A block ends on a line end, so no token or comment is cut.
-            while block := fh.read(BLOCK_CHARS) + fh.readline():
-                if "#" in block:
-                    block = _COMMENT_LINE.sub("", block)
-                try:
-                    if not block.isascii() or "_" in block:
-                        raise ValueError  # float() would take them in a number
-                    values = np.fromiter(map(float, block.replace(",", " ").split()), np.float64)
-                    if not ((values > 0.0) & (values <= MAX_INTERVAL)).all():
-                        raise ValueError
-                except ValueError:
-                    raise _bad_value(path, block, lineno) from None
-                arrays.append(values)
-                lineno += block.count("\n")
-        except UnicodeDecodeError as exc:
-            raise RRParseError(f"{path}: not UTF-8 text ({exc.reason})", path=path) from None
-    n = sum(map(len, arrays))
-    if n < 3:
-        raise TooShortSeriesError(f"{path}: found {n} intervals; need at least 3")
-    return RRSeries(intervals=np.concatenate(arrays), source_id=path.stem, _owned=True)
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise RRParseError(f"{path}: not UTF-8 text ({exc.reason})", path=path) from None
+    if "#" in text:
+        text = _COMMENT_LINE.sub("", text)
+    # Each step rebinds text, so no older copy of it stays alive.
+    try:
+        if not text.isascii() or "_" in text:
+            raise ValueError  # float() would take them in a number
+        # str.split() separates on \x1c-\x1f too, and np.fromstring does not.
+        for sep in ",\x1c\x1d\x1e\x1f":
+            if sep in text:  # a scan is cheaper than a copy
+                text = text.replace(sep, " ")
+        # np.fromstring reads a text of whitespace alone as [-1.0].
+        values = np.fromstring(text, sep=" ") if text and not text.isspace() else np.empty(0)
+        if not ((values > 0.0) & (values <= MAX_INTERVAL)).all():
+            raise ValueError
+    except ValueError:
+        # Also where numpy declines a token float() reads: only speed is lost.
+        values = _scan_lines(path, text)
+    if values.size < 3:
+        raise TooShortSeriesError(f"{path}: found {values.size} intervals; need at least 3")
+    return RRSeries(intervals=values, source_id=path.stem, _owned=True)
 
 
 def input_files(path: Path) -> list[Path]:

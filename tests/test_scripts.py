@@ -188,6 +188,45 @@ def test_reproduce_tables_warns_of_each_dropped_tail(corpus_dir, tmp_path):
     ]
 
 
+def test_reproduce_tables_warnings_name_the_group(corpus_dir, tmp_path):
+    # Both groups hold rec00..rec02; only the group tells them apart.
+    steady, erratic = corpus_dir / "steady", corpus_dir / "erratic"
+    done = run_tables(steady, erratic, "--out", tmp_path / "tables")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == (
+        "tvmhrv: warning: no point lies inside r_d=6 in 3 recordings "
+        "(erratic/rec00, erratic/rec01, erratic/rec02); their D is left empty\n"
+    )
+    done = run_tables(steady, erratic, "--out", tmp_path / "tables", "--segment-len", 20)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == (
+        "tvmhrv: warning: no point lies inside r_d=6 in 12 recordings "
+        "(erratic/rec00#000, erratic/rec00#001, erratic/rec00#002, ...); their D is left empty\n"
+        "tvmhrv: warning: an empty quadrant's E_TV is reported as 0 in 5 recordings "
+        "(erratic/rec00#003, erratic/rec01#001, erratic/rec02#000, ...)\n"
+    )
+
+
+def test_one_valued_indicator_leaves_its_ri_empty(tmp_path):
+    # cctm2 is the same in the one recording of each group, so k-means
+    # cannot split the pair on it; every other indicator differs.
+    rng = np.random.default_rng(11)
+    for group, (low, high) in (("a", (790, 811)), ("b", (700, 901))):
+        (tmp_path / group).mkdir()
+        values = rng.integers(low, high, 300).tolist()
+        (tmp_path / group / "r0.txt").write_text("".join(f"{v}\n" for v in values))
+    out = tmp_path / "tables"
+    done = run_tables(tmp_path / "a", tmp_path / "b", "--out", out)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == (
+        "tvmhrv: warning: RI[a vs b, cctm2] is left empty: "
+        "k-means with k=2 needs at least 2 distinct values, got 1\n"
+    )
+    ri = {row[1]: row[2] for row in read_csv(out / "ri_matrix.csv")[1:]}
+    assert list(ri) == list(ALL_INDICATORS)
+    assert ri["cctm2"] == "" and all(ri[ind] != "" for ind in ALL_INDICATORS if ind != "cctm2")
+
+
 def test_undefined_d_is_left_out_of_the_tables_and_stops_classify(corpus_dir, tmp_path, capsys):
     # No point of an erratic recording lies inside the default r_d=6, so
     # group b has two recordings with a D and one without.
@@ -204,7 +243,7 @@ def test_undefined_d_is_left_out_of_the_tables_and_stops_classify(corpus_dir, tm
     done = run_tables(a, b, "--out", out)
     assert done.returncode == 0, done.stderr
     assert done.stderr == (
-        "tvmhrv: warning: no point lies inside r_d=6 in 1 recordings (rec02); "
+        "tvmhrv: warning: no point lies inside r_d=6 in 1 recordings (b/rec02); "
         "their D is left empty\n"
     )
     n = {(row[0], row[1]): row[2] for row in read_csv(out / "summary.csv")[1:]}

@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -102,13 +103,13 @@ class TestLoadRRSeries:
             ("800\n810\n790\u2028\n805\n", "790\u2028", 3),
         ],
     )
-    @pytest.mark.parametrize("block", [4, series_module.BLOCK_CHARS])
-    def test_token_outside_the_ascii_grammar_names_line(
-        self, tmp_path, monkeypatch, text, token, line, block
-    ):
-        monkeypatch.setattr(series_module, "BLOCK_CHARS", block)
+    # The line of a bad token is counted over the whole file: 4 or 65,536
+    # good lines come before the text.
+    @pytest.mark.parametrize("lead", [4, 65536])
+    def test_token_outside_the_ascii_grammar_names_line(self, tmp_path, text, token, line, lead):
         path = tmp_path / "rec.txt"
-        path.write_text(text, encoding="utf-8")
+        path.write_text("800\n" * lead + text, encoding="utf-8")
+        line += lead
         with pytest.raises(RRParseError) as err:
             load_rr_series(path)
         assert str(err.value) == f"{path}: line {line}: cannot parse {token!r} as a number"
@@ -496,9 +497,15 @@ GOOD_TOKENS = st.one_of(
     st.floats(min_value=1e-3, max_value=1e5).map(repr),
     st.floats(min_value=1e-3, max_value=1e5).map(lambda v: f"{v:.3f}"),
 )
-BAD_TOKENS = st.sampled_from(["0", "-5", "nan", "inf", "1e151", "oops", "8OO", "1e", "--1"])
+BAD_TOKENS = st.sampled_from(
+    # np.fromstring reads "nan(1)" as nan, where float() raises.
+    ["0", "-5", "nan", "nan(1)", "inf", "1e151", "oops", "8OO", "1e", "--1", "\x00", "80\x000",
+     "8\x1b0"]
+)
+# str.split() separates on \x0b, \x0c and \x1c-\x1f too, and so does the format.
 SEPARATORS = st.sampled_from(
-    [",", ", ", " ", "  ", "\t", " ,\t", "\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\n \n"]
+    [",", ", ", " ", "  ", "\t", " ,\t", "\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\n \n",
+     "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", " \x1f\n", ",\x0c"]
 )
 RARELY = st.sampled_from([False, False, False, True])
 # Put before a token. A comment line may hold any text and may be indented
@@ -510,12 +517,17 @@ COMMENTS = st.sampled_from(
         "\n\t#\tindented with a tab\n",
         "\r\n\u00a0# indented with a no-break space\r\n",
         "\n\x0b\u3000# indented with other whitespace\n",
+        "\n\x1f# indented with a unit separator\n",
         "\n# \u00e9t\u00e9 \u2603 \u0668\u0662\u0660 8_10\n",
         "\n#\n",
-        "\n# " + "longer than a block, " * 3 + "\n",
+        "\n# " + "a longer comment, " * 3 + "\n",
         "\n800 # after a value\n",
     ]
 )
+
+
+def _fail_fromstring(*args, **kwargs):
+    raise ValueError("string or file could not be read to its end due to unmatched data")
 
 
 @settings(max_examples=300, deadline=None)
@@ -523,22 +535,27 @@ COMMENTS = st.sampled_from(
     tokens=st.lists(st.one_of(*[GOOD_TOKENS] * 5, BAD_TOKENS), max_size=30),
     separators=st.lists(SEPARATORS, min_size=30, max_size=30),
     bom=st.booleans(),
-    lead=st.sampled_from(["", "\n", " ", "\r\n", "# header\n"]),
-    end=st.sampled_from(["", "\n", "\r\n", "\r", ",", " \n\n"]),
+    lead=st.sampled_from(["", "\n", " ", "\r\n", "# header\n", "\x1c"]),
+    end=st.sampled_from(["", "\n", "\r\n", "\r", ",", " \n\n", "\x1e"]),
     comments=st.lists(st.tuples(st.integers(0, 31), COMMENTS), max_size=4),
     last_comment=st.sampled_from(["", "", "", "\n# end", "\n  # the end \u2603"]),
     bad_byte_at=RARELY.flatmap(lambda yes: st.integers(0, 400) if yes else st.none()),
-    block=st.integers(1, 40),
+    numpy_fails=RARELY,
 )
 @example(
     tokens=["800", "1e151", "700"], separators=["\n"] * 30, bom=False, lead="", end="\n",
-    comments=[], last_comment="", bad_byte_at=None, block=3,
+    comments=[], last_comment="", bad_byte_at=None, numpy_fails=False,
 )
-def test_block_parser_matches_the_line_scanner(
+@example(
+    tokens=["800", "810", "790"], separators=["\x1f"] * 30, bom=False, lead="", end="\n",
+    comments=[], last_comment="", bad_byte_at=None, numpy_fails=True,
+)
+def test_parser_matches_the_line_scanner(
     tmp_path_factory, tokens, separators, bom, lead, end, comments, last_comment, bad_byte_at,
-    block,
+    numpy_fails,
 ):
-    """The block parser gives the line scanner's values bit for bit, or its error."""
+    """The parser gives the line scanner's values bit for bit, or its error,
+    also when np.fromstring declines a text that float() reads."""
     parts = [lead]
     for k, token in enumerate(tokens):
         parts += [comment for at, comment in comments if at == k]
@@ -550,53 +567,94 @@ def test_block_parser_matches_the_line_scanner(
     if bad_byte_at is not None:
         at = min(bad_byte_at, len(data))
         data = data[:at] + b"\xff" + data[at:]
-    path = tmp_path_factory.mktemp("blocks") / "rec.txt"
+    path = tmp_path_factory.mktemp("parse") / "rec.txt"
     path.write_bytes(data)
     expected = _expected(path)
     with pytest.MonkeyPatch.context() as mp:
-        # Tiny blocks: reads end inside tokens, comments and CRLF pairs.
-        mp.setattr(series_module, "BLOCK_CHARS", block)
+        if numpy_fails:
+            mp.setattr(np, "fromstring", _fail_fromstring)
         assert _outcome(lambda p: load_rr_series(p).intervals, path) == expected
 
 
+@pytest.fixture
+def one_pass(monkeypatch):
+    """The paths opened for reading; a test using it fails if its file
+    goes to the per-line walk that names the line of a bad value."""
+    opened = []
+    path_open = Path.open
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        if mode == "r":
+            opened.append(path)
+        return path_open(path, mode, *args, **kwargs)
+
+    def fail(path, text):
+        raise AssertionError(f"{path} went to the per-line walk")
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    monkeypatch.setattr(series_module, "_scan_lines", fail)
+    return opened
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n \t\r\n", "\x0b\x0c\x1c\x1d\x1e\x1f\n", "# only a comment\n", "  # one\n\n# two"],
+)
+def test_text_with_no_number_is_too_short(tmp_path, monkeypatch, one_pass, text):
+    # np.fromstring(" ", sep=" ") gives [-1.0], so such a text must not reach it.
+    def fail(*args, **kwargs):
+        raise AssertionError("np.fromstring called on a text with no number")
+
+    monkeypatch.setattr(np, "fromstring", fail)
+    path = tmp_path / "rec.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(TooShortSeriesError) as err:
+        load_rr_series(path)
+    assert str(err.value) == f"{path}: found 0 intervals; need at least 3"
+    assert one_pass == [path]
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", ",\x1f "])
+def test_every_ascii_space_separates_in_one_pass(tmp_path, one_pass, sep):
+    path = write(tmp_path, "rec.txt", sep.join(["800", "810.5", "790", "1e3"]) + "\n")
+    assert load_rr_series(path).intervals.tolist() == [800.0, 810.5, 790.0, 1000.0]
+    assert one_pass == [path]
+
+
+def test_one_row_csv_load_peaks_under_three_arrays(tmp_path):
+    # A file with no line end is read like any other: no token list or
+    # per-part array of it is held beside the text and the values.
+    values = np.random.default_rng(5).uniform(400.0, 1400.0, 100_000).round(3).tolist()
+    path = write(tmp_path, "rec.csv", ",".join(map(repr, values)))
+    load_rr_series(path)  # first calls
+    tracemalloc.start()
+    try:
+        series = load_rr_series(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.intervals.tolist() == values
+    assert peak <= 3 * series.intervals.nbytes, peak / series.intervals.nbytes
+
+
 class TestBlockParser:
-    @pytest.fixture
-    def one_pass(self, monkeypatch):
-        """The paths opened for reading; a test using it fails if its file
-        goes to the per-line walk that names the line of a bad value."""
-        opened = []
-        path_open = Path.open
+    """Forms that once ended a block part way: a token, a comment or a CRLF
+    pair at any offset, a one-row CSV, a token longer than a block. Each is
+    read in one pass over the whole text."""
 
-        def recording_open(path, mode="r", *args, **kwargs):
-            if mode == "r":
-                opened.append(path)
-            return path_open(path, mode, *args, **kwargs)
-
-        def fail(path, block, first_line):
-            raise AssertionError(f"{path} went to the per-line walk")
-
-        monkeypatch.setattr(Path, "open", recording_open)
-        monkeypatch.setattr(series_module, "_bad_value", fail)
-        return opened
-
-    def test_tokens_carried_across_block_ends(self, tmp_path, monkeypatch, one_pass):
-        # Each read of 8 characters ends inside a token or a CRLF pair, and
-        # the rest of that line joins its block.
-        monkeypatch.setattr(series_module, "BLOCK_CHARS", 8)
+    def test_tokens_carried_across_block_ends(self, tmp_path, one_pass):
         path = tmp_path / "rec.txt"
         path.write_bytes(b"\xef\xbb\xbf800.5\r\n810.25,790\t805.125\r\n\r\n795")
         assert load_rr_series(path).intervals.tolist() == [800.5, 810.25, 790.0, 805.125, 795.0]
         assert one_pass == [path]
 
-    def test_one_row_csv_over_many_blocks(self, tmp_path, monkeypatch, one_pass):
-        monkeypatch.setattr(series_module, "BLOCK_CHARS", 64)
+    def test_one_row_csv_over_many_blocks(self, tmp_path, one_pass):
         values = [round(600 + (k * 37) % 500 + k / 1000, 3) for k in range(5000)]
         path = write(tmp_path, "rec.csv", ",".join(map(repr, values)))
         assert load_rr_series(path).intervals.tolist() == values
         assert one_pass == [path]
 
-    def test_comment_after_the_first_block(self, tmp_path, monkeypatch, one_pass):
-        monkeypatch.setattr(series_module, "BLOCK_CHARS", 16)
+    def test_comment_after_the_first_block(self, tmp_path, one_pass):
         path = write(tmp_path, "rec.txt", "800\n" * 10 + "# a note\n" + "810\n" * 10)
         assert load_rr_series(path).intervals.tolist() == [800.0] * 10 + [810.0] * 10
         assert one_pass == [path]
@@ -609,20 +667,19 @@ class TestBlockParser:
             "800\n" * 10 + "810\n" * 10 + "# end",
         ],
     )
-    def test_comment_lines_read_in_one_pass(self, tmp_path, monkeypatch, one_pass, text):
-        monkeypatch.setattr(series_module, "BLOCK_CHARS", 16)
+    def test_comment_lines_read_in_one_pass(self, tmp_path, one_pass, text):
         path = tmp_path / "rec.txt"
         path.write_text(text, encoding="utf-8")
         assert load_rr_series(path).intervals.tolist() == [800.0] * 10 + [810.0] * 10
         assert one_pass == [path]
 
-    @pytest.mark.parametrize("block", [4, series_module.BLOCK_CHARS])
-    def test_hash_after_a_value_is_a_bad_token(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(series_module, "BLOCK_CHARS", block)
-        path = write(tmp_path, "rec.txt", "800\n810 # a note\n790\n")
+    # 4 or 65,536 good lines come before the bad one.
+    @pytest.mark.parametrize("lead", [4, 65536])
+    def test_hash_after_a_value_is_a_bad_token(self, tmp_path, lead):
+        path = write(tmp_path, "rec.txt", "800\n" * lead + "800\n810 # a note\n790\n")
         with pytest.raises(RRParseError) as err:
             load_rr_series(path)
-        assert str(err.value) == f"{path}: line 2: cannot parse '#' as a number"
+        assert str(err.value) == f"{path}: line {lead + 2}: cannot parse '#' as a number"
 
     @pytest.mark.parametrize(
         "last, error, message",
@@ -631,16 +688,14 @@ class TestBlockParser:
             ("-1", RRValidationError, "line 21: interval '-1' must be > 0 and <= 1e+150"),
         ],
     )
-    def test_error_in_the_last_block_names_its_line(self, tmp_path, monkeypatch, last, error, message):
-        monkeypatch.setattr(series_module, "BLOCK_CHARS", 16)
+    def test_error_in_the_last_block_names_its_line(self, tmp_path, last, error, message):
         path = write(tmp_path, "rec.txt", "800\n" * 20 + last)
         with pytest.raises(error) as err:
             load_rr_series(path)
         assert str(err.value) == f"{path}: {message}"
         assert (err.value.path, err.value.line) == (path, 21)
 
-    def test_token_longer_than_a_block_parses_in_one_pass(self, tmp_path, monkeypatch, one_pass):
-        monkeypatch.setattr(series_module, "BLOCK_CHARS", 4)
+    def test_token_longer_than_a_block_parses_in_one_pass(self, tmp_path, one_pass):
         path = write(tmp_path, "rec.txt", "800\n" + "0" * 20 + "810\n790\n")
         assert load_rr_series(path).intervals.tolist() == [800.0, 810.0, 790.0]
         assert one_pass == [path]
