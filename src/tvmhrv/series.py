@@ -1,16 +1,14 @@
 """RR-interval series: loading, validation and segmentation.
 
-Accepted on-disk format is UTF-8 text (a leading byte-order mark is
-skipped) holding numbers separated by commas and/or ASCII whitespace: one
-interval per line, or a CSV row/column. A number is ASCII decimal text, as
-float() reads it but with no '_'. Blank lines and comment lines (whose
-first non-blank character is '#') are skipped; only comments may hold
-non-ASCII text. Values are taken in whatever unit the file holds them;
-nothing converts them.
+Accepted on-disk format is UTF-8 text (a leading byte-order mark is skipped)
+holding numbers separated by commas and/or ASCII whitespace: one interval per
+line, or a CSV row/column. A number is ASCII decimal text, as float() reads it
+but with no '_'. Blank lines and comment lines (whose first non-blank
+character is '#') are skipped; only comments may hold non-ASCII text. Values
+are taken in whatever unit the file holds them; nothing converts them.
 
-A file's whole text is read once, its comment lines blanked and its numbers
-parsed by one np.fromstring call. Only a text that fails a check is walked
-line by line, to name the line of its first bad value.
+A file's text is read once and parsed by one np.fromstring call; only a text
+that fails a check is walked line by line, to name its first bad value.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ from __future__ import annotations
 import logging
 import os
 import re
+import warnings
 from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -87,8 +86,7 @@ def _scan_lines(path: Path, text: str) -> np.ndarray:
     each token; raises the error for the first bad token, naming its line."""
     values = []
     for lineno, line in enumerate(text.split("\n"), start=1):
-        # Only commas and ASCII whitespace separate tokens, so a non-ASCII
-        # space stays in its token and makes that token a bad one.
+        # A non-ASCII space does not separate tokens: it makes its token a bad one.
         if line.isascii():
             tokens = line.replace(",", " ").split()
         else:
@@ -125,11 +123,16 @@ def load_rr_series(path) -> RRSeries:
         for sep in ",\x1c\x1d\x1e\x1f":
             if sep in text:  # a scan is cheaper than a copy
                 text = text.replace(sep, " ")
-        # np.fromstring reads a text of whitespace alone as [-1.0].
-        values = np.fromstring(text, sep=" ") if text and not text.isspace() else np.empty(0)
+        # np.fromstring reads a text of whitespace alone as [-1.0], and numpy 1.x
+        # only warns at a token it cannot read, keeping the values before it.
+        values = np.empty(0)
+        if text and not text.isspace():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                values = np.fromstring(text, sep=" ")
         if not ((values > 0.0) & (values <= MAX_INTERVAL)).all():
             raise ValueError
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         # Also where numpy declines a token float() reads: only speed is lost.
         values = _scan_lines(path, text)
     if values.size < 3:
@@ -180,11 +183,8 @@ def check_group_names(paths: Iterable) -> dict[str, Path]:
 
 
 def load_dataset_group(directory) -> tuple[RRSeries, ...]:
-    """The recordings of one directory, sorted by source_id.
-
-    Kept only because perfbench/spans.py traces it by name, until the stage
-    hook of ROADMAP item 1 replaces that tracer's function patching.
-    """
+    """The recordings of one directory, sorted by source_id; kept only because
+    perfbench/spans.py traces it by name (until ROADMAP item 1's stage hook)."""
     (path,) = check_group_names([directory]).values()
     return tuple(sorted(load_recordings(input_files(path)), key=lambda s: s.source_id))
 
