@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import shutil
 import sys
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyInputError
 from .series import RRSeries
-from .sodp import RadiusCounts, radius_census, second_order_diff
+from .sodp import RadiusCounts, check_radius, radius_census, second_order_diff
 from .tvm import (
     DEFAULT_DIVISIONS,
     batches,
@@ -137,11 +136,7 @@ def _round_floats(node) -> None:
 
 
 def _json_scalar(v: float) -> str:
-    """The text json gives round_sig(v)."""
-    v = round_sig(v)
-    if math.isfinite(v):
-        return float.__repr__(v)
-    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    return json.dumps(round_sig(v))
 
 
 def _records_json(text: str, records) -> Iterator[str]:
@@ -208,8 +203,8 @@ class IndicatorParams:
     divisions: tuple[int, int, int] = DEFAULT_DIVISIONS
 
     def __post_init__(self):
-        if not (self.r_ctm > 0 and self.r_d > 0):
-            raise ValueError("radii must be > 0")
+        check_radius(self.r_ctm)
+        check_radius(self.r_d)
         object.__setattr__(self, "divisions", check_divisions(self.divisions))
 
 

@@ -29,10 +29,10 @@ from .analysis import (
     write_json,
 )
 from .cluster import pairwise_classify
-from .errors import TvmhrvError
-from .series import check_group_names, input_files, load_recordings
-from .sodp import QUADRANTS, second_order_diff
-from .tvm import MAX_AXIS_DIVISIONS, build_tvm_points
+from .errors import DistinctValuesError, TvmhrvError
+from .series import check_group_names, check_segment_len, input_files, load_recordings
+from .sodp import QUADRANTS, check_radius, second_order_diff
+from .tvm import build_tvm_points, check_divisions
 
 DEFAULT_R_GRID = "0.5:10:0.5"
 # The most radii one --r-grid may give: far above a fine sweep's 200, and a
@@ -42,33 +42,29 @@ MAX_RADII = 10**6
 log = logging.getLogger("tvmhrv")
 
 
-def parse_divisions(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected NX,NY,NZ, got {text!r}")
+def _parsed(text: str, convert, expected: str, rule):
+    """rule(convert(text)), where a ValueError of either is a usage error.
+
+    rule is the library's check of the value, so its message is the CLI's.
+    """
     try:
-        nx, ny, nz = (int(p) for p in parts)
+        value = convert(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"divisions must be integers: {text!r}") from None
-    if min(nx, ny, nz) < 1:
-        raise argparse.ArgumentTypeError("divisions must be >= 1")
-    if nx * ny * nz >= 2**63:
-        raise argparse.ArgumentTypeError(f"divisions must give fewer than 2**63 cells: {text!r}")
-    if max(nx, ny, nz) > MAX_AXIS_DIVISIONS:
-        raise argparse.ArgumentTypeError(f"divisions must be at most 2**53 per axis: {text!r}")
-    return (nx, ny, nz)
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+    try:
+        return rule(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def parse_divisions(text: str) -> tuple[int, int, int]:
+    return _parsed(
+        text, lambda t: tuple(map(int, t.split(","))), "integers NX,NY,NZ", check_divisions
+    )
 
 
 def parse_radius(text: str) -> float:
-    try:
-        r = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(r):
-        raise argparse.ArgumentTypeError(f"radius must be finite, got {text!r}")
-    if r <= 0:
-        raise argparse.ArgumentTypeError(f"radius must be > 0, got {text!r}")
-    return r
+    return _parsed(text, float, "a number", check_radius)
 
 
 def parse_r_grid(text: str) -> tuple[float, ...]:
@@ -88,13 +84,7 @@ def parse_r_grid(text: str) -> tuple[float, ...]:
 
 
 def parse_segment_len(text: str) -> int:
-    try:
-        length = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if length < 3:
-        raise argparse.ArgumentTypeError(f"segment length must be >= 3, got {length}")
-    return length
+    return _parsed(text, int, "an integer", check_segment_len)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -360,7 +350,10 @@ def cmd_classify(args) -> int:
             "an empty quadrant's %s is clustered as 0 in %d recordings (%s)",
             args.indicator, len(empty), _some(empty),
         )
-    result, ri = pairwise_classify(features_a, features_b)
+    try:
+        result, ri = pairwise_classify(features_a, features_b)
+    except DistinctValuesError as exc:
+        raise DistinctValuesError(f"{name_a}|{name_b}, {args.indicator}: {exc}") from None
     if not result.converged:
         log.warning(
             "k-means stopped after %d iterations with the assignments still changing",

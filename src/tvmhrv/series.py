@@ -18,6 +18,7 @@ import os
 import re
 import warnings
 from dataclasses import InitVar, dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -39,7 +40,12 @@ log = logging.getLogger("tvmhrv")
 # magnitude, so x*x + y*y cannot overflow on the way to a point's distance.
 MAX_INTERVAL = 1e150
 
-_ASCII_SEPARATORS = re.compile(r"[\s,]+", re.ASCII)
+# Tokens are separated, on every line, by the ASCII whitespace str.split()
+# takes and by commas. np.fromstring(text, sep=" ") skips the first six
+# between numbers; the one-pass parse turns the others into spaces.
+_NUMPY_SPACES = " \t\n\v\f\r"
+_OTHER_SEPARATORS = "\x1c\x1d\x1e\x1f,"
+_SEPARATOR_RUNS = re.compile(f"[{re.escape(_NUMPY_SPACES + _OTHER_SEPARATORS)}]+")
 # A line whose first non-blank character is '#', up to its line end.
 _COMMENT_LINE = re.compile(r"^[^\S\n]*#.*", re.MULTILINE)
 
@@ -87,11 +93,7 @@ def _scan_lines(path: Path, text: str) -> np.ndarray:
     values = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         # A non-ASCII space does not separate tokens: it makes its token a bad one.
-        if line.isascii():
-            tokens = line.replace(",", " ").split()
-        else:
-            tokens = filter(None, _ASCII_SEPARATORS.split(line))
-        for token in tokens:
+        for token in filter(None, _SEPARATOR_RUNS.split(line)):
             try:
                 if "_" in token or not token.isascii():
                     raise ValueError  # float() would take them
@@ -119,8 +121,7 @@ def load_rr_series(path) -> RRSeries:
     try:
         if not text.isascii() or "_" in text:
             raise ValueError  # float() would take them in a number
-        # str.split() separates on \x1c-\x1f too, and np.fromstring does not.
-        for sep in ",\x1c\x1d\x1e\x1f":
+        for sep in _OTHER_SEPARATORS:
             if sep in text:  # a scan is cheaper than a copy
                 text = text.replace(sep, " ")
         # np.fromstring reads a text of whitespace alone as [-1.0], and numpy 1.x
@@ -189,20 +190,27 @@ def load_dataset_group(directory) -> tuple[RRSeries, ...]:
     return tuple(sorted(load_recordings(input_files(path)), key=lambda s: s.source_id))
 
 
+def check_segment_len(length: int) -> int:
+    """length, if segments may be cut to it (>= 3 intervals); else ValueError."""
+    if length < 3:
+        raise ValueError(f"segment length must be >= 3, got {length}")
+    return length
+
+
 def load_recordings(files: Iterable, segment_len: int | None = None) -> Iterator[RRSeries]:
-    """Yield each file's recording, or its segments, in file order; nothing sorts them.
+    """An iterator over each file's recording, or its segments, in file order; nothing sorts them.
 
     A file is read when its first recording is asked for, and nothing of it
-    is held here once its last is handed out. With segment_len, a partial
-    tail is dropped with a warning on the `tvmhrv` logger naming the file,
-    before its first segment is yielded, and a recording shorter than one
-    segment raises TooShortSeriesError naming its file.
+    is held here once its last is handed out. With segment_len, checked by
+    check_segment_len before any file is read, a partial tail is dropped
+    with a warning on the `tvmhrv` logger naming the file, before its first
+    segment is handed out, and a recording shorter than one segment raises
+    TooShortSeriesError naming its file.
     """
-    for file in files:
-        if segment_len is None:
-            yield load_rr_series(file)
-        else:
-            yield from _load_segments(file, segment_len)
+    if segment_len is None:
+        return map(load_rr_series, files)
+    check_segment_len(segment_len)
+    return chain.from_iterable(_load_segments(file, segment_len) for file in files)
 
 
 def _load_segments(file, segment_len: int) -> list[RRSeries]:
@@ -228,9 +236,7 @@ def split_segments(series: RRSeries, length: int) -> list[RRSeries]:
     zero-padded to at least 3 digits and to the width of the last index, so
     they sort in time order.
     """
-    if length < 3:
-        raise ValueError(f"segment length must be >= 3, got {length}")
-    n = len(series) // length
+    n = len(series) // check_segment_len(length)
     width = max(3, len(str(n - 1)))
     segments = []
     for k in range(n):

@@ -14,6 +14,7 @@ points are excluded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -109,6 +110,13 @@ def point_distances(points: PlotPoints) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
+def check_radius(r: float) -> float:
+    """r, if it is a finite radius > 0; else ValueError naming it."""
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError(f"radius must be finite and > 0, got {r}")
+    return r
+
+
 def radius_census(points: PlotPoints, radii: Sequence[float]) -> list[RadiusCounts]:
     """Counts of the points with distance < r, and their mean distance D, per radius.
 
@@ -118,10 +126,7 @@ def radius_census(points: PlotPoints, radii: Sequence[float]) -> list[RadiusCoun
     """
     if len(points) == 0:
         raise EmptyInputError("need at least one plot point")
-    radii = list(radii)
-    for r in radii:
-        if not (r > 0):
-            raise ValueError(f"radius must be > 0, got {r}")
+    radii = list(map(check_radius, radii))
     distances, codes = point_distances(points), points.code
     out = [None] * len(radii)
     for k in sorted(range(len(radii)), key=radii.__getitem__, reverse=True):

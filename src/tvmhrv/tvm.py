@@ -197,12 +197,11 @@ def check_divisions(divisions: Sequence[int]) -> tuple[int, int, int]:
     # The range test comes first: int() of an inf or NaN raises an error of its own.
     if len(divisions) != 3 or any(not 1 <= d < math.inf or int(d) != d for d in divisions):
         raise ValueError(f"divisions must be three integers >= 1, got {divisions}")
-    # Each bin index is computed in float64 and the flat cell index is an int64.
-    if max(divisions) > MAX_AXIS_DIVISIONS or math.prod(map(int, divisions)) >= 2**63:
-        raise ValueError(
-            f"divisions must be at most 2**53 per axis and give fewer than 2**63 cells, "
-            f"got {divisions}"
-        )
+    # The flat cell index is an int64 and each bin index is computed in float64.
+    if math.prod(map(int, divisions)) >= 2**63:
+        raise ValueError(f"divisions must give fewer than 2**63 cells, got {divisions}")
+    if max(divisions) > MAX_AXIS_DIVISIONS:
+        raise ValueError(f"divisions must be at most 2**53 per axis, got {divisions}")
     return tuple(map(int, divisions))
 
 

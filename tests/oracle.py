@@ -11,7 +11,8 @@ import re
 # The largest interval a recording may hold.
 MAX_INTERVAL = 1e150
 
-ASCII_SEPARATORS = re.compile(r"[\s,]+", re.ASCII)
+# ASCII whitespace as str.split() takes it (\x1c-\x1f included), and commas.
+SEPARATORS = re.compile(r"[\s\x1c-\x1f,]+", re.ASCII)
 
 
 def reference_rr_file(path):
@@ -29,12 +30,8 @@ def reference_rr_file(path):
             for lineno, line in enumerate(fh, start=1):
                 if line.lstrip().startswith("#"):
                     continue
-                # Only commas and ASCII whitespace separate tokens.
-                if line.isascii():
-                    tokens = line.replace(",", " ").split()
-                else:
-                    tokens = [t for t in ASCII_SEPARATORS.split(line) if t]
-                for token in tokens:
+                # Only commas and ASCII whitespace separate tokens, on every line.
+                for token in filter(None, SEPARATORS.split(line)):
                     # float() takes '_' and non-ASCII digits; a number may hold neither.
                     if "_" in token or not token.isascii():
                         return None, ("parse", lineno, token)

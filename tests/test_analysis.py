@@ -183,7 +183,9 @@ class TestParams:
         assert params.r_d == 6.0
         assert params.divisions == (10, 10, 10)
 
-    @pytest.mark.parametrize("kwargs", [{"r_ctm": 0.0}, {"r_d": -1.0}, {"divisions": (0, 1, 1)}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"r_ctm": 0.0}, {"r_d": -1.0}, {"divisions": (0, 1, 1)}, {"r_ctm": math.inf}]
+    )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             IndicatorParams(**kwargs)

@@ -91,7 +91,9 @@ class TestParsers:
                 run(["indicators", rr_file, "--divisions", text])
             assert info.value.code == 2
             err = capsys.readouterr().err
-            assert f"divisions must give fewer than 2**63 cells: {text!r}" in err
+            divisions = tuple(map(int, text.split(",")))
+            rule = f"divisions must give fewer than 2**63 cells, got {divisions}"
+            assert f"argument --divisions: {rule}" in err
 
     def test_divisions_within_a_float_exact_axis(self, rr_file, tmp_path, capsys):
         # float64, in which a bin index is computed, holds every integer up to 2**53.
@@ -103,7 +105,9 @@ class TestParsers:
                 run(["indicators", rr_file, "--divisions", text])
             assert info.value.code == 2
             err = capsys.readouterr().err
-            assert f"argument --divisions: divisions must be at most 2**53 per axis: {text!r}" in err
+            divisions = tuple(map(int, text.split(",")))
+            rule = f"divisions must be at most 2**53 per axis, got {divisions}"
+            assert f"argument --divisions: {rule}" in err
 
     @pytest.mark.parametrize("flag", ["--r-ctm", "--r-d"])
     @pytest.mark.parametrize("text", ["inf", "nan", "1e400", "-Infinity"])
@@ -111,7 +115,8 @@ class TestParsers:
         with pytest.raises(SystemExit) as info:
             run(["indicators", rr_file, f"{flag}={text}"])
         assert info.value.code == 2
-        assert f"argument {flag}: radius must be finite, got {text!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag}: radius must be finite and > 0, got {float(text)}" in err
 
     @pytest.mark.parametrize("command", ["indicators", "points", "classify"])
     @pytest.mark.parametrize("flag, text", [("--r-ctm", "0"), ("--r-d", "-0.0"), ("--r-ctm", "-1")])
@@ -121,13 +126,52 @@ class TestParsers:
         with pytest.raises(SystemExit) as info:
             run([command, *inputs, f"{flag}={text}"])
         assert info.value.code == 2
-        assert f"argument {flag}: radius must be > 0, got {text!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag}: radius must be finite and > 0, got {float(text)}" in err
 
     def test_radius_must_be_a_number(self, rr_file, capsys):
         with pytest.raises(SystemExit) as info:
             run(["indicators", rr_file, "--r-d", "six"])
         assert info.value.code == 2
         assert "argument --r-d: expected a number, got 'six'" in capsys.readouterr().err
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        r=st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-320, 1.7976931348623157e308])),
+        spelling=st.sampled_from([repr, lambda v: f"{v:.3e}", lambda v: f" {v!r}\t"]),
+        divisions=st.tuples(*[st.one_of(st.integers(-2, 12), st.integers(-2**64, 2**64))] * 3),
+    )
+    @example(r=float("inf"), spelling=repr, divisions=(1, 1, 2**53 + 1))
+    @example(r=1e400, spelling=lambda v: "1e400", divisions=(2**21, 2**21, 2**21))
+    def test_flags_follow_the_indicator_params_rule(self, r, spelling, divisions, capsys):
+        # A --r-ctm or --r-d text that float() reads, and a --divisions text of
+        # three ints, is a usage error exactly when IndicatorParams rejects its
+        # value, and with IndicatorParams' message.
+        r_text = spelling(r)
+        r = float(r_text)
+        for flag, text, kwargs in (
+            ("--r-ctm", r_text, {"r_ctm": r}),
+            ("--r-d", r_text, {"r_d": r}),
+            ("--divisions", ",".join(map(str, divisions)), {"divisions": divisions}),
+        ):
+            try:
+                IndicatorParams(**kwargs)
+                rule = None
+            except ValueError as exc:
+                rule = str(exc)
+            try:
+                cli.build_parser().parse_args(["indicators", "a", f"{flag}={text}"])
+                code = None
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err
+            if rule is None:
+                assert code is None, err
+            else:
+                assert code == 2
+                assert err.endswith(f"error: argument {flag}: {rule}\n"), (err, rule)
 
     @pytest.mark.parametrize("argv", [["indicators", "a"], ["points", "a"], ["classify", "a", "b"]])
     def test_indicator_flags_default_to_indicator_params(self, argv):
@@ -818,6 +862,19 @@ class TestClassify:
         # Only the quadrant clustered counts: etv_global has no empty quadrant to warn of.
         assert run([*segmented, "--indicator", "etv_global"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_one_value_over_the_pair_names_the_pair_and_indicator(self, tmp_path, capsys):
+        # Flat recordings have no point in quadrant I: etv1 is 0 in every one.
+        groups = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            write_series(tmp_path / name / "r.txt", [800] * 5)
+            groups.append(tmp_path / name)
+        assert run(["classify", *groups, "--indicator", "etv1", "--out", tmp_path / "ri.csv"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "tvmhrv: error: a|b, etv1: k-means with k=2 needs at least 2 distinct values, got 1"
+        )
+        assert not (tmp_path / "ri.csv").exists()
 
     def test_k_means_stopped_before_convergence_is_warned(self, tmp_path, capsys, monkeypatch):
         # 12 intervals ending in k alternating beats: CTM 1.0, 0.7 and 0.6 against

@@ -97,7 +97,7 @@ def test_reproduce_tables_segment_len_below_three_is_a_usage_error(corpus_dir, t
         text=True,
     )
     assert done.returncode == 2, done.stderr
-    assert f"segment length must be >= 3, got {length}" in done.stderr
+    assert f"argument --segment-len: segment length must be >= 3, got {length}" in done.stderr
     assert "Traceback" not in done.stderr
 
 
@@ -129,7 +129,7 @@ def test_reproduce_tables_non_finite_radius_is_a_usage_error(corpus_dir, tmp_pat
         text=True,
     )
     assert done.returncode == 2, done.stderr
-    assert f"argument {flag}: radius must be finite, got {text!r}" in done.stderr
+    assert f"argument {flag}: radius must be finite and > 0, got {float(text)}" in done.stderr
     assert not (tmp_path / "tables").exists()
 
 
@@ -144,7 +144,7 @@ def test_reproduce_tables_non_positive_radius_is_a_usage_error(corpus_dir, tmp_p
     )
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
-    assert f"argument {flag}: radius must be > 0, got {text!r}" in done.stderr
+    assert f"argument {flag}: radius must be finite and > 0, got {float(text)}" in done.stderr
     assert not (tmp_path / "tables").exists()
 
 

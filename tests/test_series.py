@@ -102,6 +102,10 @@ class TestLoadRRSeries:
             ("800\n810\u00a0790\n805\n", "810\u00a0790", 2),
             ("800\n810\n\u00a0\n805\n", "\u00a0", 3),
             ("800\n810\n790\u2028\n805\n", "790\u2028", 3),
+            # \x1c-\x1f separate tokens whether or not their line holds non-ASCII text.
+            ("800\n810\n790\x1c1_0\n", "1_0", 3),
+            ("800\n810\n790\x1c1_0 \u00e9\n", "1_0", 3),
+            ("800\n810\n790\x1f1_0 \u00e9\n", "1_0", 3),
         ],
     )
     # The line of a bad token is counted over the whole file: 4 or 65,536
@@ -397,6 +401,12 @@ class TestLoadGroups:
             env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert done.stderr == ""
+
+    @pytest.mark.parametrize("length", [2, 0, -3])
+    def test_segment_len_is_checked_before_any_file_is_read(self, tmp_path, length):
+        missing = tmp_path / "missing.txt"
+        with pytest.raises(ValueError, match=rf"^segment length must be >= 3, got {length}$"):
+            load_recordings([missing], segment_len=length)
 
     def test_recording_shorter_than_segment_names_file(self, grp):
         with pytest.raises(TooShortSeriesError) as err:

@@ -286,10 +286,15 @@ def test_census_matches_one_full_mask_per_radius(case):
 
 @pytest.mark.parametrize(
     ("radii", "bad"),
-    [([3.0, -1.0], "-1.0"), ([float("nan")], "nan"), ([float("nan"), -1.0], "nan")],
-    ids=["negative-after-good", "nan", "nan-before-negative"],
+    [
+        ([3.0, -1.0], "-1.0"),
+        ([float("nan")], "nan"),
+        ([float("nan"), -1.0], "nan"),
+        ([3.0, float("inf")], "inf"),
+    ],
+    ids=["negative-after-good", "nan", "nan-before-negative", "inf-after-good"],
 )
 def test_census_names_the_first_bad_radius(radii, bad):
     with pytest.raises(ValueError) as info:
         radius_census(five_points(), radii)
-    assert str(info.value) == f"radius must be > 0, got {bad}"
+    assert str(info.value) == f"radius must be finite and > 0, got {bad}"
