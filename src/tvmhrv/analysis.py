@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import shutil
 import sys
@@ -136,7 +137,9 @@ def _round_floats(node) -> None:
 
 
 def _json_scalar(v: float) -> str:
-    return json.dumps(round_sig(v))
+    """json's text of round_sig(v): a finite float's repr, json's own name for inf and NaN."""
+    v = round_sig(v)
+    return repr(v) if math.isfinite(v) else json.dumps(v)
 
 
 def _records_json(text: str, records) -> Iterator[str]:

@@ -45,6 +45,9 @@ BATCH_POINTS = 2048
 # The most values handed to Python as floats at a time: a list of a whole
 # 100k-point column would take 3.2 MB, four times the column.
 CHUNK = 4096
+# The fewest values that _fsums sums in vector passes: below, math.fsum one
+# value at a time costs less than the passes' fixed cost (about 40 us).
+VECTOR_SUMS = 1024
 
 
 def batches(sizes: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -86,13 +89,69 @@ def _floats(values: np.ndarray) -> Iterator[float]:
     return chain.from_iterable(values[i : i + CHUNK].tolist() for i in range(0, values.size, CHUNK))
 
 
-def _fsums(values: np.ndarray, sizes: np.ndarray) -> list[float]:
-    """math.fsum of each consecutive run of sizes[k] values.
+def _fsums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """math.fsum of each consecutive run of sizes[k] values (sizes >= 0), bit for bit.
 
-    fsum is correctly rounded, so a sum does not depend on the order of its values.
+    fsum is correctly rounded, so any correctly rounded sum has its bits,
+    whatever the order of the values. Per set of n values >= 0 (Rump, Ogita
+    and Oishi, "Accurate floating-point summation", 2008):
+    - sigma is a power of two above twice the set's float sum, so above its
+      exact sum and every value, and each value v splits exactly into
+      q = (sigma + v) - sigma, on the grid of 2**-52 sigma, and r = v - q,
+      |r| <= 2**-53 sigma;
+    - the q add up exactly in any order. The r add up to within
+      n**2 sigma 2**-106 of their exact sum, or to it if n sigma is at most
+      2**106 ulps of the set's least value, as every r lies on that grid;
+    - the set's sum, q sum + r sum, stands if the r sum is exact, or if the
+      q sum plus either end of the r sum's error interval rounds to it too
+      (a filter in the manner of Shewchuk, 1997).
+    Every other set is math.fsum's: one holding a value < 0, inf or NaN, one
+    whose float sum is at most 2**-900 (all zeros too) or at least 2**1000,
+    and one whose sum lies at or next to a rounding tie. The values are read CHUNK at a time.
+    A call of fewer than VECTOR_SUMS values is all math.fsum's.
     """
-    values = _floats(values)
-    return [math.fsum(islice(values, n)) for n in sizes.tolist()]
+    if values.size < VECTOR_SUMS:
+        floats = iter(values.tolist())
+        return np.array([math.fsum(islice(floats, k)) for k in sizes.tolist()])
+    filled = np.flatnonzero(sizes)
+    ends = np.cumsum(sizes)[filled]
+    starts = ends - sizes[filled]
+    n = sizes[filled].astype(np.float64)
+    sums = np.zeros(sizes.size)
+    # Sets with a value out of range give inf and NaN here, and then go to fsum.
+    with np.errstate(all="ignore"):
+        low = np.minimum.reduceat(values, starts)
+        total = np.add.reduceat(values, starts)  # within n ulps of the exact sum
+        sigma = np.spacing(total) * 2.0**54  # a power of two, 2 to 4 times total
+        q_sums, r_sums = np.zeros(n.size), np.zeros(n.size)
+        q_buf, r_buf = np.empty(CHUNK), np.empty(CHUNK)
+        heads = np.arange(0, int(ends[-1]), CHUNK)
+        tails = np.minimum(heads + CHUNK, ends[-1])
+        # The sets that hold the first and the last value of each chunk.
+        firsts = np.searchsorted(ends, heads, side="right").tolist()
+        lasts = np.searchsorted(ends, tails, side="left").tolist()
+        for a, b, s, t in zip(heads.tolist(), tails.tolist(), firsts, lasts):
+            v, q, r = values[a:b], q_buf[: b - a], r_buf[: b - a]
+            if s == t:
+                sig, at = sigma[s], [0]
+            else:  # where each of the chunk's sets starts and ends in it
+                at, stop = starts[s : t + 1] - a, ends[s : t + 1] - a
+                at[0], stop[-1] = 0, b - a
+                sig = np.repeat(sigma[s : t + 1], stop - at)
+            np.add(v, sig, out=q)
+            q -= sig
+            np.subtract(v, q, out=r)
+            q_sums[s : t + 1] += np.add.reduceat(q, at)
+            r_sums[s : t + 1] += np.add.reduceat(r, at)
+        sums[filled] = q_sums + r_sums
+        # Four times the error bound, so that the ends stay outside it as they round.
+        bound = n * n * sigma * 2.0**-104
+        ok = (low >= 0.0) & (total > 2.0**-900) & (total < 2.0**1000)
+        ok &= (q_sums + (r_sums - bound) == q_sums + (r_sums + bound)) | (n * sigma * 2.0**-106 <= np.spacing(low))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        sums[filled[bad]] = [math.fsum(_floats(values[a:b])) for a, b in zip(starts[bad].tolist(), ends[bad].tolist())]
+    return sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +190,9 @@ class SubspaceGrid:
     set by set (`occupied[s]` cells each) and in ascending cell order
     within a set: `cells` holds the C-order flat index of each cell's (ix,
     iy, iz) over its set's divisions, `counts` its point count and
-    `abs_z_sums` the sum of its points' |z|. Empty cells are not stored;
-    they still count toward `n_cells`.
+    `abs_z_sums` the math.fsum of its points' |z|, which does not depend
+    on their order. Empty cells are not stored; they still count toward
+    `n_cells`.
     """
 
     sizes: np.ndarray
@@ -167,7 +227,7 @@ def build_tvm_points(
         raise EmptyInputError("need at least one plot point")
     sizes = _set_sizes(sizes, len(points))
     le = point_distances(points)
-    mean_le = np.array([s / n for s, n in zip(_fsums(le, sizes), sizes.tolist())])
+    mean_le = _fsums(le, sizes) / sizes
     if quadrant is not None:
         keep = points.code == quadrant
         sizes = np.add.reduceat(keep, np.cumsum(sizes) - sizes, dtype=np.int64)
@@ -219,7 +279,8 @@ def build_grid(
     (x[i], y[i], z[i]). rows, if given, is an index array that picks the
     points, in its order, and each axis is gathered through it in turn.
     sizes counts the points of each set in turn (each >= 1); by default all
-    points are one set.
+    points are one set. Each cell's |z| sum is math.fsum's, from _fsums over
+    the |z| in cell order.
     """
     n = z.size if rows is None else rows.size
     if n == 0:
@@ -271,10 +332,8 @@ def build_grid(
     counts = np.diff(cell_starts, append=n)
     cells = keys[cell_starts].astype(np.int64)
     del keys
-    # A one-point cell's sum is its point's |z|; the others' are fsums.
-    abs_z_sums = abs_z[cell_starts]
-    many = counts > 1
-    abs_z_sums[many] = _fsums(abs_z[np.repeat(many, counts)], counts[many])
+    # Each cell's run of |z| in one call, one-point cells too: their sum is their value.
+    abs_z_sums = _fsums(abs_z, counts)
     return SubspaceGrid(
         sizes=sizes,
         divisions=divisions,
@@ -299,7 +358,7 @@ def temporal_variation_entropy(grid: SubspaceGrid) -> list[float]:
     p = p[live]
     log_p = np.fromiter(map(math.log, _floats(p)), np.float64, p.size)
     terms = grid.counts[live] * grid.abs_z_sums[live] * p * -log_p
-    return _fsums(terms, np.bincount(cell_set[live], minlength=len(sizes)))
+    return _fsums(terms, np.bincount(cell_set[live], minlength=len(sizes))).tolist()
 
 
 def etv_of_sets(

@@ -838,6 +838,15 @@ def written_json_fields(path: Path) -> list[str]:
     return [line.split(": ", 1)[1] for line in lines if line.startswith('      "')]
 
 
+def test_json_scalar_is_json_of_the_rounded_value():
+    rng = np.random.default_rng(35)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    tiny = 5e-324
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, tiny, -tiny, 2.2250738585072009e-308]
+    values = special + bits.tolist() + (rng.random(1000) * 2.0**-1022).tolist()
+    assert [analysis._json_scalar(v) for v in values] == [json.dumps(round_sig(v)) for v in values]
+
+
 class TestColumnKernel:
     """The column writers' text of dense values, and which values they decline."""
 

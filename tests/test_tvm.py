@@ -1,6 +1,10 @@
+import importlib.util
 import math
 import random
+import sys
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,11 +27,13 @@ from tvmhrv import (
     SubspaceGrid,
     build_grid,
     build_tvm_points,
+    indicator_of,
     point_distances,
     quadrant_etv,
     radius_counts,
     report,
     second_order_diff,
+    split_segments,
     temporal_variation_entropy,
 )
 from tvmhrv import tvm
@@ -548,6 +554,135 @@ def test_fsums_across_chunk_edges():
     assert hexes(tvm._fsums(values, sizes)) == hexes(want)
 
 
+FSUM = math.fsum
+TINY = 2.0**-1074
+
+
+def fsum_results(values: np.ndarray, sizes) -> list:
+    """math.fsum of each consecutive run of sizes[k] values, as its hex or the error type it raises."""
+    results, end = [], 0
+    for n in sizes:
+        try:
+            results.append(float.hex(FSUM(values[end : end + n].tolist())))
+        except (ValueError, OverflowError) as error:
+            results.append(type(error))
+        end += n
+    return results
+
+
+def vector_sums(values: np.ndarray, sizes) -> tuple[object, int]:
+    """tvm._fsums with every call of one value or more in vector passes: its
+    sums as hexes (or the error type it raises), and the sets it gave to math.fsum."""
+    with mock.patch.object(tvm, "VECTOR_SUMS", 1), mock.patch("math.fsum", wraps=FSUM) as fsum:
+        try:
+            sums = hexes(tvm._fsums(values, np.array(sizes, dtype=np.int64)).tolist())
+        except (ValueError, OverflowError) as error:
+            sums = type(error)
+    return sums, fsum.call_count
+
+
+def assert_vector_sums_are_fsums(sets) -> None:
+    """The kernel gives each set's fsum bit for bit, or fsum's first error."""
+    sizes = [len(s) for s in sets]
+    values = np.concatenate([np.asarray(s, dtype=np.float64) for s in sets] + [np.zeros(0)])
+    want = fsum_results(values, sizes)
+    errors = [w for w in want if isinstance(w, type)]
+    assert vector_sums(values, sizes)[0] == (errors[0] if errors else want)
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        pytest.param([[0.0], [-0.0], [0.0, -0.0, 0.0], [-0.0, -0.0]], id="signed-zeros"),
+        pytest.param([[TINY], [TINY] * 3, [2.0**-1030, 3 * TINY, 2.0**-1022 - TINY]], id="subnormals"),
+        pytest.param([[math.inf, 1.0], [math.nan], [2.0, math.nan, math.inf], [1.0, 2.0]], id="inf-nan"),
+        pytest.param([[1.0], [math.inf, -math.inf]], id="inf-minus-inf"),
+        pytest.param([[1.0], [1e308, 1e308]], id="overflow"),
+        # 1 + 2**-53 lies halfway between 1 and its successor and rounds to the even one.
+        pytest.param([[1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [2.0**53, 1.0], [3.0, 2.0**-52]], id="midpoints"),
+        pytest.param([[1.0, 2.0**-53, 2.0**-200], [2.0**-200, 2.0**53, 1.0]], id="past-midpoints"),
+        pytest.param([[], [2.0, -1.0], [], [1.0, -1.0]], id="empty-and-signed"),
+        # sigma is 2**60. The r add up to 64 * 126 + 32 + 2**-44, whose last
+        # bit lies below the partial sums' ulps: without it the sum is a tie.
+        pytest.param([[2.0**52 + 5 * 256 + 126] * 64 + [288.0 + 2.0**-44]], id="lost-low-bits"),
+        # Values that cancel far above sigma, which a sum of 0.3 sets: the sign
+        # screen alone keeps them from the passes.
+        pytest.param([[0.1, 2.0**60, 0.2, -(2.0**60)], [200.0, 200.0, -(2.0**60)]], id="large-negative"),
+    ],
+)
+def test_vector_sums_at_the_edges_are_fsums(sets):
+    assert_vector_sums_are_fsums(sets)
+
+
+def test_vector_sums_across_chunk_edges():
+    c = tvm.CHUNK
+    sizes = [1, c - 1, c, c + 1, 3 * c + 7, 2, 1]
+    rng = np.random.default_rng(35)
+    values = rng.random(sum(sizes)) * 2.0 ** rng.integers(-30, 31, sum(sizes))
+    assert vector_sums(values, sizes) == (fsum_results(values, sizes), 0)
+    assert hexes(tvm._fsums(values, np.array(sizes)).tolist()) == fsum_results(values, sizes)
+
+
+def spread_set(size: int, low: int, span: int, zeros: float, seed: int) -> np.ndarray:
+    """size values >= 0 in random order, their exponents spread over 2**low to 2**(low + span)."""
+    rng = np.random.default_rng(seed)
+    exponents = rng.integers(low, min(low + span, 1000), size, endpoint=True)
+    values = np.ldexp(rng.random(size) + 0.5, exponents)
+    values[rng.random(size) < zeros] = 0.0
+    return values
+
+
+def tie_set(mantissa: int, k: int, pieces: int, past: int | None, seed: int) -> np.ndarray:
+    """x = mantissa * 2**k and pieces values that add up to half its ulp exactly,
+    so that the sum is a midpoint; past it by 2**(k - 1 - past) if past is given."""
+    c = (pieces - 1).bit_length()
+    piece = 2.0 ** (k - 1 - c)
+    values = [math.ldexp(mantissa, k)] + [piece] * (pieces - 1) + [piece * (2**c - pieces + 1)]
+    if past is not None:
+        values.append(2.0 ** (k - 1 - past))
+    return np.random.default_rng(seed).permutation(values)
+
+
+any_float = st.one_of(
+    st.floats(),
+    st.floats(min_value=0.0),
+    st.sampled_from([0.0, -0.0, TINY, 2.0**-1022, 2.0**-900, 2.0**1000, math.inf, math.nan]),
+)
+seeds = st.integers(0, 2**32 - 1)
+sum_sets = st.lists(
+    st.one_of(
+        st.lists(any_float, max_size=10).map(np.array),
+        st.builds(
+            spread_set,
+            st.builds(lambda e, f: min(2**17, int(2**e * (1 + f))), st.integers(0, 17), st.floats(0, 1)),
+            st.integers(-1074, 1000),
+            st.integers(0, 2000),
+            st.sampled_from([0.0, 0.5]),
+            seeds,
+        ),
+        st.builds(
+            tie_set,
+            st.integers(2**52, 2**53 - 1),
+            st.integers(-1000, 960),
+            st.integers(1, 2**17),
+            st.one_of(st.none(), st.integers(1, 60)),
+            seeds,
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(deadline=None)
+@given(sum_sets)
+@example([np.array([1.0, 2.0**-53, 2.0**-200])])
+@example([np.array([2.0**-200, 2.0**-53, 1.0 + 2.0**-51, 0.0])])
+@example([tie_set(2**52, -52, 3, 40, 0), spread_set(2**17, -20, 40, 0.0, 1)])
+def test_vector_sums_are_fsums_bit_for_bit(sets):
+    assert_vector_sums_are_fsums(sets)
+
+
 @pytest.mark.parametrize("extra", [-1, 0, 1, tvm.CHUNK + 3])
 def test_lift_across_chunk_edges_equals_per_value_exp(extra):
     n = tvm.CHUNK + extra
@@ -608,6 +743,57 @@ def test_in_place_lift_is_bit_identical_to_the_copying_lift(sets, quadrant):
     base = lifted.base
     assert lifted.d_co.tobytes() == (np.abs(base.y) - np.abs(base.x)).tobytes()
     assert lifted.le.tobytes() == point_distances(base).tobytes()
+
+
+def checkout_module(relative: str):
+    """A module of this checkout outside the package, by its path from the root."""
+    path = Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_like_recordings() -> dict[str, RRSeries]:
+    """100k-interval recordings: the benchmark's seed-1 steady and erratic
+    ones, and make_demo_data.py's, to 1 us as it writes them and to 1 ms."""
+    corpus = checkout_module("perfbench/corpus.py")
+    demo = checkout_module("scripts/make_demo_data.py")
+    recordings = {
+        f"bench {group}": RRSeries(np.array(corpus.recording_text(1, group, 0, 100_000).split(), dtype=float))
+        for group in corpus.GROUPS
+    }
+    rng = random.Random(1)
+    for group, maker in (("steady", demo.steady_series), ("erratic", demo.erratic_series)):
+        values = maker(rng, 100_000)
+        recordings[f"demo {group}"] = RRSeries(np.array([f"{v:.3f}" for v in values], dtype=float))
+        recordings[f"demo {group} ms"] = RRSeries(np.round(values))
+    return recordings
+
+
+def test_vector_sums_rarely_fall_back():
+    kernel = tvm._fsums
+    sets, fallbacks = Counter(), Counter()
+
+    def counted(values, sizes):
+        with mock.patch("math.fsum", wraps=FSUM) as fsum:
+            sums = kernel(values, sizes)
+        caller = sys._getframe(1).f_code.co_name
+        sets[caller] += sizes.size
+        fallbacks[caller] += fsum.call_count
+        return sums
+
+    with mock.patch.object(tvm, "_fsums", counted), mock.patch.object(tvm, "VECTOR_SUMS", 1):
+        for name, rec in bench_like_recordings().items():
+            for run in ("whole", "segments of 300"):
+                sets.clear(), fallbacks.clear()
+                if run == "whole":
+                    report(rec)
+                else:
+                    indicator_of(split_segments(rec, 300), "etv_global")
+                assert sets["build_tvm_points"] > 0 and sets["build_grid"] > 0
+                assert fallbacks["build_tvm_points"] == 0, (name, run)
+                assert fallbacks["build_grid"] <= 0.15 * sets["build_grid"], (name, run, fallbacks, sets)
 
 
 def traced_peak_and_held(call) -> tuple[int, int]:
