@@ -605,6 +605,14 @@ def assert_vector_sums_are_fsums(sets) -> None:
         # sigma is 2**60. The r add up to 64 * 126 + 32 + 2**-44, whose last
         # bit lies below the partial sums' ulps: without it the sum is a tie.
         pytest.param([[2.0**52 + 5 * 256 + 126] * 64 + [288.0 + 2.0**-44]], id="lost-low-bits"),
+        # sigma is 4, so the r are 2**-51 and 2**-53 + 2**-104, whose float sum
+        # drops its half-ulp 2**-104 to the even side and lands the result on a
+        # tie. An error bound under 2**-104 (a sixteenth of the one the kernel
+        # uses) rounds back onto that sum at both ends and passes it.
+        pytest.param(
+            [[1.0 + 2.0**-51, 2.0**-53 + 2.0**-104], [2.0**-652 + 2.0**-703, 2.0**-599 + 2.0**-650]],
+            id="low-sum-rounds-to-a-tie",
+        ),
         # Values that cancel far above sigma, which a sum of 0.3 sets: the sign
         # screen alone keeps them from the passes.
         pytest.param([[0.1, 2.0**60, 0.2, -(2.0**60)], [200.0, 200.0, -(2.0**60)]], id="large-negative"),
