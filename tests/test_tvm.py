@@ -607,8 +607,8 @@ def assert_vector_sums_are_fsums(sets) -> None:
         pytest.param([[2.0**52 + 5 * 256 + 126] * 64 + [288.0 + 2.0**-44]], id="lost-low-bits"),
         # sigma is 4, so the r are 2**-51 and 2**-53 + 2**-104, whose float sum
         # drops its half-ulp 2**-104 to the even side and lands the result on a
-        # tie. An error bound under 2**-104 (a sixteenth of the one the kernel
-        # uses) rounds back onto that sum at both ends and passes it.
+        # tie. An error bound of at most 2**-104 (a sixteenth of the kernel's)
+        # rounds back onto that sum at both ends and lets it stand.
         pytest.param(
             [[1.0 + 2.0**-51, 2.0**-53 + 2.0**-104], [2.0**-652 + 2.0**-703, 2.0**-599 + 2.0**-650]],
             id="low-sum-rounds-to-a-tie",
