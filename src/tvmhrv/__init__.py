@@ -30,7 +30,6 @@ from .errors import (
     DistinctValuesError,
     EmptyDirectoryError,
     EmptyInputError,
-    NoPointInRadiusError,
     RRParseError,
     RRValidationError,
     TooShortSeriesError,
@@ -38,7 +37,6 @@ from .errors import (
 )
 from .series import (
     RRSeries,
-    load_dataset_group,
     load_recordings,
     load_rr_series,
     split_segments,
@@ -47,10 +45,8 @@ from .sodp import (
     QUADRANTS,
     PlotPoints,
     RadiusCounts,
-    mean_distance_d,
     point_distances,
     radius_census,
-    radius_counts,
     second_order_diff,
 )
 from .tvm import (

@@ -37,7 +37,7 @@ class EmptyInputError(TvmhrvError):
 
 
 class NoPointInRadiusError(TvmhrvError):
-    """No point lies strictly inside the requested radius."""
+    """No point lies strictly inside the radius; raised only by sodp.mean_distance_d."""
 
 
 class DistinctValuesError(TvmhrvError):

@@ -124,8 +124,8 @@ def load_rr_series(path) -> RRSeries:
         for sep in _OTHER_SEPARATORS:
             if sep in text:  # a scan is cheaper than a copy
                 text = text.replace(sep, " ")
-        # np.fromstring reads a text of whitespace alone as [-1.0], and numpy 1.x
-        # only warns at a token it cannot read, keeping the values before it.
+        # np.fromstring reads a text of whitespace alone as [-1.0], and numpy before
+        # 2.3 only warns at a token it cannot read, keeping the values before it.
         values = np.empty(0)
         if text and not text.isspace():
             with warnings.catch_warnings():

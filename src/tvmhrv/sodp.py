@@ -139,12 +139,12 @@ def radius_census(points: PlotPoints, radii: Sequence[float]) -> list[RadiusCoun
 
 
 def radius_counts(points: PlotPoints, r: float) -> RadiusCounts:
-    """Count the points with distance < r, split by quadrant."""
+    """radius_census at one radius; kept only because perfbench/spans.py traces it."""
     return radius_census(points, [r])[0]
 
 
 def mean_distance_d(points: PlotPoints, r: float) -> float:
-    """Mean distance from the origin over the points with distance < r."""
+    """D at one radius, else NoPointInRadiusError; kept only for perfbench/spans.py."""
     d = radius_census(points, [r])[0].d
     if d is None:
         raise NoPointInRadiusError(f"no point lies strictly inside radius {r}")

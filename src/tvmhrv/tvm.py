@@ -245,10 +245,9 @@ def build_tvm_points(
     z = np.abs(points.y)
     z -= np.abs(points.x)  # d_co
     z *= l
+    # Where mean_le is 0, every le is 0 and l is 0.5 already; d_co may not be 0 (squares underflow).
     if zero.any():
-        zero = _per_point(zero, sizes)
-        np.copyto(l, 0.5, where=zero)
-        np.copyto(z, 0.0, where=zero)
+        np.copyto(z, 0.0, where=_per_point(zero, sizes))
     return LiftedPoints(base=points, l=l, z=z, sizes=sizes)
 
 

@@ -27,9 +27,8 @@ from tvmhrv import (
     build_tvm_points,
     indicator_value,
     load_recordings,
-    mean_distance_d,
     pairwise_classify,
-    radius_counts,
+    radius_census,
     report,
     second_order_diff,
     summarize_reports,
@@ -81,7 +80,7 @@ def test_criterion_1_oracle_equivalence():
 
             series = RRSeries(values, source_id=f"case{case:03d}")
             points = second_order_diff(series)
-            counts = radius_counts(points, r)
+            counts = radius_census(points, [r])[0]
             xs, ys = reference_sodp(values)
             ref_within, ref_quadrant, ref_axis = reference_radius_counts(xs, ys, r)
             assert counts.within == ref_within, case
@@ -136,7 +135,7 @@ def test_criterion_2_invariant_suite():
             values = [rng.uniform(300.0, 1500.0) for _ in range(rng.randint(3, 80))]
             points = second_order_diff(RRSeries(values))
             lo, hi = sorted((rng.uniform(0.1, 100.0), rng.uniform(0.1, 100.0)))
-            assert radius_counts(points, lo).ctm <= radius_counts(points, hi).ctm
+            assert radius_census(points, [lo])[0].ctm <= radius_census(points, [hi])[0].ctm
 
         # Quadrant-sum identity (exact, at the integer-count level),
         # E_TV >= 0, l in [0.5, 1] and below 1 within 36 mean distances, and
@@ -146,7 +145,7 @@ def test_criterion_2_invariant_suite():
             series = RRSeries(values)
             points = second_order_diff(series)
             r = rng.uniform(0.1, 120.0)
-            counts = radius_counts(points, r)
+            counts = radius_census(points, [r])[0]
             assert sum(counts.quadrant) + counts.on_axis == counts.within
             # The reported ratios are these exact counts over the total.
             assert counts.ctm == counts.within / counts.total
@@ -171,8 +170,8 @@ def test_criterion_3_degenerate_cases():
     with criterion(3, "degenerate cases"):
         constant = RRSeries([800] * 25, source_id="flat")
         points = second_order_diff(constant)
-        assert radius_counts(points, 3.0).ctm == 1.0
-        assert mean_distance_d(points, 6.0) == 0.0
+        assert radius_census(points, [3.0])[0].ctm == 1.0
+        assert radius_census(points, [6.0])[0].d == 0.0
         result = etv_report(constant)
         assert result.etv_global == 0.0
         assert result.etv_quadrant == (0.0, 0.0, 0.0, 0.0)

@@ -20,13 +20,12 @@ from tvmhrv import (
     RRValidationError,
     TooShortSeriesError,
     TvmhrvError,
-    load_dataset_group,
     load_recordings,
     load_rr_series,
     split_segments,
 )
 from tvmhrv import series as series_module
-from tvmhrv.series import MAX_INTERVAL, check_group_names, input_files
+from tvmhrv.series import MAX_INTERVAL, check_group_names, input_files, load_dataset_group
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -35,6 +34,13 @@ def write(tmp_path: Path, name: str, text: str) -> Path:
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def load_group(directory) -> list[RRSeries]:
+    """A group's recordings as the CLI reads them: check_group_names names the
+    directory before any file is read, and load_recordings loads its files."""
+    (path,) = check_group_names([directory]).values()
+    return list(load_recordings(input_files(path)))
 
 
 class TestLoadRRSeries:
@@ -212,6 +218,7 @@ class TestDatasetGroup:
         for name in ("b.txt", "a.txt", "c.csv", "a-b.txt"):
             write(ddir, name, "800\n810\n790\n")
         write(ddir, "ignored.dat", "not rr data")
+        # load_dataset_group is kept for perfbench's tracer, which wraps it by name.
         recordings = load_dataset_group(ddir)
         # Sorted by source id: "a-b.txt" comes before "a.txt" by file name,
         # but "a" before "a-b" by id. load_recordings keeps file order.
@@ -230,34 +237,34 @@ class TestDatasetGroup:
         write(ddir, "good.txt", "800\n810\n790\n")
         write(ddir, "zbad.txt", "800\nwat\n790\n")
         with pytest.raises(RRParseError) as err:
-            load_dataset_group(ddir)
+            load_group(ddir)
         assert "zbad.txt" in str(err.value)
 
     def test_empty_directory(self, tmp_path):
         ddir = tmp_path / "empty"
         ddir.mkdir()
         with pytest.raises(EmptyDirectoryError):
-            load_dataset_group(ddir)
+            load_group(ddir)
 
     def test_only_regular_files_are_recordings(self, tmp_path):
         ddir = tmp_path / "grp"
         (ddir / "x.txt").mkdir(parents=True)
         (ddir / "y.CSV").mkdir()
         with pytest.raises(EmptyDirectoryError):
-            load_dataset_group(ddir)
+            load_group(ddir)
         write(ddir, "rec.txt", "800\n810\n790\n")
         assert [p.name for p in input_files(ddir)] == ["rec.txt"]
-        assert [rec.source_id for rec in load_dataset_group(ddir)] == ["rec"]
+        assert [rec.source_id for rec in load_group(ddir)] == ["rec"]
 
     def test_not_a_directory(self, tmp_path):
         with pytest.raises(NotADirectoryError):
-            load_dataset_group(tmp_path / "missing")
+            load_group(tmp_path / "missing")
         # Checked before any file is read: an error naming bad.txt would mean a read.
         write(tmp_path, "bad.txt", "800\noops\n790\n")
         for other in (tmp_path / "missing", tmp_path / "bad.txt"):
             for check, paths in (
                 (check_group_names, [tmp_path, other]),
-                (load_dataset_group, other),
+                (load_group, other),
             ):
                 with pytest.raises(NotADirectoryError) as err:
                     check(paths)
@@ -268,7 +275,7 @@ class TestDatasetGroup:
         for check, paths in (
             (check_group_names, ["/"]),
             (check_group_names, [tmp_path, "/"]),
-            (load_dataset_group, "/"),
+            (load_group, "/"),
         ):
             with pytest.raises(TvmhrvError) as err:
                 check(paths)
@@ -364,7 +371,8 @@ class TestLoadGroups:
 
     def test_directory_group_sorted_by_source_id(self, grp):
         assert list(check_group_names([grp])) == ["grp"]
-        assert [rec.source_id for rec in load_dataset_group(grp)] == ["a", "b"]
+        # Files load in name order, which here is source id order too.
+        assert [rec.source_id for rec in load_group(grp)] == ["a", "b"]
 
     def test_segments_with_partial_tail_dropped(self, grp):
         recordings = load_recordings(input_files(grp), segment_len=5)
@@ -542,7 +550,7 @@ def _fail_fromstring(*args, **kwargs):
 
 
 def _reads_prefix(*prefix):
-    """np.fromstring as numpy 1.x reads unmatched data: a DeprecationWarning,
+    """np.fromstring as numpy before 2.3 reads unmatched data: a DeprecationWarning,
     hidden by default, and the values read before the bad token."""
 
     def fromstring(*args, **kwargs):

@@ -8,15 +8,14 @@ from oracle import reference_radius_counts
 
 from tvmhrv import (
     EmptyInputError,
-    NoPointInRadiusError,
     QUADRANTS,
     PlotPoints,
     RRSeries,
-    mean_distance_d,
     radius_census,
-    radius_counts,
     second_order_diff,
 )
+from tvmhrv.errors import NoPointInRadiusError
+from tvmhrv.sodp import mean_distance_d, radius_counts
 
 # Frozen with the straight-line reference in oracle.py.
 THREE_POINTS_MEAN_DISTANCE = 21.796145384105944
@@ -121,53 +120,55 @@ class TestQuadrants:
 class TestCtm:
     def test_all_points_at_origin(self):
         points = second_order_diff(RRSeries([800] * 10))
-        assert radius_counts(points, 0.001).ctm == 1.0
+        assert radius_census(points, [0.001])[0].ctm == 1.0
 
     def test_small_radius_excludes_all(self):
-        assert radius_counts(five_points(), 3.0).ctm == 0.0
+        assert radius_census(five_points(), [3.0])[0].ctm == 0.0
 
     def test_large_radius_includes_all(self):
-        assert radius_counts(five_points(), 30.0).ctm == 1.0
+        assert radius_census(five_points(), [30.0])[0].ctm == 1.0
 
     def test_boundary_point_excluded(self):
         # Strict inequality: distance exactly r does not count.
         points = PlotPoints(x=[3.0], y=[4.0])
-        assert radius_counts(points, 5.0).ctm == 0.0
-        assert radius_counts(points, 5.0000001).ctm == 1.0
+        assert radius_census(points, [5.0])[0].ctm == 0.0
+        assert radius_census(points, [5.0000001])[0].ctm == 1.0
 
     def test_empty_points_rejected(self):
         with pytest.raises(EmptyInputError):
-            radius_counts(PlotPoints(x=[], y=[]), 3.0)
+            radius_census(PlotPoints(x=[], y=[]), [3.0])
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
-            radius_counts(five_points(), 0.0)
+            radius_census(five_points(), [0.0])
 
 
 class TestCctm:
     def test_five_interval_example(self):
-        assert radius_counts(five_points(), 30.0).cctm == (0.0, 1 / 3, 0.0, 2 / 3)
+        assert radius_census(five_points(), [30.0])[0].cctm == (0.0, 1 / 3, 0.0, 2 / 3)
 
     def test_on_axis_points_belong_to_no_quadrant(self):
         points = second_order_diff(RRSeries([800] * 10))
-        assert radius_counts(points, 1.0).cctm == (0.0, 0.0, 0.0, 0.0)
-        assert radius_counts(points, 1.0).ctm == 1.0
+        assert radius_census(points, [1.0])[0].cctm == (0.0, 0.0, 0.0, 0.0)
+        assert radius_census(points, [1.0])[0].ctm == 1.0
 
     def test_single_point_quadrant_one(self):
-        assert radius_counts(PlotPoints(x=[1.0], y=[1.0]), 2.0).cctm == (1.0, 0.0, 0.0, 0.0)
+        assert radius_census(PlotPoints(x=[1.0], y=[1.0]), [2.0])[0].cctm == (1.0, 0.0, 0.0, 0.0)
 
 
 class TestMeanDistance:
     def test_five_interval_example(self):
-        assert mean_distance_d(five_points(), 30.0) == pytest.approx(
+        assert radius_census(five_points(), [30.0])[0].d == pytest.approx(
             THREE_POINTS_MEAN_DISTANCE, abs=1e-9
         )
 
     def test_all_at_origin(self):
         points = second_order_diff(RRSeries([800] * 5))
-        assert mean_distance_d(points, 1.0) == 0.0
+        assert radius_census(points, [1.0])[0].d == 0.0
 
     def test_no_point_in_radius(self):
+        assert radius_census(five_points(), [3.0])[0].d is None
+        # mean_distance_d, kept for perfbench's tracer, raises there instead.
         with pytest.raises(NoPointInRadiusError):
             mean_distance_d(five_points(), 3.0)
 
@@ -178,15 +179,17 @@ class TestMeanDistance:
 
 class TestRadiusCounts:
     def test_counts_match_ratios(self):
-        counts = radius_counts(five_points(), 30.0)
+        counts = radius_census(five_points(), [30.0])[0]
         assert counts.within == 3
         assert counts.quadrant == (0, 1, 0, 2)
         assert counts.on_axis == 0
         assert counts.total == 3
+        # radius_counts, kept for perfbench's tracer, is the census at one radius.
+        assert radius_counts(five_points(), 30.0) == counts
 
     @given(dyadic_intervals, st.floats(min_value=0.1, max_value=300.0))
     def test_quadrant_sum_identity(self, values, r):
-        counts = radius_counts(second_order_diff(RRSeries(values)), r)
+        counts = radius_census(second_order_diff(RRSeries(values)), [r])[0]
         assert sum(counts.quadrant) + counts.on_axis == counts.within
         assert 0 <= counts.within <= counts.total
 
@@ -205,8 +208,8 @@ def test_scale_equivariance_is_exact(values, c, r):
     p1 = second_order_diff(RRSeries(values))
     p2 = second_order_diff(RRSeries([c * v for v in values]))
     assert xy(p2) == [(c * x, c * y) for x, y in xy(p1)]
-    assert radius_counts(p2, c * r).ctm == radius_counts(p1, r).ctm
-    assert radius_counts(p2, c * r).cctm == radius_counts(p1, r).cctm
+    assert radius_census(p2, [c * r])[0].ctm == radius_census(p1, [r])[0].ctm
+    assert radius_census(p2, [c * r])[0].cctm == radius_census(p1, [r])[0].cctm
 
 
 @settings(max_examples=200)
@@ -218,20 +221,20 @@ def test_scale_equivariance_is_exact(values, c, r):
 def test_ctm_monotone_in_radius(values, r1, r2):
     lo, hi = sorted((r1, r2))
     points = second_order_diff(RRSeries(values))
-    assert radius_counts(points, lo).ctm <= radius_counts(points, hi).ctm
+    assert radius_census(points, [lo])[0].ctm <= radius_census(points, [hi])[0].ctm
 
 
 @given(dyadic_intervals)
 def test_ctm_reaches_one_for_large_radius(values):
     points = second_order_diff(RRSeries(values))
-    assert radius_counts(points, 1e9).ctm == 1.0
+    assert radius_census(points, [1e9])[0].ctm == 1.0
 
 
 @given(dyadic_intervals, st.floats(min_value=0.1, max_value=300.0))
 def test_cctm_bounded_by_ctm(values, r):
     points = second_order_diff(RRSeries(values))
-    total = radius_counts(points, r).ctm
-    for component in radius_counts(points, r).cctm:
+    total = radius_census(points, [r])[0].ctm
+    for component in radius_census(points, [r])[0].cctm:
         assert 0.0 <= component <= total <= 1.0
 
 

@@ -30,7 +30,7 @@ from tvmhrv import (
     indicator_of,
     point_distances,
     quadrant_etv,
-    radius_counts,
+    radius_census,
     report,
     second_order_diff,
     split_segments,
@@ -265,7 +265,7 @@ def assert_matches_oracle(values, divisions, radii):
     np.testing.assert_allclose(points.l, ls, rtol=1e-9, atol=0)
     np.testing.assert_allclose(points.z, zs, rtol=1e-9, atol=0)
     for r in radii:
-        counts = radius_counts(points.base, r)
+        counts = radius_census(points.base, [r])[0]
         within, quadrant, on_axis = reference_radius_counts(xs, ys, r)
         assert (counts.within, list(counts.quadrant), counts.on_axis) == (within, quadrant, on_axis)
     got_global, got_quadrant = etv(values, divisions)
