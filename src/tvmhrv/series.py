@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import os
 import re
-import warnings
 from dataclasses import InitVar, dataclass
 from itertools import chain
 from pathlib import Path
@@ -124,16 +123,13 @@ def load_rr_series(path) -> RRSeries:
         for sep in _OTHER_SEPARATORS:
             if sep in text:  # a scan is cheaper than a copy
                 text = text.replace(sep, " ")
-        # np.fromstring reads a text of whitespace alone as [-1.0], and numpy before
-        # 2.3 only warns at a token it cannot read, keeping the values before it.
+        # np.fromstring reads a text of whitespace alone as [-1.0].
         values = np.empty(0)
         if text and not text.isspace():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                values = np.fromstring(text, sep=" ")
+            values = np.fromstring(text, sep=" ")
         if not ((values > 0.0) & (values <= MAX_INTERVAL)).all():
             raise ValueError
-    except (ValueError, DeprecationWarning):
+    except ValueError:
         # Also where numpy declines a token float() reads: only speed is lost.
         values = _scan_lines(path, text)
     if values.size < 3:

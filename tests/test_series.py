@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import warnings
 import weakref
 from pathlib import Path
 
@@ -549,19 +548,13 @@ def _fail_fromstring(*args, **kwargs):
     raise ValueError("string or file could not be read to its end due to unmatched data")
 
 
-def _reads_prefix(*prefix):
-    """np.fromstring as numpy before 2.3 reads unmatched data: a DeprecationWarning,
-    hidden by default, and the values read before the bad token."""
-
-    def fromstring(*args, **kwargs):
-        warnings.warn("string or file could not be read to its end due to unmatched data",
-                      DeprecationWarning, stacklevel=2)
-        return np.array(prefix, dtype=np.float64)
-
-    return fromstring
-
-
-_warn_fromstring = _reads_prefix(800.0, 810.0, 790.0)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["8O0 800 810", "800 8O0 810", "800 810 8O0"])
+def test_numpy_raises_at_a_token_it_cannot_read(text):
+    # The loader's one sign of a failed parse. numpy before 2.3 only warned
+    # here and kept the values before the bad token: a file would load cut short.
+    with pytest.raises(ValueError):
+        np.fromstring(text, sep=" ")
 
 
 @settings(max_examples=300, deadline=None)
@@ -574,7 +567,7 @@ _warn_fromstring = _reads_prefix(800.0, 810.0, 790.0)
     comments=st.lists(st.tuples(st.integers(0, 31), COMMENTS), max_size=4),
     last_comment=st.sampled_from(["", "", "", "\n# end", "\n  # the end \u2603"]),
     bad_byte_at=RARELY.flatmap(lambda yes: st.integers(0, 400) if yes else st.none()),
-    numpy_fails=st.sampled_from([None, None, None, _fail_fromstring, _warn_fromstring]),
+    numpy_fails=st.sampled_from([None, None, None, _fail_fromstring]),
 )
 @example(
     tokens=["800", "1e151", "700"], separators=["\n"] * 30, bom=False, lead="", end="\n",
@@ -584,20 +577,12 @@ _warn_fromstring = _reads_prefix(800.0, 810.0, 790.0)
     tokens=["800", "810", "790"], separators=["\x1f"] * 30, bom=False, lead="", end="\n",
     comments=[], last_comment="", bad_byte_at=None, numpy_fails=_fail_fromstring,
 )
-@example(
-    tokens=["800", "810", "790", "oops", "805"], separators=["\n"] * 30, bom=False, lead="",
-    end="\n", comments=[], last_comment="", bad_byte_at=None, numpy_fails=_warn_fromstring,
-)
-@example(
-    tokens=["800", "8OO", "810", "790"], separators=["\n"] * 30, bom=False, lead="", end="\n",
-    comments=[], last_comment="", bad_byte_at=None, numpy_fails=_reads_prefix(800.0),
-)
 def test_parser_matches_the_line_scanner(
     tmp_path_factory, tokens, separators, bom, lead, end, comments, last_comment, bad_byte_at,
     numpy_fails,
 ):
     """The parser gives the line scanner's values bit for bit, or its error,
-    also when np.fromstring declines a text, or reads only part of it."""
+    also when np.fromstring declines a text."""
     parts = [lead]
     for k, token in enumerate(tokens):
         parts += [comment for at, comment in comments if at == k]
@@ -679,24 +664,24 @@ def test_one_row_csv_load_peaks_under_three_arrays(tmp_path):
     assert peak <= 3 * series.intervals.nbytes, peak / series.intervals.nbytes
 
 
-class TestBlockParser:
+class TestOnePassParser:
     """Texts read in one pass: mixed separators and CRLF pairs, a one-row CSV,
     comment lines anywhere, a long token; and bad tokens at the end of a text
     or after a value on its line, each named by its line."""
 
-    def test_tokens_carried_across_block_ends(self, tmp_path, one_pass):
+    def test_mixed_separators_and_crlf_pairs(self, tmp_path, one_pass):
         path = tmp_path / "rec.txt"
         path.write_bytes(b"\xef\xbb\xbf800.5\r\n810.25,790\t805.125\r\n\r\n795")
         assert load_rr_series(path).intervals.tolist() == [800.5, 810.25, 790.0, 805.125, 795.0]
         assert one_pass == [path]
 
-    def test_one_row_csv_over_many_blocks(self, tmp_path, one_pass):
+    def test_one_row_csv_of_many_values(self, tmp_path, one_pass):
         values = [round(600 + (k * 37) % 500 + k / 1000, 3) for k in range(5000)]
         path = write(tmp_path, "rec.csv", ",".join(map(repr, values)))
         assert load_rr_series(path).intervals.tolist() == values
         assert one_pass == [path]
 
-    def test_comment_after_the_first_block(self, tmp_path, one_pass):
+    def test_comment_between_values(self, tmp_path, one_pass):
         path = write(tmp_path, "rec.txt", "800\n" * 10 + "# a note\n" + "810\n" * 10)
         assert load_rr_series(path).intervals.tolist() == [800.0] * 10 + [810.0] * 10
         assert one_pass == [path]
@@ -730,14 +715,14 @@ class TestBlockParser:
             ("-1", RRValidationError, "line 21: interval '-1' must be > 0 and <= 1e+150"),
         ],
     )
-    def test_error_in_the_last_block_names_its_line(self, tmp_path, last, error, message):
+    def test_error_on_the_last_line_names_it(self, tmp_path, last, error, message):
         path = write(tmp_path, "rec.txt", "800\n" * 20 + last)
         with pytest.raises(error) as err:
             load_rr_series(path)
         assert str(err.value) == f"{path}: {message}"
         assert (err.value.path, err.value.line) == (path, 21)
 
-    def test_token_longer_than_a_block_parses_in_one_pass(self, tmp_path, one_pass):
+    def test_long_token_parses_in_one_pass(self, tmp_path, one_pass):
         path = write(tmp_path, "rec.txt", "800\n" + "0" * 20 + "810\n790\n")
         assert load_rr_series(path).intervals.tolist() == [800.0, 810.0, 790.0]
         assert one_pass == [path]

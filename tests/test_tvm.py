@@ -805,13 +805,14 @@ def test_vector_sums_rarely_fall_back():
 
 
 def traced_peak_and_held(call) -> tuple[int, int]:
-    """The traced peak of call and the memory its result holds."""
+    """The traced peak of call and the memory its result holds: what dropping
+    the result frees, so that caches the call filled do not count."""
     tracemalloc.start()
     try:
         result = call()
-        held, peak = tracemalloc.get_traced_memory()
+        traced, peak = tracemalloc.get_traced_memory()
         del result
-        return peak, held
+        return peak, traced - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
 
